@@ -194,11 +194,11 @@ fn wheel_and_heap_artifacts_are_byte_identical() {
             "trace TSV differs: wheel/skip=on vs {backend:?}/skip={skip}"
         );
         // Stats fingerprint (leads with the logical event count —
-        // dispatched + skipped — so the batch drain cannot silently
-        // skip or duplicate dispatches, and the skip layer cannot
-        // elide an event that was not a stale no-op; second entry is
-        // the fast-forward ledger, so the closed-form poll accounting
-        // is pinned across backends and skip modes too).
+        // dispatched + skipped — so the pop loop cannot silently skip
+        // or duplicate dispatches, and the skip layer cannot elide an
+        // event that was not a stale no-op; second entry is the
+        // fast-forward ledger, so the closed-form poll accounting is
+        // pinned across backends and skip modes too).
         assert_eq!(
             baseline.stats, other.stats,
             "run-report statistics differ: wheel/skip=on vs {backend:?}/skip={skip}"

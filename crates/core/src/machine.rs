@@ -42,8 +42,8 @@ use taichi_hw::{
 use taichi_os::{ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId};
 use taichi_sim::trace::FailureDump;
 use taichi_sim::{
-    EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng, SimDuration, SimTime,
-    TraceKind, Tracer,
+    Arena, ArenaStats, EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng,
+    SimDuration, SimTime, TraceKind, Tracer,
 };
 use taichi_virt::{VcpuState, VmExitReason};
 
@@ -104,13 +104,17 @@ impl std::fmt::Display for Mode {
     }
 }
 
-#[derive(Debug)]
+/// One queued machine event: a 16-byte `Copy` value, so the queue moves
+/// two words per schedule and pop. Payloads that do not fit (packets,
+/// CP jobs) are parked in the machine's arenas and travel as handles.
+#[derive(Clone, Copy, Debug)]
 enum Event {
     NextArrival {
         gen: usize,
     },
+    /// Handle into [`Machine::packets`].
     Delivered {
-        packet: Packet,
+        packet: u32,
     },
     ProbeIrq {
         host: CpuId,
@@ -123,7 +127,7 @@ enum Event {
         idx: usize,
     },
     VcpuSliceExpire {
-        idx: usize,
+        idx: u32,
         gen: u64,
     },
     VcpuExited {
@@ -139,12 +143,13 @@ enum Event {
     DpBurstDone {
         si: usize,
     },
+    /// Handle into [`Machine::vm_jobs`].
     VmCreate {
-        request: VmCreateRequest,
-        programs: Vec<Program>,
+        job: u32,
     },
+    /// Handle into [`Machine::spawn_jobs`].
     SpawnBatch {
-        programs: Vec<Program>,
+        job: u32,
         batch: usize,
     },
     UtilSample,
@@ -163,11 +168,14 @@ enum Event {
     FaultStorm,
     /// A cross-NIC packet injected by an external driver (the fleet
     /// layer's east-west delivery): enters the accelerator pipeline at
-    /// its arrival time exactly like a wire arrival.
+    /// its arrival time exactly like a wire arrival. Handle into
+    /// [`Machine::packets`].
     RxInject {
-        packet: Packet,
+        packet: u32,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// Degradation-bookkeeping counters for the fault layer: every
 /// recovery action the scheduler took, plus the loss counters the
@@ -284,10 +292,12 @@ pub struct Machine {
 
     batches: Vec<Vec<ThreadId>>,
 
-    /// Reusable same-timestamp batch buffer for [`Machine::run_until`]:
-    /// one queue access drains a whole burst, and the buffer keeps its
-    /// capacity across batches so the steady-state loop never allocates.
-    event_batch: Vec<Event>,
+    /// Packets between ingest (or injection) and shared-memory
+    /// delivery, addressed by the `Delivered`/`RxInject` handles.
+    packets: Arena<Packet>,
+    /// Scheduled VM creations and CP batches awaiting their instant.
+    vm_jobs: Arena<(VmCreateRequest, Vec<Program>)>,
+    spawn_jobs: Arena<Vec<Program>>,
     /// O(1) `CpuId` → DP-service index, dense by `CpuId::index()`
     /// (`None` for non-DP CPUs). Replaces a linear scan that ran
     /// several times per packet event.
@@ -537,7 +547,9 @@ impl Machine {
             tid_to_tracker: HashMap::new(),
             vm_startup_times: Vec::new(),
             batches: Vec::new(),
-            event_batch: Vec::new(),
+            packets: Arena::with_capacity(cfg.footprint.initial_event_slots()),
+            vm_jobs: Arena::default(),
+            spawn_jobs: Arena::default(),
             dp_index_map,
             scratch_idle_dp: Vec::new(),
             scratch_cp_hosts: Vec::new(),
@@ -644,6 +656,7 @@ impl Machine {
         self.injected_rx += 1;
         let at = at.max(self.now);
         let packet = Packet::new(id, kind, size_bytes, dest_cpu, 0, at).with_tenant(tenant);
+        let packet = self.packets.park(packet);
         self.queue.schedule(at, Event::RxInject { packet });
         id
     }
@@ -679,14 +692,17 @@ impl Machine {
 
     /// Releases memory retained past each subsystem's current working
     /// set: the event queue's storm-peak slab/overflow storage, the
-    /// skipped-deadline heap's spare capacity, every DP rx ring's
-    /// backing store, and the tenant staging rings. Bounded work,
-    /// observably inert — the simulated schedule, stats, and traces
-    /// are byte-identical with or without the call — so fleet drivers
-    /// invoke it after storm recovery to keep resident memory flat
-    /// across repeated storms.
+    /// payload arenas' and skipped-deadline heap's spare capacity, every
+    /// DP rx ring's backing store, and the tenant staging rings. Bounded
+    /// work, observably inert — the simulated schedule, stats, and
+    /// traces are byte-identical with or without the call — so fleet
+    /// drivers invoke it after storm recovery to keep resident memory
+    /// flat across repeated storms.
     pub fn compact(&mut self) {
         self.queue.compact();
+        self.packets.compact();
+        self.vm_jobs.compact();
+        self.spawn_jobs.compact();
         self.skipped_deadlines.shrink_to_fit();
         for s in &mut self.services {
             s.compact();
@@ -709,12 +725,26 @@ impl Machine {
         (self.queue.slab_high_watermark(), ring)
     }
 
+    /// Occupancy of the payload arenas: in-flight packets, pending VM
+    /// creations, pending CP batches. Every parked payload is unparked
+    /// when its event fires, so a quiescent machine reports zero live.
+    pub fn arena_stats(&self) -> [ArenaStats; 3] {
+        [
+            self.packets.stats(),
+            self.vm_jobs.stats(),
+            self.spawn_jobs.stats(),
+        ]
+    }
+
     /// Approximate resident bytes of the machine's variable-size
-    /// structures (event queue storage, rx-ring backing stores, tenant
-    /// staging rings). Fixed-size machine state is excluded; the
-    /// counting allocator gives the authoritative total.
+    /// structures (event queue storage, payload arenas, rx-ring backing
+    /// stores, tenant staging rings). Fixed-size machine state is
+    /// excluded; the counting allocator gives the authoritative total.
     pub fn resident_bytes(&self) -> usize {
         self.queue.resident_bytes()
+            + self.packets.resident_bytes()
+            + self.vm_jobs.resident_bytes()
+            + self.spawn_jobs.resident_bytes()
             + self
                 .services
                 .iter()
@@ -736,8 +766,9 @@ impl Machine {
     pub fn schedule_cp_batch(&mut self, programs: Vec<Program>, at: SimTime) -> usize {
         let batch = self.batches.len();
         self.batches.push(Vec::new());
+        let job = self.spawn_jobs.park(programs);
         self.queue
-            .schedule(at.max(self.now), Event::SpawnBatch { programs, batch });
+            .schedule(at.max(self.now), Event::SpawnBatch { job, batch });
         batch
     }
 
@@ -751,8 +782,8 @@ impl Machine {
     pub fn schedule_vm_create(&mut self, request: VmCreateRequest, factory: &TaskFactory) {
         let programs = request.device_programs(factory, &mut self.rng);
         let at = request.issued_at.max(self.now);
-        self.queue
-            .schedule(at, Event::VmCreate { request, programs });
+        let job = self.vm_jobs.park((request, programs));
+        self.queue.schedule(at, Event::VmCreate { job });
     }
 
     /// Enables periodic DP utilization sampling (for the Fig. 3 CDF).
@@ -795,25 +826,17 @@ impl Machine {
 
     /// Runs the machine until simulated time `t`.
     ///
-    /// Events are drained in same-timestamp batches: one queue access
-    /// per burst instead of a peek + pop per event. Handlers scheduling
-    /// *at the current instant* still fire in global `(time, seq)`
-    /// order — their entries carry later sequence numbers than the
-    /// whole drained batch, so the next drain picks them up in exactly
-    /// the order a per-event loop would have produced. Batch-draining
-    /// stays sound with the skip layer cancelling superseded timers:
-    /// drained entries' tokens are generation-stale, so a cancel aimed
-    /// at an event already in the current batch records nothing and the
-    /// event still dispatches as the stale-generation no-op it would
-    /// have been anyway.
+    /// Events pop one at a time in global `(time, seq)` order, each a
+    /// 16-byte `Copy` [`Event`] (packets and CP jobs stay parked in the
+    /// machine's arenas). Handlers scheduling *at the current instant*
+    /// get later sequence numbers, so they fire after every event
+    /// already queued for that instant. A skip-layer cancel of a
+    /// superseded timer due at the current instant removes it before
+    /// it pops; its deadline has already matured, so the next settle
+    /// counts it as skipped.
     pub fn run_until(&mut self, t: SimTime) {
         self.bootstrap();
-        let mut batch = std::mem::take(&mut self.event_batch);
-        loop {
-            debug_assert!(batch.is_empty());
-            let Some(at) = self.queue.drain_next_batch(t, &mut batch) else {
-                break;
-            };
+        while let Some((at, ev)) = self.queue.pop_at_or_before(t) {
             if at < self.now {
                 // The queue contract forbids this; count instead of
                 // panicking so the invariant checker can report it with
@@ -822,18 +845,15 @@ impl Machine {
             }
             self.now = at;
             // Fold matured skip-layer deadlines as the clock advances:
-            // draining here (one peek per batch) keeps the ledger
-            // bounded by the timers still pending, not by run length.
+            // settling here keeps the ledger bounded by the timers
+            // still pending, not by run length.
             self.settle_skipped();
             if let Some(tr) = &self.tracer {
                 tr.set_time(at);
             }
-            for ev in batch.drain(..) {
-                self.events_dispatched += 1;
-                self.handle(ev);
-            }
+            self.events_dispatched += 1;
+            self.handle(ev);
         }
-        self.event_batch = batch; // keep the capacity for the next call
         self.now = t.max(self.now);
         self.settle_skipped();
     }
@@ -890,20 +910,26 @@ impl Machine {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::NextArrival { gen } => self.on_next_arrival(gen),
-            Event::Delivered { packet } => self.on_delivered(packet),
+            Event::Delivered { packet } => {
+                let packet = self.packets.unpark(packet);
+                self.on_delivered(packet);
+            }
             Event::DpBurstDone { si } => self.on_burst_done(si),
             Event::ProbeIrq { host } => self.on_probe_irq(host),
             Event::DpIdle { host, gen } => self.on_dp_idle(host, gen),
             Event::VcpuEntered { idx } => self.on_vcpu_entered(idx),
-            Event::VcpuSliceExpire { idx, gen } => self.on_slice_expire(idx, gen),
+            Event::VcpuSliceExpire { idx, gen } => self.on_slice_expire(idx as usize, gen),
             Event::VcpuExited { idx } => self.on_vcpu_exited(idx),
             Event::KernelDecide { cpu, gen } => self.on_kernel_decide(cpu, gen),
             Event::KernelWake { tid } => {
                 self.with_kernel(|k, now, out| k.wakeup(tid, now, out));
             }
-            Event::VmCreate { request, programs } => self.on_vm_create(request, programs),
-            Event::SpawnBatch { programs, batch } => {
-                for p in programs {
+            Event::VmCreate { job } => {
+                let (request, programs) = self.vm_jobs.unpark(job);
+                self.on_vm_create(request, programs);
+            }
+            Event::SpawnBatch { job, batch } => {
+                for p in self.spawn_jobs.unpark(job) {
                     let p = self.maybe_transform(p);
                     let aff = self.cp_affinity;
                     let tid = self.with_kernel(|k, now, out| k.spawn(p, aff, now, out));
@@ -927,7 +953,10 @@ impl Machine {
             } => self.route_ipi(src, dst, vector, attempt),
             Event::FaultStorm => self.on_fault_storm(),
             Event::ArbiterIssue => self.on_arbiter_issue(),
-            Event::RxInject { packet } => self.ingest_packet(packet),
+            Event::RxInject { packet } => {
+                let packet = self.packets.unpark(packet);
+                self.ingest_packet(packet);
+            }
         }
         // Only kernel mutations and vCPU exits can free a CP host or
         // make a vCPU runnable, and all of them set the dirty flag —
@@ -1018,6 +1047,7 @@ impl Machine {
                     .schedule(irq_arrives.max(self.now), Event::ProbeIrq { host: cpu });
             }
         }
+        let packet = self.packets.park(packet);
         self.queue
             .schedule(out.delivered_at.max(self.now), Event::Delivered { packet });
     }
@@ -1306,9 +1336,13 @@ impl Machine {
         }
         self.vcpu_gen[idx] += 1;
         let gen = self.vcpu_gen[idx];
-        let tok = self
-            .queue
-            .schedule(slice_end, Event::VcpuSliceExpire { idx, gen });
+        let tok = self.queue.schedule(
+            slice_end,
+            Event::VcpuSliceExpire {
+                idx: idx as u32,
+                gen,
+            },
+        );
         if self.skip {
             // Any previous slice timer was already cancelled (or fired)
             // when the prior grant exited; storing unconditionally is

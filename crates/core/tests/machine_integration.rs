@@ -360,3 +360,48 @@ fn cache_isolation_removes_pollution_surcharge() {
         "isolation must not add latency: {isolated} vs {polluted}"
     );
 }
+
+/// Every payload a machine parks behind an event handle (in-flight
+/// packets, VM creations, CP batches) is unparked exactly once when the
+/// event fires. With finite traffic, a machine run to quiescence holds
+/// no parked payload, and every slot its arenas ever grew is back on
+/// the free list.
+#[test]
+fn payload_arenas_drain_at_quiescence() {
+    let mut two_tenants = MachineConfig::default();
+    two_tenants.tenants.count = 2;
+    for cfg in [MachineConfig::default(), two_tenants] {
+        let mut m = Machine::new(cfg, Mode::TaiChi);
+        let dp = m.services().len() as u32;
+        let tenants = m.tenant_count() as u32;
+        // 4000 packets over the first 4 ms, then silence.
+        for i in 0..4000u32 {
+            let at = SimTime::from_micros(u64::from(i));
+            let tenant = taichi_hw::TenantId(i % tenants);
+            m.inject_rx_for_tenant(at, IoKind::Network, 512, taichi_hw::CpuId(i % dp), tenant);
+        }
+        let mut rng = Rng::new(7);
+        m.schedule_cp_batch(
+            SynthCp::default().workload(8, &mut rng),
+            SimTime::from_millis(1),
+        );
+        m.schedule_vm_create(
+            VmCreateRequest::at_density(0, 2, SimTime::from_millis(2)),
+            &TaskFactory::default(),
+        );
+        m.run_until(SimTime::from_millis(50));
+
+        let label = format!("{tenants} tenant(s)");
+        assert_eq!(m.dp_inflight_total(), 0, "{label}: packets still in flight");
+        assert!(
+            RunReport::collect(&m).dp.packets() > 0,
+            "{label}: no traffic"
+        );
+        let stats = m.arena_stats();
+        assert!(stats.iter().all(|a| a.slots > 0), "{label}: {stats:?}");
+        for a in stats {
+            assert_eq!(a.live, 0, "{label}: parked payload leaked: {a:?}");
+            assert_eq!(a.free, a.slots, "{label}: free list short: {a:?}");
+        }
+    }
+}

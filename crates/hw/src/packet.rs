@@ -46,7 +46,7 @@ pub enum IoKind {
 }
 
 /// One in-flight I/O work item with per-stage timestamps.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Unique ID, assigned at submission.
     pub id: PacketId,

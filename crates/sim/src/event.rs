@@ -69,9 +69,11 @@
 //! burst), so the per-bucket min-scan that restores exact `(time,
 //! seq)` order is a walk over a handful of slots.
 //!
-//! Steady-state schedule/pop on the wheel is O(1), and
-//! [`EventQueue::drain_next_batch`] exposes the calendar structure to
-//! drivers: one wheel access drains an entire same-timestamp burst.
+//! Steady-state schedule/pop on the wheel is O(1). Drivers pop one
+//! event at a time with [`EventQueue::pop_at_or_before`]; nearly every
+//! instant holds a single event, and the payload is meant to be a
+//! small `Copy` value (large payloads live in a [`crate::arena`]), so
+//! moving it in and out of the slab is a few words.
 //!
 //! Cancellation differs structurally: the wheel knows which bucket an
 //! entry lives in (the slab records it), so wheel cancels remove the
@@ -230,8 +232,10 @@ struct Slot<E> {
     /// Same-deadline fusion members (wheel levels only), in ascending
     /// sequence order. The slot's `seq`/`event` pair is the *front*
     /// member; these are the rest. Empty for singletons, the heap
-    /// backend, and the overflow heap. The Vec's capacity survives
-    /// slot recycling, so steady-state fusion stays allocation-free.
+    /// backend, and the overflow heap. A retiring slot hands a Vec with
+    /// capacity to [`EventQueue::spare_fused`], so the queue allocates
+    /// one per concurrently fused slot, not one per slot that ever
+    /// hosted a fusion.
     fused: Vec<(u64, E)>,
 }
 
@@ -523,6 +527,9 @@ pub struct EventQueue<E> {
     gen_floor: u64,
     /// Largest slab length ever reached, surviving compaction.
     slab_hwm: usize,
+    /// Empty fused-member Vecs (with capacity) from retired slots,
+    /// handed to the next slot that hosts a fusion.
+    spare_fused: Vec<Vec<(u64, E)>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -590,6 +597,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             gen_floor: 0,
             slab_hwm: 0,
+            spare_fused: Vec::new(),
         }
     }
 
@@ -635,6 +643,11 @@ impl<E> EventQueue<E> {
             };
             if let Some(host) = head.and_then(|h| find_coincident(&self.slots, h, time)) {
                 let s = &mut self.slots[host as usize];
+                if s.fused.capacity() == 0 {
+                    if let Some(spare) = self.spare_fused.pop() {
+                        s.fused = spare;
+                    }
+                }
                 s.fused.push((seq, event));
                 let generation = s.generation;
                 self.live += 1;
@@ -781,7 +794,7 @@ impl<E> EventQueue<E> {
                     }
                     *count -= 1;
                     self.live -= 1;
-                    self.retire_slot(token.slot);
+                    self.retire_queued(token.slot);
                     // The removal may have emptied both wheel levels,
                     // promoting the overflow top to global front: it
                     // must be live (`peek_time` relies on it), and a
@@ -844,87 +857,6 @@ impl<E> EventQueue<E> {
                 self.live -= 1;
                 self.now = time;
                 Some((time, event))
-            }
-        }
-    }
-
-    /// Drains **every** event at the earliest pending timestamp (if
-    /// that timestamp is `<= limit`) into `out`, returning the
-    /// timestamp and advancing `now` to it. Events the handlers then
-    /// schedule *at the same instant* are deliberately not included:
-    /// they carry later sequence numbers, so they fire on the next call
-    /// — exactly the order a peek/pop loop would produce.
-    ///
-    /// This is the batch form of [`EventQueue::pop_at_or_before`]: on
-    /// the wheel backend a same-timestamp burst costs one bucket scan
-    /// total instead of one per event.
-    ///
-    /// Entries appended to `out` leave the queue at drain time, so
-    /// their tokens go stale immediately: a handler that cancels a
-    /// token whose event sits later in the same batch gets the
-    /// documented stale-token `false` (generation stamping makes this
-    /// a recorded-nothing no-op), and the event still dispatches this
-    /// batch. The machine driver's skip layer relies on exactly that
-    /// contract when it cancels superseded timers.
-    pub fn drain_next_batch(&mut self, limit: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
-        match &mut self.core {
-            Core::Heap(_) => {
-                let (at, ev) = self.pop_at_or_before(limit)?;
-                out.push(ev);
-                loop {
-                    let Core::Heap(heap) = &mut self.core else {
-                        unreachable!()
-                    };
-                    // Top is live; same-time entries pop in seq order.
-                    if heap.peek().map(|e| e.time != at).unwrap_or(true) {
-                        break;
-                    }
-                    let entry = heap.pop().expect("peeked non-empty");
-                    let (_, event) = self.retire_queued(entry.slot);
-                    self.live -= 1;
-                    out.push(event.expect("live slot owns its payload"));
-                    self.sweep_heap_top();
-                }
-                Some(at)
-            }
-            Core::Wheel(_) => {
-                let (at, event) = self.wheel_pop_min(limit)?;
-                self.live -= 1;
-                self.now = at;
-                out.push(event);
-                // Same-timestamp events necessarily share the level-0
-                // bucket: drain them without rescanning the bitmap.
-                // While the bucket minimum still fires at `at`, it is
-                // the next-in-seq event of the batch (a fused slot
-                // stays put shedding one member per iteration, keyed
-                // by its next member, so interleave with other
-                // same-time slots falls out of the min-scan).
-                let b = Wheel::l0_bucket(at.as_nanos());
-                loop {
-                    let Core::Wheel(wheel) = &mut self.core else {
-                        unreachable!()
-                    };
-                    let head = wheel.l0_head.get(b);
-                    if head == NIL {
-                        break;
-                    }
-                    let (prev, min) = list_min(&self.slots, head);
-                    if self.slots[min as usize].time != at {
-                        break;
-                    }
-                    let event = self.wheel_take_l0(b, prev, min);
-                    self.live -= 1;
-                    out.push(event);
-                }
-                // Same front-is-live repair as `wheel_pop_min`: the
-                // batch may have drained the last level entries.
-                let Core::Wheel(wheel) = &self.core else {
-                    unreachable!()
-                };
-                if wheel.l0_count == 0 && wheel.l1_count == 0 {
-                    self.sweep_overflow_top();
-                }
-                Some(at)
             }
         }
     }
@@ -1164,8 +1096,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Retires the slab slot of an entry leaving the queue structure,
-    /// returning whether it had been (lazily) cancelled plus the
+    /// Retires the slab slot of an entry leaving the queue structure
+    /// (popped, swept, or eagerly cancelled), invalidating outstanding
+    /// tokens. Returns whether it had been (lazily) cancelled plus the
     /// payload the slot owned.
     fn retire_queued(&mut self, slot: u32) -> (bool, Option<E>) {
         let s = &mut self.slots[slot as usize];
@@ -1173,6 +1106,9 @@ impl<E> EventQueue<E> {
         s.generation += 1;
         s.loc = LOC_NONE;
         s.next = NIL;
+        if s.fused.capacity() > 0 {
+            self.spare_fused.push(std::mem::take(&mut s.fused));
+        }
         let event = s.event.take();
         let was_cancelled = std::mem::replace(&mut s.cancelled, false);
         if was_cancelled {
@@ -1180,19 +1116,6 @@ impl<E> EventQueue<E> {
         }
         self.free.push(slot);
         (was_cancelled, event)
-    }
-
-    /// Frees `slot` for reuse, invalidating outstanding tokens (eager
-    /// wheel cancellation: the entry is already out of the structure).
-    fn retire_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(s.fused.is_empty(), "fused slots shed members, not retire");
-        s.generation += 1;
-        s.loc = LOC_NONE;
-        s.next = NIL;
-        s.cancelled = false;
-        s.event = None;
-        self.free.push(slot);
     }
 
     /// Discards cancelled entries sitting at the heap top so that the
@@ -1231,8 +1154,9 @@ impl<E> EventQueue<E> {
 
     /// Releases memory retained past the current working set: trailing
     /// free slab slots (and their spare capacity), the overflow/heap
-    /// storage's spare capacity, and bucket-head chunks whose buckets
-    /// are all empty. Bounded by the structures' current sizes and
+    /// storage's spare capacity, spare fused-member Vecs, and
+    /// bucket-head chunks whose buckets are all empty. Bounded by the
+    /// structures' current sizes and
     /// observably inert — pop order, cancel results, and `peek_time`
     /// are identical with or without the call — so fleet drivers can
     /// invoke it after a storm peak without disturbing byte-identity.
@@ -1274,6 +1198,7 @@ impl<E> EventQueue<E> {
         }
         self.slots.shrink_to_fit();
         self.free.shrink_to_fit();
+        self.spare_fused = Vec::new();
     }
 
     /// Largest slab length ever reached (slots, not bytes), surviving
@@ -1604,30 +1529,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_next_batch_groups_same_timestamp() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t1 = SimTime::from_nanos(100);
-            let t2 = SimTime::from_nanos(200);
-            q.schedule(t1, 1);
-            q.schedule(t2, 10);
-            q.schedule(t1, 2);
-            q.schedule(t1, 3);
-            let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t1));
-            assert_eq!(out, vec![1, 2, 3], "{be:?}");
-            assert_eq!(q.now(), t1);
-            out.clear();
-            assert_eq!(q.drain_next_batch(SimTime::from_nanos(150), &mut out), None);
-            assert!(out.is_empty());
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t2));
-            assert_eq!(out, vec![10]);
-            assert!(q.is_empty());
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), None);
-        }
-    }
-
-    #[test]
     fn pop_at_or_before_respects_limit() {
         for be in BACKENDS {
             let mut q = EventQueue::with_backend(be);
@@ -1721,9 +1622,8 @@ mod tests {
             q.schedule(t, 0u32);
             q.schedule(t, 1); // fuses with 0 on the wheel
             q.schedule(t, 2);
-            let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t));
-            assert_eq!(out, vec![0, 1, 2], "{be:?}");
+            let out: Vec<_> = std::iter::from_fn(|| q.pop_at_or_before(t)).collect();
+            assert_eq!(out, vec![(t, 0), (t, 1), (t, 2)], "{be:?}");
             assert!(q.is_empty());
         }
     }

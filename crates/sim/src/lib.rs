@@ -9,6 +9,8 @@
 //! - [`event`]: a deterministic event queue with FIFO tie-breaking and
 //!   cancellation tokens, backed by a hierarchical timing wheel (or a
 //!   binary heap, selectable via `TAICHI_QUEUE`).
+//! - [`arena`]: a handle-addressed side table that keeps large event
+//!   payloads out of the queue.
 //! - [`inline_vec`]: an allocation-free small vector for hot-path
 //!   scratch storage.
 //! - [`alloc`]: a counting global-allocator wrapper backing the
@@ -33,6 +35,7 @@
 //! reproduction contract requires identical results for identical seeds.
 
 pub mod alloc;
+pub mod arena;
 pub mod check;
 pub mod dist;
 pub mod env;
@@ -49,6 +52,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use arena::{Arena, ArenaStats};
 pub use dist::{Dist, PreparedDist};
 pub use event::{EventQueue, EventToken, QueueBackend};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
