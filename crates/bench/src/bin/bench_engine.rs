@@ -47,12 +47,17 @@ use taichi_cp::SynthCp;
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_os::{ActionBuf, CpuSet, Kernel, KernelConfig, Program};
-use taichi_sim::{Dist, EventQueue, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, EventQueue, QueueBackend, Rng, SimDuration, SimTime};
 
 /// The same representative machine as the `machine_throughput` bench:
-/// bursty 8-CPU network traffic plus an 8-task synth_cp batch.
-fn build(mode: Mode) -> Machine {
-    let mut m = Machine::new(MachineConfig::default(), mode);
+/// bursty 8-CPU network traffic plus an 8-task synth_cp batch, on the
+/// given event-queue backend.
+fn build(mode: Mode, queue: QueueBackend) -> Machine {
+    let cfg = MachineConfig {
+        queue,
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(cfg, mode);
     m.add_traffic(TrafficGen::new(
         ArrivalPattern::OnOff {
             on_us: Dist::constant(200.0),
@@ -91,14 +96,14 @@ struct MachineStats {
 }
 
 /// Wall-clock per 20 ms of simulated time plus engine events/sec, for
-/// one mode on the backend currently selected by `TAICHI_QUEUE`.
-fn machine_stats(mode: Mode, iters: u32) -> MachineStats {
+/// one mode on one event-queue backend.
+fn machine_stats(mode: Mode, queue: QueueBackend, iters: u32) -> MachineStats {
     let ms = bench_coarse_ms(iters, || {
-        let mut m = build(mode);
+        let mut m = build(mode, queue);
         m.run_until(SimTime::from_millis(20));
         black_box(m.kernel().finished_count())
     });
-    let mut m = build(mode);
+    let mut m = build(mode, queue);
     m.run_until(SimTime::from_millis(20));
     let events = m.events_processed();
     let dispatched = m.events_dispatched();
@@ -172,7 +177,6 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    taichi_bench::init_policy();
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
@@ -231,11 +235,14 @@ fn main() {
     // ---- Full-machine throughput, wheel vs. heap. ----
 
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::Type2];
-    std::env::set_var("TAICHI_QUEUE", "wheel");
-    let wheel: Vec<MachineStats> = modes.iter().map(|&m| machine_stats(m, iters)).collect();
-    std::env::set_var("TAICHI_QUEUE", "heap");
-    let heap: Vec<MachineStats> = modes.iter().map(|&m| machine_stats(m, iters)).collect();
-    std::env::remove_var("TAICHI_QUEUE");
+    let stats = |queue| -> Vec<MachineStats> {
+        modes
+            .iter()
+            .map(|&m| machine_stats(m, queue, iters))
+            .collect()
+    };
+    let wheel = stats(QueueBackend::Wheel);
+    let heap = stats(QueueBackend::Heap);
 
     for ((mode, w), h) in modes.iter().zip(&wheel).zip(&heap) {
         println!(

@@ -41,10 +41,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use taichi_bench::{peak_rss_kb, results_dir};
+use taichi_bench::{peak_rss_kb, results_dir, usage_error, Knobs};
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_sim::alloc::{self, CountingAlloc};
-use taichi_sim::par::default_workers;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -87,7 +86,14 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    const USAGE: &str = "[--quick] [--check] [--sequential]";
+    let (knobs, args) = Knobs::init_with_args(USAGE);
+    if let Some(a) = args
+        .iter()
+        .find(|a| !["--quick", "--check", "--sequential"].contains(&a.as_str()))
+    {
+        usage_error(USAGE, &format!("unknown argument {a:?}"));
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     let sequential = args.iter().any(|a| a == "--sequential");
@@ -107,11 +113,12 @@ fn main() {
         cfg.machines = 128;
         cfg.epochs = 6;
     }
-    let workers = default_workers();
     let driver = if sequential {
         FleetDriver::Sequential
     } else {
-        FleetDriver::EpochParallel { workers }
+        FleetDriver::EpochParallel {
+            workers: knobs.workers,
+        }
     };
 
     println!(
@@ -213,7 +220,7 @@ fn main() {
         } else {
             "epoch_parallel"
         },
-        if sequential { 1 } else { workers },
+        if sequential { 1 } else { knobs.workers },
         cfg.machines,
         cfg.epochs,
         quick,

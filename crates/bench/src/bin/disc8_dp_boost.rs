@@ -7,7 +7,7 @@
 //! performance stays consistent with baseline by harvesting idle DP
 //! cycles.
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::TaskFactory;
@@ -17,20 +17,13 @@ use taichi_os::ThreadState;
 use taichi_sim::report::{grouped, pct, Table};
 use taichi_sim::{Dist, Rng, SimDuration, SimTime};
 use taichi_workloads::netperf::TCP_CRR_PKTS;
-use taichi_workloads::{measure_cfg, BenchTraffic};
+use taichi_workloads::{measure, BenchTraffic};
 
-fn boosted_cfg() -> MachineConfig {
+/// The 10+2 split: half the CP pCPUs reallocated to the data plane.
+fn boosted(cfg: &MachineConfig) -> MachineConfig {
     MachineConfig {
         spec: SmartNicSpec::with_split(12, 10),
-        seed: seed(),
-        ..MachineConfig::default()
-    }
-}
-
-fn default_cfg() -> MachineConfig {
-    MachineConfig {
-        seed: seed(),
-        ..MachineConfig::default()
+        ..cfg.clone()
     }
 }
 
@@ -43,11 +36,12 @@ fn peak(cfg: MachineConfig, mode: Mode, kind: IoKind, size: f64) -> f64 {
         bursty: false,
         burst_intensity: 0.9,
     };
-    measure_cfg(cfg, mode, &traffic, SimDuration::from_millis(250)).pps
+    measure(&cfg, mode, &traffic, SimDuration::from_millis(250)).pps
 }
 
 /// Mean CP turnaround under light CP load and moderate DP load.
 fn cp_turnaround(cfg: MachineConfig, mode: Mode) -> f64 {
+    let seed = cfg.seed;
     let mut m = Machine::new(cfg, mode);
     let dp_cpus = m.services().len() as u32;
     m.add_traffic(TrafficGen::new(
@@ -61,7 +55,7 @@ fn cp_turnaround(cfg: MachineConfig, mode: Mode) -> f64 {
         (0..dp_cpus).map(CpuId).collect(),
     ));
     let factory = TaskFactory::default();
-    let mut rng = Rng::new(seed() ^ 0x8);
+    let mut rng = Rng::new(seed ^ 0x8);
     let mut t = SimTime::from_millis(1);
     while t < SimTime::from_millis(400) {
         m.schedule_cp_batch(
@@ -88,17 +82,18 @@ fn cp_turnaround(cfg: MachineConfig, mode: Mode) -> f64 {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let base = knobs.machine();
     // The four peak-throughput machine runs are independent: fan them
     // out across workers (baseline 8 DP CPUs vs boosted 10 under
     // Tai Chi, storage IOPS then network CPS).
-    let peaks = taichi_bench::sweep(
+    let peaks = sweep_with(
+        knobs.workers,
         vec![
-            (default_cfg(), Mode::Baseline, IoKind::Storage, 4096.0),
-            (boosted_cfg(), Mode::TaiChi, IoKind::Storage, 4096.0),
-            (default_cfg(), Mode::Baseline, IoKind::Network, 256.0),
-            (boosted_cfg(), Mode::TaiChi, IoKind::Network, 256.0),
+            (base.clone(), Mode::Baseline, IoKind::Storage, 4096.0),
+            (boosted(&base), Mode::TaiChi, IoKind::Storage, 4096.0),
+            (base.clone(), Mode::Baseline, IoKind::Network, 256.0),
+            (boosted(&base), Mode::TaiChi, IoKind::Network, 256.0),
         ],
         |(cfg, mode, kind, size)| peak(cfg, mode, kind, size),
     );
@@ -106,10 +101,11 @@ fn main() {
     let cps_base = pps_base / TCP_CRR_PKTS;
     let cps_boost = pps_boost / TCP_CRR_PKTS;
     // CP consistency under light load.
-    let cps = taichi_bench::sweep(
+    let cps = sweep_with(
+        knobs.workers,
         vec![
-            (default_cfg(), Mode::Baseline),
-            (boosted_cfg(), Mode::TaiChi),
+            (base.clone(), Mode::Baseline),
+            (boosted(&base), Mode::TaiChi),
         ],
         |(cfg, mode)| cp_turnaround(cfg, mode),
     );

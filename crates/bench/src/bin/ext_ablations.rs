@@ -8,7 +8,7 @@
 //! implemented behind `TaiChiConfig` flags; this binary quantifies
 //! each against stock Tai Chi.
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
 use taichi_core::{MachineConfig, TaiChiConfig};
@@ -26,15 +26,14 @@ struct Outcome {
     cp_ms: f64,
 }
 
-fn run(taichi: TaiChiConfig) -> Outcome {
+fn run(base: &MachineConfig, taichi: TaiChiConfig) -> Outcome {
     let label = format!(
         "ext_ablations_pipeline{}_cache{}",
         taichi.pipeline_aware_yield as u8, taichi.cache_isolation as u8
     );
     let cfg = MachineConfig {
-        seed: seed(),
         taichi,
-        ..MachineConfig::default()
+        ..base.clone()
     };
     let mut m = Machine::new(cfg, Mode::TaiChi);
     m.add_traffic(TrafficGen::new(
@@ -48,7 +47,7 @@ fn run(taichi: TaiChiConfig) -> Outcome {
         (0..8).map(CpuId).collect(),
     ));
     let factory = TaskFactory::default();
-    let mut rng = Rng::new(seed() ^ 0xE);
+    let mut rng = Rng::new(base.seed ^ 0xE);
     let mut t = SimTime::from_millis(1);
     while t < SimTime::from_millis(800) {
         m.schedule_cp_batch(
@@ -77,11 +76,12 @@ fn run(taichi: TaiChiConfig) -> Outcome {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let base = knobs.machine();
     // The four ablation configs are independent machine runs: fan
     // them out across workers, results in input order.
-    let runs = taichi_bench::sweep(
+    let runs = sweep_with(
+        knobs.workers,
         vec![
             TaiChiConfig::default(),
             TaiChiConfig {
@@ -98,7 +98,7 @@ fn main() {
                 ..TaiChiConfig::default()
             },
         ],
-        run,
+        |taichi| run(&base, taichi),
     );
     let [stock, pipeline, isolation, both] = <[_; 4]>::try_from(runs).ok().unwrap();
 

@@ -12,9 +12,10 @@
 //!
 //! The sweep is deterministic: same seed + same plan produce a
 //! byte-identical CSV regardless of the worker count (see the
-//! `fault_matrix` integration test).
+//! `fault_matrix` integration test). The fault plan is this binary's
+//! sweep axis, so `TAICHI_FAULTS` does not apply here.
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
 use taichi_core::{check_invariants, MachineConfig};
@@ -45,11 +46,10 @@ struct Outcome {
     invariant_violations: Vec<String>,
 }
 
-fn run((mode, rate): (Mode, f64)) -> Outcome {
+fn run(base: &MachineConfig, mode: Mode, rate: f64) -> Outcome {
     let cfg = MachineConfig {
-        seed: seed(),
         faults: FaultPlan::uniform(rate),
-        ..MachineConfig::default()
+        ..base.clone()
     };
     let mut m = Machine::new(cfg, mode);
     m.add_traffic(TrafficGen::new(
@@ -63,7 +63,7 @@ fn run((mode, rate): (Mode, f64)) -> Outcome {
         (0..8).map(CpuId).collect(),
     ));
     let factory = TaskFactory::default();
-    let mut rng = Rng::new(seed() ^ 0xFA);
+    let mut rng = Rng::new(base.seed ^ 0xFA);
     let mut t = SimTime::from_millis(1);
     while t < SimTime::from_millis(HORIZON_MS) {
         m.schedule_cp_batch(
@@ -95,15 +95,17 @@ fn run((mode, rate): (Mode, f64)) -> Outcome {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let base = knobs.machine();
     let mut cases = Vec::new();
     for mode in [Mode::Baseline, Mode::TaiChi] {
         for rate in RATES {
             cases.push((mode, rate));
         }
     }
-    let results = taichi_bench::sweep(cases.clone(), run);
+    let results = sweep_with(knobs.workers, cases.clone(), |(mode, rate)| {
+        run(&base, mode, rate)
+    });
 
     let mut t = Table::new(
         "Fault-matrix degradation sweep (uniform rate per fault class)",

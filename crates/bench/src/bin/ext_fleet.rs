@@ -8,14 +8,14 @@
 //! epoch boundary, so peak memory is bounded by the worker count, not
 //! the fleet size.
 //!
-//! Deterministic: same seed + same knobs produce a byte-identical CSV
-//! for any `TAICHI_WORKERS` count, either fleet driver, and both
-//! `TAICHI_QUEUE` backends (see the `fleet_identity` test).
+//! Deterministic: same seed + same flags produce a byte-identical CSV
+//! for any `TAICHI_WORKERS` count, either fleet driver, and both queue
+//! backends (see the `fleet_identity` test).
 //!
-//! Knobs: `--machines N`, `--epochs N`, `--churn F`, `--storm E|off`,
+//! Flags: `--machines N`, `--epochs N`, `--churn F`, `--storm E|off`,
 //! `--sequential`, `--quick` (the CI smoke size: 64 machines x 8
-//! epochs); the `TAICHI_FLEET_*` environment variables cover the same
-//! settings (flags win).
+//! epochs), plus the shared knobs (`--trace`, `TAICHI_*`), which reach
+//! every rack machine through the fleet's machine template.
 //!
 //! The emitted summary CSV carries memory diagnostics on top of the
 //! identity-compared summary columns: slab/ring high-water marks,
@@ -23,54 +23,51 @@
 //! per-epoch `ext_fleet.csv` is byte-compared across drivers/workers
 //! in CI — RSS varies run to run by design.
 
-use taichi_bench::{emit, peak_rss_kb, seed};
+use taichi_bench::{emit, peak_rss_kb, usage_error, Knobs};
 use taichi_fleet::{run, FleetConfig, FleetDriver};
-use taichi_sim::par::default_workers;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ext_fleet [--machines N] [--epochs N] [--churn F] \
-         [--storm E|off] [--sequential] [--quick]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "[--machines N] [--epochs N] [--churn F] [--storm E|off] [--sequential] [--quick] [--trace]";
 
 fn main() {
-    taichi_bench::init_policy();
+    let (knobs, rest) = Knobs::init_with_args(USAGE);
     let mut cfg = FleetConfig {
         machines: 64,
         epochs: 12,
-        seed: seed(),
+        seed: knobs.seed,
         churn_per_epoch: 2.0,
         storm_epoch: Some(4),
         storm_vms_per_machine: 2,
         ..FleetConfig::default()
     };
-    cfg.apply_env();
+    let base = knobs.machine();
+    cfg.machine.trace = base.trace;
+    cfg.machine.faults = base.faults;
 
     let mut driver = FleetDriver::EpochParallel {
-        workers: default_workers(),
+        workers: knobs.workers,
     };
-    let mut args = std::env::args().skip(1);
+    let die = |msg: &str| -> ! { usage_error(USAGE, msg) };
+    let mut args = rest.into_iter();
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| usage_for(flag));
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+        };
         match flag.as_str() {
-            "--machines" => match taichi_fleet::parse_machines(&value("--machines")) {
-                Ok(v) => cfg.machines = v,
-                Err(e) => die(&e),
-            },
-            "--epochs" => match taichi_fleet::parse_epochs(&value("--epochs")) {
-                Ok(v) => cfg.epochs = v,
-                Err(e) => die(&e),
-            },
-            "--churn" => match taichi_fleet::parse_churn(&value("--churn")) {
-                Ok(v) => cfg.churn_per_epoch = v,
-                Err(e) => die(&e),
-            },
-            "--storm" => match taichi_fleet::parse_storm(&value("--storm")) {
-                Ok(v) => cfg.storm_epoch = v,
-                Err(e) => die(&e),
-            },
+            "--machines" => {
+                cfg.machines =
+                    parse_count("--machines", &value("--machines")).unwrap_or_else(|e| die(&e))
+            }
+            "--epochs" => {
+                cfg.epochs = parse_count("--epochs", &value("--epochs")).unwrap_or_else(|e| die(&e))
+            }
+            "--churn" => {
+                cfg.churn_per_epoch = parse_churn(&value("--churn")).unwrap_or_else(|e| die(&e))
+            }
+            "--storm" => {
+                cfg.storm_epoch = parse_storm(&value("--storm")).unwrap_or_else(|e| die(&e))
+            }
             "--sequential" => driver = FleetDriver::Sequential,
             // CI smoke size: small enough for a PR gate, large enough
             // to exercise churn, the storm, and post-storm compaction.
@@ -80,7 +77,7 @@ fn main() {
                 cfg.churn_per_epoch = 2.0;
                 cfg.storm_epoch = Some(4);
             }
-            _ => usage(),
+            other => die(&format!("unknown argument {other:?}")),
         }
     }
 
@@ -145,12 +142,53 @@ fn main() {
     );
 }
 
-fn usage_for(flag: &str) -> String {
-    eprintln!("error: {flag} needs a value");
-    usage()
+/// Parses a machine or epoch count (an integer >= 1).
+fn parse_count(flag: &str, s: &str) -> Result<usize, String> {
+    match s.trim().parse::<usize>() {
+        Ok(0) | Err(_) => Err(format!(
+            "{flag} {s:?} is not a valid count (expected an integer >= 1)"
+        )),
+        Ok(n) => Ok(n),
+    }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
+/// Parses `--churn` (expected VM placements per epoch, finite, >= 0).
+fn parse_churn(s: &str) -> Result<f64, String> {
+    match s.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(format!("--churn {s:?} is not a finite number >= 0")),
+    }
+}
+
+/// Parses `--storm` (`off`, or the storm epoch index).
+fn parse_storm(s: &str) -> Result<Option<usize>, String> {
+    let t = s.trim();
+    if t.eq_ignore_ascii_case("off") {
+        return Ok(None);
+    }
+    t.parse::<usize>()
+        .map(Some)
+        .map_err(|_| format!("--storm {s:?} is not \"off\" or an epoch index"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_parsers_accept_and_reject() {
+        assert_eq!(parse_count("--machines", "64"), Ok(64));
+        assert!(parse_count("--machines", "0").is_err());
+        assert!(parse_count("--machines", "lots")
+            .unwrap_err()
+            .contains("--machines"));
+        assert_eq!(parse_count("--epochs", " 12 "), Ok(12));
+        assert!(parse_count("--epochs", "-3").is_err());
+        assert_eq!(parse_churn("1.5"), Ok(1.5));
+        assert!(parse_churn("NaN").is_err());
+        assert!(parse_churn("-1").is_err());
+        assert_eq!(parse_storm("off"), Ok(None));
+        assert_eq!(parse_storm("4"), Ok(Some(4)));
+        assert!(parse_storm("sometime").is_err());
+    }
 }

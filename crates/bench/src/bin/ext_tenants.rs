@@ -18,22 +18,20 @@
 //!   machine), stacking compute interference on port contention.
 //!
 //! Emits the victim-p99-vs-aggressor-load curve as a deterministic
-//! CSV: same seed + knobs give a byte-identical file for any
-//! `TAICHI_WORKERS` count (the CI `tenant-smoke` job diffs 1 vs 4) and
-//! both `TAICHI_QUEUE` backends. Exits non-zero if any scheduler or
-//! packet-conservation invariant is violated in any cell.
+//! CSV: same seed + flags give a byte-identical file for any
+//! `TAICHI_WORKERS` count (the CI `tenant-smoke` job diffs 1 vs 4).
+//! Exits non-zero if any scheduler or packet-conservation invariant is
+//! violated in any cell.
 //!
-//! Knobs: `--tenants N`, `--weights A:B[:C...]`, `--aggressor I`,
-//! `--horizon-ms N`; the `TAICHI_TENANTS_COUNT` / `TAICHI_TENANTS_WEIGHTS`
-//! environment variables cover the first two (flags win).
+//! Flags: `--tenants N`, `--weights A:B[:C...]`, `--aggressor I`,
+//! `--horizon-ms N`, plus the shared knobs (`--trace`, `TAICHI_*`).
 
-use taichi_bench::{emit, seed, sweep_with};
+use taichi_bench::{emit, sweep_with, usage_error, Knobs};
 use taichi_core::audit::check_invariants;
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::{MachineConfig, TenantConfig};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind, TenantId};
-use taichi_sim::par::default_workers;
 use taichi_sim::report::Table;
 use taichi_sim::{Dist, SimDuration, SimTime};
 
@@ -64,12 +62,14 @@ impl Scenario {
     }
 }
 
-struct Knobs {
+/// The curve's settings, resolved from the flags.
+struct Curve {
     tenants: u32,
     weights: Vec<u64>,
     aggressor: usize,
     horizon: SimDuration,
-    seed: u64,
+    /// Base machine (seed, trace, faults from the shared knobs).
+    base: MachineConfig,
 }
 
 struct Cell {
@@ -82,15 +82,10 @@ struct Cell {
     ingested: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ext_tenants [--tenants N] [--weights A:B[:C...]] \
-         [--aggressor I] [--horizon-ms N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "[--tenants N] [--weights A:B[:C...]] [--aggressor I] [--horizon-ms N] [--trace]";
 
-fn run_cell(k: &Knobs, scenario: Scenario, mult: f64) -> Cell {
+fn run_cell(k: &Curve, scenario: Scenario, mult: f64) -> Cell {
     let mut tenants = TenantConfig {
         count: k.tenants,
         weights: vec![1; k.tenants as usize],
@@ -101,9 +96,8 @@ fn run_cell(k: &Knobs, scenario: Scenario, mult: f64) -> Cell {
         tenants.weights = k.weights.clone();
     }
     let mut cfg = MachineConfig {
-        seed: k.seed,
         tenants,
-        ..MachineConfig::default()
+        ..k.base.clone()
     };
     cfg.accel.ns_per_byte = PORT_NS_PER_BYTE;
     if scenario == Scenario::Storm {
@@ -180,25 +174,23 @@ fn run_cell(k: &Knobs, scenario: Scenario, mult: f64) -> Cell {
 }
 
 fn main() {
-    taichi_bench::init_policy();
-    let mut tcfg = TenantConfig {
-        count: 2,
+    let (knobs, rest) = Knobs::init_with_args(USAGE);
+    let mut k = Curve {
+        tenants: 2,
         weights: vec![3, 1],
-        ..TenantConfig::default()
-    };
-    tcfg.apply_env();
-    let mut k = Knobs {
-        tenants: tcfg.count.max(2),
-        weights: tcfg.weights,
         aggressor: 0, // resolved below: default = last tenant
         horizon: SimDuration::from_millis(20),
-        seed: seed(),
+        base: knobs.machine(),
     };
     let mut aggressor: Option<usize> = None;
 
-    let mut args = std::env::args().skip(1);
+    let die = |msg: &str| -> ! { usage_error(USAGE, msg) };
+    let mut args = rest.into_iter();
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| usage_for(flag));
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+        };
         match flag.as_str() {
             "--tenants" => match taichi_core::parse_tenant_count(&value("--tenants")) {
                 Ok(v) => k.tenants = v.max(2),
@@ -210,13 +202,13 @@ fn main() {
             },
             "--aggressor" => match value("--aggressor").trim().parse::<usize>() {
                 Ok(v) => aggressor = Some(v),
-                Err(_) => die("error: --aggressor needs a tenant index"),
+                Err(_) => die("--aggressor needs a tenant index"),
             },
             "--horizon-ms" => match value("--horizon-ms").trim().parse::<u64>() {
                 Ok(v) if v >= 1 => k.horizon = SimDuration::from_millis(v),
-                _ => die("error: --horizon-ms needs an integer >= 1"),
+                _ => die("--horizon-ms needs an integer >= 1"),
             },
-            _ => usage(),
+            other => die(&format!("unknown argument {other:?}")),
         }
     }
     let aggr = aggressor.unwrap_or(k.tenants as usize - 1).max(1) % k.tenants as usize;
@@ -234,9 +226,7 @@ fn main() {
         .iter()
         .flat_map(|&s| AGGRESSOR_MULTS.iter().map(move |&m| (s, m)))
         .collect();
-    let results = sweep_with(default_workers(), cases.clone(), |(s, m)| {
-        run_cell(&k, s, m)
-    });
+    let results = sweep_with(knobs.workers, cases.clone(), |(s, m)| run_cell(&k, s, m));
 
     let mut table = Table::new(
         "noisy-neighbor isolation curve (victim p99 vs aggressor load)",
@@ -297,14 +287,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("isolation contract held: monotone fair-share degradation, bounded under weights");
-}
-
-fn usage_for(flag: &str) -> String {
-    eprintln!("error: {flag} needs a value");
-    usage()
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
 }

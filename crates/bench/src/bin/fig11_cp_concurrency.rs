@@ -7,7 +7,7 @@
 //! static baseline at 32 tasks by harvesting the idle 70 % of the DP
 //! CPUs.
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
 use taichi_core::MachineConfig;
@@ -30,18 +30,14 @@ fn dp_traffic_30pct() -> TrafficGen {
     )
 }
 
-fn run(mode: Mode, concurrency: u32) -> f64 {
-    let cfg = MachineConfig {
-        seed: seed(),
-        ..MachineConfig::default()
-    };
-    let mut m = Machine::new(cfg, mode);
+fn run(cfg: &MachineConfig, mode: Mode, concurrency: u32) -> f64 {
+    let mut m = Machine::new(cfg.clone(), mode);
     m.add_traffic(dp_traffic_30pct());
     // The production CP stack (device churn, monitoring, orchestration)
     // keeps running underneath the benchmark, exactly as on the paper's
     // IaaS nodes — synth_cp competes with it for CP CPUs.
     let factory = TaskFactory::default();
-    let mut bg_rng = Rng::new(seed() ^ 0xB6);
+    let mut bg_rng = Rng::new(cfg.seed ^ 0xB6);
     let mut t = SimTime::from_millis(1);
     while t < SimTime::from_secs(10) {
         m.schedule_cp_batch(
@@ -54,7 +50,7 @@ fn run(mode: Mode, concurrency: u32) -> f64 {
         t += SimDuration::from_millis(3);
     }
     let synth = SynthCp::default();
-    let mut rng = Rng::new(seed() ^ 0x11);
+    let mut rng = Rng::new(cfg.seed ^ 0x11);
     let batch = m.schedule_cp_batch(synth.workload(concurrency, &mut rng), SimTime::ZERO);
     let mut horizon = SimTime::from_secs(1);
     loop {
@@ -84,8 +80,8 @@ fn run(mode: Mode, concurrency: u32) -> f64 {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let mut t = Table::new(
         "Figure 11: synth_cp avg execution time vs concurrency (DP at ~30%)",
         &["concurrency", "baseline (ms)", "taichi (ms)", "speedup"],
@@ -98,7 +94,7 @@ fn main() {
         .iter()
         .flat_map(|&n| [(Mode::Baseline, n), (Mode::TaiChi, n)])
         .collect();
-    let mut results = taichi_bench::sweep(jobs, |(m, n)| run(m, n)).into_iter();
+    let mut results = sweep_with(knobs.workers, jobs, |(m, n)| run(&cfg, m, n)).into_iter();
     for n in concurrencies {
         let base = results.next().unwrap();
         let taichi = results.next().unwrap();

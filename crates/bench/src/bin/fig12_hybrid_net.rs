@@ -4,17 +4,18 @@
 //! emulation: DP inside vCPUs) and traditional type-2 (QEMU+KVM).
 //! Paper results: Tai Chi −0.2 %, Tai Chi-vDP ≈ −8 %, type-2 ≈ −26 %.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{grouped, pct, Table};
 use taichi_workloads::netperf::{run, NetperfCase};
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::TaiChiVdp, Mode::Type2];
-    let s = seed();
-    let results = sweep(modes.to_vec(), |m| (m, run(NetperfCase::TcpCrr, m, s)));
+    let results = sweep_with(knobs.workers, modes.to_vec(), |m| {
+        (m, run(NetperfCase::TcpCrr, m, &cfg))
+    });
     let base_cps = results[0].1.cps;
 
     let mut t = Table::new(

@@ -2,18 +2,17 @@
 //!
 //! Paper results: Tai Chi −0.06 %, Tai Chi-vDP ≈ −6 %, type-2 ≈ −25.7 %.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{grouped, pct, Table};
 use taichi_workloads::fio::FioRw;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let fio = FioRw::default();
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::TaiChiVdp, Mode::Type2];
-    let s = seed();
-    let results = sweep(modes.to_vec(), |m| (m, fio.run(m, s)));
+    let results = sweep_with(knobs.workers, modes.to_vec(), |m| (m, fio.run(m, &cfg)));
     let base = results[0].1.iops;
 
     let mut t = Table::new(

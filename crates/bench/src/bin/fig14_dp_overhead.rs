@@ -3,15 +3,15 @@
 //!
 //! Paper: 0.6 % average overhead, worst 1.92 % (tcp_stream avg_tx_pps).
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{pct, Table};
 use taichi_workloads::netperf::{self, NetperfCase};
 use taichi_workloads::sockperf;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let mut t = Table::new(
         "Figure 14: Tai Chi DP performance normalized to baseline",
         &["case", "metric", "baseline", "taichi", "normalized"],
@@ -29,7 +29,6 @@ fn main() {
         norm
     };
 
-    let s = seed();
     let cases = [
         (NetperfCase::UdpStream, "udp_stream"),
         (NetperfCase::TcpStream, "tcp_stream"),
@@ -42,7 +41,7 @@ fn main() {
         .iter()
         .flat_map(|&(c, _)| [(c, Mode::Baseline), (c, Mode::TaiChi)])
         .collect();
-    let mut net = sweep(jobs, |(c, m)| netperf::run(c, m, s)).into_iter();
+    let mut net = sweep_with(knobs.workers, jobs, |(c, m)| netperf::run(c, m, &cfg)).into_iter();
 
     for (case, name) in cases {
         let b = net.next().unwrap();
@@ -64,8 +63,8 @@ fn main() {
         }
     }
 
-    let tcp = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| {
-        sockperf::run_tcp(m, s)
+    let tcp = sweep_with(knobs.workers, vec![Mode::Baseline, Mode::TaiChi], |m| {
+        sockperf::run_tcp(m, &cfg)
     });
     let [bt, xt] = <[_; 2]>::try_from(tcp).ok().unwrap();
     let n = push(&mut t, "sockperf_tcp", "CPS", bt.cps, xt.cps);
@@ -79,8 +78,8 @@ fn main() {
     );
     overheads.push(1.0 - n);
 
-    let udp = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| {
-        sockperf::run_udp(m, s)
+    let udp = sweep_with(knobs.workers, vec![Mode::Baseline, Mode::TaiChi], |m| {
+        sockperf::run_udp(m, &cfg)
     });
     let [bu, xu] = <[_; 2]>::try_from(udp).ok().unwrap();
     // Latency metrics are inverted (lower is better): normalize as

@@ -3,16 +3,17 @@
 //! Paper: 1.56 % average overhead, peaking at 1.63 % on average query
 //! throughput.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{grouped, pct, Table};
 use taichi_workloads::mysql;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
-    let s = seed();
-    let runs = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| mysql::run(m, s));
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
+    let runs = sweep_with(knobs.workers, vec![Mode::Baseline, Mode::TaiChi], |m| {
+        mysql::run(m, &cfg)
+    });
     let [base, taichi] = <[_; 2]>::try_from(runs).ok().unwrap();
 
     let mut t = Table::new(

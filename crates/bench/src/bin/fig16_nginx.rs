@@ -3,16 +3,17 @@
 //!
 //! Paper: 0.51 % average overhead, up to 1 % for short connections.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{grouped, pct, Table};
 use taichi_workloads::nginx;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
-    let s = seed();
-    let runs = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| nginx::run(m, s));
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
+    let runs = sweep_with(knobs.workers, vec![Mode::Baseline, Mode::TaiChi], |m| {
+        nginx::run(m, &cfg)
+    });
     let [base, taichi] = <[_; 2]>::try_from(runs).ok().unwrap();
 
     let mut t = Table::new(

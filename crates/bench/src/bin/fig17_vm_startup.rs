@@ -2,7 +2,7 @@
 //! without Tai Chi (the production result: 3.1× faster startups under
 //! Tai Chi at high density).
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest};
@@ -11,12 +11,8 @@ use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::Table;
 use taichi_sim::{Dist, SimDuration, SimTime};
 
-fn run(mode: Mode, density: u32) -> f64 {
-    let cfg = MachineConfig {
-        seed: seed(),
-        ..MachineConfig::default()
-    };
-    let mut m = Machine::new(cfg, mode);
+fn run(cfg: &MachineConfig, mode: Mode, density: u32) -> f64 {
+    let mut m = Machine::new(cfg.clone(), mode);
     m.add_traffic(TrafficGen::new(
         ArrivalPattern::OnOff {
             on_us: Dist::constant(200.0),
@@ -30,7 +26,7 @@ fn run(mode: Mode, density: u32) -> f64 {
     // Production CP stack running underneath (monitoring + device
     // churn), as on the paper's nodes.
     let factory = TaskFactory::default();
-    let mut bg_rng = taichi_sim::Rng::new(seed() ^ 0xB6);
+    let mut bg_rng = taichi_sim::Rng::new(cfg.seed ^ 0xB6);
     let mut t = SimTime::from_millis(1);
     while t < SimTime::from_secs(10) {
         m.schedule_cp_batch(
@@ -61,8 +57,8 @@ fn run(mode: Mode, density: u32) -> f64 {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let mut t = Table::new(
         "Figure 17: avg VM startup time vs density, with/without Tai Chi",
         &["density", "baseline (ms)", "taichi (ms)", "reduction"],
@@ -73,7 +69,7 @@ fn main() {
     let jobs: Vec<(Mode, u32)> = (1..=4u32)
         .flat_map(|d| [(Mode::Baseline, d), (Mode::TaiChi, d)])
         .collect();
-    let mut results = taichi_bench::sweep(jobs, |(m, d)| run(m, d)).into_iter();
+    let mut results = sweep_with(knobs.workers, jobs, |(m, d)| run(&cfg, m, d)).into_iter();
     for d in 1..=4u32 {
         let base = results.next().unwrap();
         let taichi = results.next().unwrap();

@@ -7,7 +7,7 @@
 //! roughly quadratically — the paper measures 8× CP-task degradation
 //! and a 3.1× SLO excess for VM startup at 4× density.
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::{TaskFactory, VmCreateRequest};
@@ -17,12 +17,8 @@ use taichi_os::ThreadState;
 use taichi_sim::report::Table;
 use taichi_sim::{Dist, SimDuration, SimTime};
 
-fn run_density(density: u32) -> (f64, f64) {
-    let cfg = MachineConfig {
-        seed: seed(),
-        ..MachineConfig::default()
-    };
-    let mut m = Machine::new(cfg, Mode::Baseline);
+fn run_density(cfg: &MachineConfig, density: u32) -> (f64, f64) {
+    let mut m = Machine::new(cfg.clone(), Mode::Baseline);
     m.add_traffic(TrafficGen::new(
         ArrivalPattern::OnOff {
             on_us: Dist::constant(200.0),
@@ -76,11 +72,13 @@ fn run_density(density: u32) -> (f64, f64) {
 }
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     // Each density is an independent machine run: fan the four out
     // across workers; results return in density order.
-    let rows = taichi_bench::sweep((1..=4u32).collect(), |d| (d, run_density(d)));
+    let rows = sweep_with(knobs.workers, (1..=4u32).collect(), |d| {
+        (d, run_density(&cfg, d))
+    });
     let (base_vm, base_cp) = rows[0].1;
     // The paper normalizes VM startup to its SLO target; production
     // SLOs leave ~25 % headroom at normal density (Fig. 2 shows the

@@ -8,22 +8,15 @@
 //! per-50 ms windows over a 20 s run (the simulation equivalent of the
 //! fleet-wide per-second sweep).
 
-use taichi_bench::{emit, emit_trace, init_trace, seed};
+use taichi_bench::{emit, emit_trace, Knobs};
 use taichi_core::machine::{Machine, Mode};
-use taichi_core::MachineConfig;
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::Table;
 use taichi_sim::{Dist, SimDuration, SimTime};
 
 fn main() {
-    init_trace();
-    taichi_bench::init_policy();
-    let cfg = MachineConfig {
-        seed: seed(),
-        ..MachineConfig::default()
-    };
-    let mut m = Machine::new(cfg, Mode::Baseline);
+    let mut m = Machine::new(Knobs::init().machine(), Mode::Baseline);
     // Diurnal profile: a slow daily swing at low load plus one rare
     // provisioning spike per cycle — rates chosen so the p99 of
     // per-window utilization lands near the paper's 32.5 % while the

@@ -5,17 +5,16 @@
 //! population size from the production-calibrated distribution and
 //! prints the per-bucket counts the figure plots.
 
-use taichi_bench::{emit, seed};
+use taichi_bench::{emit, Knobs};
 use taichi_cp::routines::fig5_routine_ms;
 use taichi_sim::report::{grouped, Table};
 use taichi_sim::{Histogram, Rng};
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
     const SAMPLES: u64 = 456_000;
     let dist = fig5_routine_ms();
-    let mut rng = Rng::new(seed());
+    let mut rng = Rng::new(knobs.seed);
     let mut hist = Histogram::new();
     let mut max_ms = 0.0f64;
     for _ in 0..SAMPLES {

@@ -6,18 +6,17 @@
 //! (Observation 4). This binary pushes packets through the modelled
 //! pipeline and reports the measured stage times.
 
-use taichi_bench::{emit, seed};
+use taichi_bench::{emit, Knobs};
 use taichi_core::TaiChiConfig;
 use taichi_hw::{Accelerator, AcceleratorConfig, CpuId, HwWorkloadProbe, IoKind, Packet, PacketId};
 use taichi_sim::report::Table;
 use taichi_sim::{OnlineStats, Rng, SimTime};
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
     let mut accel = Accelerator::new(AcceleratorConfig::default());
     let mut probe = HwWorkloadProbe::new(12);
-    let mut rng = Rng::new(seed());
+    let mut rng = Rng::new(knobs.seed);
 
     let mut preprocess = OnlineStats::new();
     let mut transfer = OnlineStats::new();

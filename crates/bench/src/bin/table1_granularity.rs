@@ -19,16 +19,15 @@
 //! whole systems of their own); the table reports the published
 //! qualitative values for context, marked "reported".
 
-use taichi_bench::{emit, seed};
+use taichi_bench::{emit, Knobs};
 use taichi_core::TaiChiConfig;
 use taichi_cp::routines::fig5_routine_ms;
 use taichi_sim::report::Table;
 use taichi_sim::{Histogram, Rng, SimDuration};
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
-    let mut rng = Rng::new(seed());
+    let knobs = Knobs::init();
+    let mut rng = Rng::new(knobs.seed);
     let routine_ms = fig5_routine_ms();
 
     // OS-scheduler preemption latency: a preemption request lands at a

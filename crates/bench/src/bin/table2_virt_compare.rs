@@ -5,22 +5,22 @@
 //! virtualization tax the paper attributes to type-1), the type-2
 //! column the QEMU+KVM model, and the last the full hybrid design.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{pct, Table};
 use taichi_workloads::fio::FioRw;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let fio = FioRw::default();
-    let s = seed();
     // Independent (mode, seed) machine runs fan out across workers;
     // results come back in input order, so the table is byte-identical
     // to a serial run (TAICHI_WORKERS=1 forces the reference path).
-    let runs = sweep(
+    let runs = sweep_with(
+        knobs.workers,
         vec![Mode::Baseline, Mode::TaiChiVdp, Mode::Type2, Mode::TaiChi],
-        |m| fio.run(m, s),
+        |m| fio.run(m, &cfg),
     );
     let [base, t1, t2, tc] = <[_; 4]>::try_from(runs).ok().unwrap();
     let loss = |x: f64| pct((x - base.iops) / base.iops);

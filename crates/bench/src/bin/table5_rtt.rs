@@ -6,21 +6,22 @@
 //! +203 % max, +80 % mdev — the un-hidden 50 µs-scale vCPU slices show
 //! up directly in the tail.
 
-use taichi_bench::{emit, seed, sweep};
+use taichi_bench::{emit, sweep_with, Knobs};
 use taichi_core::machine::Mode;
 use taichi_sim::report::{pct, Table};
 use taichi_workloads::ping;
 
 fn main() {
-    taichi_bench::init_trace();
-    taichi_bench::init_policy();
+    let knobs = Knobs::init();
+    let cfg = knobs.machine();
     let modes = [
         ("Baseline", Mode::Baseline),
         ("Tai Chi", Mode::TaiChi),
         ("Tai Chi w/o HW probe", Mode::TaiChiNoHwProbe),
     ];
-    let s = seed();
-    let results = sweep(modes.to_vec(), |(name, m)| (name, ping::run(m, s)));
+    let results = sweep_with(knobs.workers, modes.to_vec(), |(name, m)| {
+        (name, ping::run(m, &cfg))
+    });
 
     let mut t = Table::new(
         "Table 5: RTT across three mechanisms",

@@ -3,12 +3,16 @@
 //! Every `figN`/`tableN` binary prints an aligned table to stdout and
 //! writes the same rows as CSV under `target/experiments/`, so the
 //! paper's figures can be regenerated from a single
-//! `cargo run -p taichi-bench --bin <id>`.
+//! `cargo run -p taichi-bench --bin <id>`. Each binary resolves its
+//! [`Knobs`] once at the top of `main`; this is the only crate that
+//! reads the process environment.
 
 use std::fs;
 use std::path::PathBuf;
 
+use taichi_core::MachineConfig;
 use taichi_sim::report::Table;
+use taichi_sim::{FaultPlan, TraceConfig};
 
 /// Directory where experiment CSVs are written.
 pub fn results_dir() -> PathBuf {
@@ -28,109 +32,161 @@ pub fn emit(name: &str, table: &Table) {
     }
 }
 
-/// Standard seed used by all experiment binaries (override with the
-/// `TAICHI_SEED` environment variable).
+/// Seed every experiment binary uses unless `TAICHI_SEED` overrides it.
+const DEFAULT_SEED: u64 = 0xD1CE;
+
+/// Deterministic parallel sweep with an explicit worker count (see
+/// [`taichi_sim::par`]); binaries pass [`Knobs::workers`].
+pub use taichi_sim::par::sweep_with;
+
+/// Everything the process environment and the shared flags may say
+/// about a run, resolved once at the top of `main`. Library code never
+/// reads the environment: a binary turns these into explicit
+/// [`MachineConfig`]s (see [`Knobs::machine`]) and worker counts.
 ///
-/// A `TAICHI_SEED` value that fails to parse falls back to the default
-/// with a one-shot warning to stderr — silently ignoring a typoed seed
-/// would make a "reproduction" run un-reproducible.
-pub fn seed() -> u64 {
-    taichi_sim::env::env_parse_or_warn("TAICHI_SEED", |s| {
-        s.trim().parse().map_err(|_| {
-            format!(
-                "warning: TAICHI_SEED={s:?} is not a valid u64 seed; \
-                 using default 0xD1CE"
-            )
-        })
-    })
-    .unwrap_or(0xD1CE)
+/// | Knob | Source | Default |
+/// |------|--------|---------|
+/// | `seed` | `TAICHI_SEED=<u64>` | `0xD1CE` |
+/// | `workers` | `TAICHI_WORKERS=<n >= 1>` | available parallelism |
+/// | `trace` | `--trace`, or `TAICHI_TRACE[=<path>]` (a non-empty value is the dump path) | off |
+/// | `faults` | `TAICHI_FAULTS=<spec>` ([`FaultPlan::apply_spec`] format) | no faults |
+#[derive(Clone, Debug)]
+pub struct Knobs {
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Sweep worker threads (>= 1; 1 is the serial reference path).
+    pub workers: usize,
+    /// Scheduler trace switch and dump destination.
+    pub trace: TraceConfig,
+    /// Fault-injection plan for the machines a binary builds.
+    pub faults: FaultPlan,
 }
 
-/// Re-exported deterministic parallel sweep primitives (see
-/// [`taichi_sim::par`]): experiment binaries fan independent
-/// `(mode, seed)` machine runs across workers with [`sweep`] and get
-/// results back in input order, so their tables and CSVs are
-/// byte-identical to a serial run. `TAICHI_WORKERS` overrides the
-/// worker count (`TAICHI_WORKERS=1` forces the serial reference path).
-pub use taichi_sim::par::{default_workers, sweep, sweep_with};
+/// Usage line shared by every binary whose only flag is `--trace`.
+const KNOBS_USAGE: &str = "[--trace]  (environment: TAICHI_SEED=<u64>, \
+     TAICHI_WORKERS=<n >= 1>, TAICHI_TRACE[=<path>], TAICHI_FAULTS=<spec>)";
 
-/// True when `--trace` was passed to the experiment binary (or the
-/// `TAICHI_TRACE` environment variable is set): binaries then enable
-/// the scheduler trace layer and dump a TSV next to their CSV output.
-pub fn trace_requested() -> bool {
-    std::env::args().any(|a| a == "--trace") || std::env::var("TAICHI_TRACE").is_ok()
-}
-
-/// Call first in an experiment `main`: when `--trace` was passed, arms
-/// the `TAICHI_TRACE` override so every machine the binary builds
-/// (directly or through the workload helpers) records a scheduler
-/// trace. Returns whether tracing is armed. A non-empty `TAICHI_TRACE`
-/// value names the dump path; the empty value armed here keeps the
-/// per-experiment default destinations.
-pub fn init_trace() -> bool {
-    let on = trace_requested();
-    if on && std::env::var_os("TAICHI_TRACE").is_none() {
-        std::env::set_var("TAICHI_TRACE", "");
+impl Knobs {
+    /// Parses the knobs from `args` (without the program name) and the
+    /// variable lookup `env`, consuming `--trace`; returns the knobs and
+    /// the arguments left for the binary's own flags. Pure: tests pass
+    /// any `env` without touching the process environment.
+    pub fn parse(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+        available: usize,
+    ) -> Result<(Knobs, Vec<String>), String> {
+        let seed = match env("TAICHI_SEED") {
+            None => DEFAULT_SEED,
+            Some(s) => s
+                .trim()
+                .parse()
+                .map_err(|_| format!("TAICHI_SEED={s:?} is not a valid u64 seed"))?,
+        };
+        let workers = resolve_workers(env("TAICHI_WORKERS").as_deref(), available)?;
+        let faults = match env("TAICHI_FAULTS") {
+            None => FaultPlan::default(),
+            Some(spec) => FaultPlan::default()
+                .apply_spec(&spec)
+                .map_err(|e| format!("TAICHI_FAULTS={spec:?}: {e}"))?,
+        };
+        let dump = env("TAICHI_TRACE");
+        let flag = args.iter().any(|a| a == "--trace");
+        let trace = TraceConfig {
+            enabled: flag || dump.is_some(),
+            dump: dump.filter(|p| !p.is_empty()).map(PathBuf::from),
+            ..TraceConfig::default()
+        };
+        let rest = args.iter().filter(|a| *a != "--trace").cloned().collect();
+        let knobs = Knobs {
+            seed,
+            workers,
+            trace,
+            faults,
+        };
+        Ok((knobs, rest))
     }
-    on
+
+    /// Resolves the knobs of a binary whose only flag is `--trace`. Bad
+    /// input — an invalid knob value or any other argument — prints
+    /// `error: ...` and a usage line, then exits with status 2.
+    pub fn init() -> Knobs {
+        let (knobs, rest) = Knobs::init_with_args(KNOBS_USAGE);
+        if let Some(a) = rest.first() {
+            usage_error(KNOBS_USAGE, &format!("unknown argument {a:?}"));
+        }
+        knobs
+    }
+
+    /// Like [`Knobs::init`] for a binary with flags of its own: returns
+    /// the arguments the knobs did not consume. `usage` (the text after
+    /// the program name) is printed with any knob error.
+    pub fn init_with_args(usage: &str) -> (Knobs, Vec<String>) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Knobs::parse(&args, |v| std::env::var(v).ok(), available)
+            .unwrap_or_else(|e| usage_error(usage, &e))
+    }
+
+    /// The base machine configuration: defaults plus this run's seed,
+    /// trace, and faults.
+    pub fn machine(&self) -> MachineConfig {
+        MachineConfig {
+            seed: self.seed,
+            trace: self.trace.clone(),
+            faults: self.faults,
+            ..MachineConfig::default()
+        }
+    }
 }
 
-/// Call first in an experiment `main`: when `--policy <p>` (or
-/// `--policy=<p>`) was passed, validates `p` and arms the
-/// `TAICHI_POLICY` override so every machine the binary builds runs
-/// that scheduling policy regardless of the mode it was built for
-/// (see `taichi_core::sched::PolicyKind`). Returns the selected
-/// policy, `None` when the flag is absent.
-///
-/// An unknown policy name is a hard usage error (exit 2): unlike the
-/// environment variable — where a typo degrades a background knob and
-/// a one-shot warning suffices — an explicit flag that is silently
-/// ignored would render a whole experiment under the wrong scheduler.
-pub fn init_policy() -> Option<taichi_core::PolicyKind> {
-    let mut args = std::env::args().skip(1);
-    let raw = loop {
-        let a = args.next()?;
-        if a == "--policy" {
-            break args.next().unwrap_or_else(|| {
-                eprintln!("error: --policy requires a value (taichi, baseline, or type2)");
-                std::process::exit(2);
-            });
-        }
-        if let Some(v) = a.strip_prefix("--policy=") {
-            break v.to_string();
-        }
+/// Resolves a `TAICHI_WORKERS` value: unset means `available`; zero or
+/// anything but a positive integer is an error.
+fn resolve_workers(var: Option<&str>, available: usize) -> Result<usize, String> {
+    let Some(s) = var else {
+        return Ok(available.max(1));
     };
-    match raw.parse::<taichi_core::PolicyKind>() {
-        Ok(kind) => {
-            std::env::set_var("TAICHI_POLICY", kind.to_string());
-            Some(kind)
-        }
-        Err(e) => {
-            eprintln!("error: --policy: {e} (expected taichi, baseline, or type2)");
-            std::process::exit(2);
-        }
+    match s.trim().parse::<usize>() {
+        Ok(0) => Err("TAICHI_WORKERS=0 requests zero workers (expected an integer >= 1)".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "TAICHI_WORKERS={s:?} is not a valid worker count (expected an integer >= 1)"
+        )),
     }
+}
+
+/// Prints `error: <msg>` and `usage: <program> <usage>` to stderr, then
+/// exits with status 2.
+pub fn usage_error(usage: &str, msg: &str) -> ! {
+    let program = std::env::args()
+        .next()
+        .map(PathBuf::from)
+        .and_then(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
+        .unwrap_or_else(|| "taichi-bench".into());
+    eprintln!("error: {msg}");
+    eprintln!("usage: {program} {usage}");
+    std::process::exit(2);
 }
 
 /// Dumps a machine's scheduler trace as `<name>.trace.tsv` under the
 /// results directory (no-op when the machine was built without
-/// tracing). `TAICHI_TRACE=<path>` overrides the destination; when
-/// several machines export under the same explicit path in one
-/// process, later exports are written to `<path>.<n>` (with a
+/// tracing). The machine's `trace.dump` path overrides the
+/// destination; when several machines export to the same explicit path
+/// in one process, later exports are written to `<path>.<n>` (with a
 /// warning) instead of clobbering the earlier rings' schedules.
 pub fn emit_trace(name: &str, machine: &taichi_core::machine::Machine) {
     let Some(tsv) = machine.trace_tsv() else {
         return;
     };
-    let path = match std::env::var("TAICHI_TRACE") {
-        Ok(p) if !p.is_empty() => {
-            let (path, clash) = taichi_sim::trace::claim_export_path(&p);
+    let path = match &machine.config().trace.dump {
+        Some(p) => {
+            let (path, clash) = taichi_sim::trace::claim_export_path(p);
             if let Some(w) = clash {
                 eprintln!("warning: {name}: {w}");
             }
             path
         }
-        _ => results_dir().join(format!("{name}.trace.tsv")),
+        None => results_dir().join(format!("{name}.trace.tsv")),
     };
     if let Err(e) = fs::write(&path, tsv) {
         eprintln!("warning: could not write {}: {e}", path.display());
@@ -232,12 +288,74 @@ pub fn bench_coarse_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
 mod tests {
     use super::*;
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(a: &[&str], vars: &[(&str, &str)]) -> Result<(Knobs, Vec<String>), String> {
+        let lookup = |v: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == v)
+                .map(|(_, val)| val.to_string())
+        };
+        Knobs::parse(&args(a), lookup, 3)
+    }
+
     #[test]
     fn seed_default() {
-        // Test environments do not set TAICHI_SEED.
-        if std::env::var("TAICHI_SEED").is_err() {
-            assert_eq!(seed(), 0xD1CE);
-        }
+        let (k, rest) = parse(&[], &[]).unwrap();
+        assert_eq!(k.seed, DEFAULT_SEED);
+        assert_eq!(k.workers, 3, "unset workers means available parallelism");
+        assert!(!k.trace.enabled && k.trace.dump.is_none());
+        assert!(!k.faults.is_active());
+        assert!(rest.is_empty());
+        assert_eq!(k.machine().seed, DEFAULT_SEED);
+    }
+
+    #[test]
+    fn seed_and_faults_parse_or_fail() {
+        let (k, _) = parse(
+            &[],
+            &[("TAICHI_SEED", " 42 "), ("TAICHI_FAULTS", "all=0.05")],
+        )
+        .unwrap();
+        assert_eq!(k.seed, 42);
+        assert!(k.machine().faults.is_active());
+        let e = parse(&[], &[("TAICHI_SEED", "junk")]).unwrap_err();
+        assert!(e.contains("TAICHI_SEED=\"junk\""), "{e}");
+        let e = parse(&[], &[("TAICHI_FAULTS", "ipi_drop=2")]).unwrap_err();
+        assert!(e.starts_with("TAICHI_FAULTS="), "{e}");
+    }
+
+    #[test]
+    fn trace_from_flag_or_env() {
+        let (k, rest) = parse(&["--trace", "--quick"], &[]).unwrap();
+        assert!(k.trace.enabled && k.trace.dump.is_none());
+        assert_eq!(rest, args(&["--quick"]), "unknown flags are left over");
+        let (k, _) = parse(&[], &[("TAICHI_TRACE", "")]).unwrap();
+        assert!(k.trace.enabled && k.trace.dump.is_none());
+        let (k, _) = parse(&[], &[("TAICHI_TRACE", "/tmp/t.tsv")]).unwrap();
+        assert_eq!(k.machine().trace.dump, Some(PathBuf::from("/tmp/t.tsv")));
+        assert!(k.machine().trace.enabled);
+    }
+
+    #[test]
+    fn zero_workers_is_a_usage_error() {
+        let e = resolve_workers(Some("0"), 8).unwrap_err();
+        assert!(e.contains("TAICHI_WORKERS=0"), "{e}");
+        assert!(parse(&[], &[("TAICHI_WORKERS", "0")]).is_err());
+    }
+
+    #[test]
+    fn unparsable_workers_is_a_usage_error() {
+        let e = resolve_workers(Some("lots"), 6).unwrap_err();
+        assert!(e.contains("\"lots\""), "{e}");
+    }
+
+    #[test]
+    fn valid_and_unset_workers_resolve() {
+        assert_eq!(resolve_workers(Some(" 3 "), 8), Ok(3));
+        assert_eq!(resolve_workers(None, 5), Ok(5));
     }
 
     #[test]

@@ -1,26 +1,23 @@
 //! Backend-equivalence contract: the timing-wheel event queue must be
 //! observationally indistinguishable from the binary-heap reference.
 //!
-//! The `TAICHI_QUEUE` selector swaps the scheduling core under every
-//! machine a process builds, and `TAICHI_SKIP` toggles the idle-gap
-//! skip layer (cancelling superseded timers instead of dispatching
-//! them as stale no-ops); this test runs the same seeded workloads
-//! under the full `{wheel, heap} × {skip on, skip off}` matrix and
-//! asserts that everything a user can export — the scheduler trace
-//! TSV, the run-report statistics (including the logical event count
-//! and the fast-forwarded poll ledger), and an `ext_*`-style
-//! experiment CSV — is **byte-identical** across all four cells, and
-//! that the CSV is additionally invariant to the sweep worker count
-//! (1 vs. 4).
-//!
-//! Kept as a single `#[test]` on purpose: the backend and skip
-//! selectors are process-global environment variables, and sibling
-//! tests running concurrently in this binary would race on them.
+//! `MachineConfig::queue` picks the scheduling core under a machine and
+//! `MachineConfig::skip` toggles the idle-gap skip layer (cancelling
+//! superseded timers instead of dispatching them as stale no-ops). This
+//! test runs the same seeded workloads under the full
+//! `{wheel, heap} × {skip on, skip off}` matrix and asserts that
+//! everything a user can export — the scheduler trace TSV, the
+//! run-report statistics (including the logical event count and the
+//! fast-forwarded poll ledger), and an `ext_faults`-style experiment
+//! CSV with uniform fault rates — is **byte-identical** across all four
+//! cells, and that the CSV is additionally invariant to the sweep worker
+//! count (1 vs. 4). `identity.rs` runs the same matrix per mode; this
+//! test keeps the fault-rate sweep as its workload.
 
 use taichi_bench::sweep_with;
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
-use taichi_core::MachineConfig;
+use taichi_core::{MachineConfig, SkipMode};
 use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
@@ -43,16 +40,19 @@ fn add_bench_traffic(m: &mut Machine) {
     ));
 }
 
+fn base_config(queue: QueueBackend, skip: SkipMode) -> MachineConfig {
+    MachineConfig {
+        seed: SEED,
+        queue,
+        skip,
+        ..MachineConfig::default()
+    }
+}
+
 /// One full-featured machine run (traffic + CP batch + VM create),
 /// optionally traced, returning the report fingerprint and the trace
-/// TSV. Mirrors the determinism-suite fingerprint so a backend
-/// divergence shows up in the same observables the reproduction
-/// contract is stated in.
-fn run_machine(trace: bool) -> (Vec<u64>, Option<String>) {
-    let mut cfg = MachineConfig {
-        seed: SEED,
-        ..MachineConfig::default()
-    };
+/// TSV.
+fn run_machine(mut cfg: MachineConfig, trace: bool) -> (Vec<u64>, Option<String>) {
     cfg.trace.enabled = trace;
     let mut m = Machine::new(cfg, Mode::TaiChi);
     add_bench_traffic(&mut m);
@@ -89,13 +89,12 @@ fn run_machine(trace: bool) -> (Vec<u64>, Option<String>) {
 /// A reduced `ext_faults`-style matrix rendered to CSV exactly as the
 /// experiment binary would (same Table machinery, same cell
 /// formatting), fanned out over `workers` threads.
-fn ext_style_csv(workers: usize) -> String {
+fn ext_style_csv(base: &MachineConfig, workers: usize) -> String {
     let cases = vec![(Mode::Baseline, 0.0f64), (Mode::TaiChi, 0.05)];
     let results = sweep_with(workers, cases.clone(), |(mode, rate)| {
         let cfg = MachineConfig {
-            seed: SEED,
             faults: FaultPlan::uniform(rate),
-            ..MachineConfig::default()
+            ..base.clone()
         };
         let mut m = Machine::new(cfg, mode);
         add_bench_traffic(&mut m);
@@ -135,34 +134,20 @@ struct Artifacts {
     csv_parallel: String,
 }
 
-fn collect(backend: QueueBackend, skip: &str) -> Artifacts {
-    // Point every EventQueue::new() in this process at the backend
-    // under test, and every Machine::new() at the skip mode — the
-    // exact switches an operator would flip.
-    std::env::set_var(
-        "TAICHI_QUEUE",
-        match backend {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
-    );
-    std::env::set_var("TAICHI_SKIP", skip);
-    assert_eq!(QueueBackend::from_env(), backend, "selector must resolve");
-    let (stats, _) = run_machine(false);
-    let (traced_stats, trace) = run_machine(true);
+fn collect(queue: QueueBackend, skip: SkipMode) -> Artifacts {
+    let cfg = base_config(queue, skip);
+    let (stats, _) = run_machine(cfg.clone(), false);
+    let (traced_stats, trace) = run_machine(cfg.clone(), true);
     assert_eq!(
         stats, traced_stats,
-        "{backend:?}/skip={skip}: tracing must not perturb the run"
+        "{queue:?}/{skip:?}: tracing must not perturb the run"
     );
-    let artifacts = Artifacts {
+    Artifacts {
         stats,
         trace: trace.expect("trace was enabled"),
-        csv_serial: ext_style_csv(1),
-        csv_parallel: ext_style_csv(4),
-    };
-    std::env::remove_var("TAICHI_QUEUE");
-    std::env::remove_var("TAICHI_SKIP");
-    artifacts
+        csv_serial: ext_style_csv(&cfg, 1),
+        csv_parallel: ext_style_csv(&cfg, 4),
+    }
 }
 
 #[test]
@@ -172,10 +157,10 @@ fn wheel_and_heap_artifacts_are_byte_identical() {
     // reproduce byte for byte. The off-diagonal cells isolate which
     // layer (queue backend vs. skip layer) broke identity.
     let cells = [
-        (QueueBackend::Wheel, "on"),
-        (QueueBackend::Wheel, "off"),
-        (QueueBackend::Heap, "on"),
-        (QueueBackend::Heap, "off"),
+        (QueueBackend::Wheel, SkipMode::On),
+        (QueueBackend::Wheel, SkipMode::Off),
+        (QueueBackend::Heap, SkipMode::On),
+        (QueueBackend::Heap, SkipMode::Off),
     ];
     let baseline = collect(cells[0].0, cells[0].1);
 
@@ -186,12 +171,16 @@ fn wheel_and_heap_artifacts_are_byte_identical() {
     );
     // Experiment CSV: identical across cells AND worker counts.
     assert!(baseline.csv_serial.lines().count() > 2);
+    assert_eq!(
+        baseline.csv_serial, baseline.csv_parallel,
+        "Wheel/On: CSV must be worker-count invariant"
+    );
 
-    for &(backend, skip) in &cells[1..] {
-        let other = collect(backend, skip);
+    for &(queue, skip) in &cells[1..] {
+        let other = collect(queue, skip);
         assert_eq!(
             baseline.trace, other.trace,
-            "trace TSV differs: wheel/skip=on vs {backend:?}/skip={skip}"
+            "trace TSV differs: Wheel/On vs {queue:?}/{skip:?}"
         );
         // Stats fingerprint (leads with the logical event count —
         // dispatched + skipped — so the pop loop cannot silently skip
@@ -201,15 +190,15 @@ fn wheel_and_heap_artifacts_are_byte_identical() {
         // pinned across backends and skip modes too).
         assert_eq!(
             baseline.stats, other.stats,
-            "run-report statistics differ: wheel/skip=on vs {backend:?}/skip={skip}"
+            "run-report statistics differ: Wheel/On vs {queue:?}/{skip:?}"
         );
         assert_eq!(
             other.csv_serial, other.csv_parallel,
-            "{backend:?}/skip={skip}: CSV must be worker-count invariant"
+            "{queue:?}/{skip:?}: CSV must be worker-count invariant"
         );
         assert_eq!(
             baseline.csv_serial, other.csv_serial,
-            "experiment CSV differs: wheel/skip=on vs {backend:?}/skip={skip}"
+            "experiment CSV differs: Wheel/On vs {queue:?}/{skip:?}"
         );
     }
 }

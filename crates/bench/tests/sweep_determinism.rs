@@ -1,22 +1,13 @@
 //! The parallel sweep runner must be invisible in the output: a
-//! multi-worker fan-out of independent `(mode, seed)` machine runs has
+//! multi-worker fan-out of independent `(mode, seed)` measurements has
 //! to produce the byte-identical CSV a serial loop would.
 
 use taichi_bench::sweep_with;
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::report::Table;
 use taichi_sim::SimDuration;
 use taichi_workloads::{measure, BenchTraffic};
-
-fn traffic() -> BenchTraffic {
-    BenchTraffic {
-        kind: taichi_hw::IoKind::Network,
-        size_bytes: 512.0,
-        utilization: 0.3,
-        bursty: false,
-        burst_intensity: 0.9,
-    }
-}
 
 /// Renders a sweep's results exactly as an experiment binary would.
 fn sweep_csv(workers: usize) -> String {
@@ -26,12 +17,16 @@ fn sweep_csv(workers: usize) -> String {
         (Mode::TaiChi, 7),
         (Mode::TaiChi, 8),
     ];
-    let t = traffic();
+    let traffic = BenchTraffic::net(512.0, 0.3, false);
     // Short horizon: the point is cross-worker determinism, not
     // statistics.
     let horizon = SimDuration::from_millis(5);
     let results = sweep_with(workers, cases.clone(), |(mode, seed)| {
-        measure(mode, &t, horizon, seed)
+        let cfg = MachineConfig {
+            seed,
+            ..MachineConfig::default()
+        };
+        measure(&cfg, mode, &traffic, horizon)
     });
 
     let mut table = Table::new(

@@ -1,18 +1,17 @@
 //! Regression test for trace-ring eviction accounting under
 //! multi-machine export (one process, many machines, one explicit
-//! `TAICHI_TRACE` destination).
+//! `trace.dump` destination).
 //!
-//! Before the fix, every `emit_trace` call with a non-empty
-//! `TAICHI_TRACE` wrote the *same* path, so a process exporting two
+//! Before the fix, every `emit_trace` call with an explicit
+//! destination wrote the *same* path, so a process exporting two
 //! machines silently clobbered the first ring's schedule with the
 //! second's — and any eviction warning printed along the way described
 //! a different ring than the surviving file held. The export path is
 //! now claimed per ring (`taichi_sim::trace::claim_export_path`), and
 //! the eviction warning comes from `Tracer::eviction_warning`, which
 //! is strictly per-ring state.
-//!
-//! Kept as a single `#[test]`: `TAICHI_TRACE` is process-global, and
-//! sibling tests in this binary would race on it.
+
+use std::path::Path;
 
 use taichi_bench::emit_trace;
 use taichi_core::machine::{Machine, Mode};
@@ -21,13 +20,14 @@ use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::{Dist, SimTime};
 
-fn traced_machine(seed: u64, capacity: usize) -> Machine {
+fn traced_machine(seed: u64, capacity: usize, dump: &Path) -> Machine {
     let mut cfg = MachineConfig {
         seed,
         ..MachineConfig::default()
     };
     cfg.trace.enabled = true;
     cfg.trace.capacity = capacity;
+    cfg.trace.dump = Some(dump.to_path_buf());
     let mut m = Machine::new(cfg, Mode::TaiChi);
     let dp = m.services().len() as u32;
     m.add_traffic(TrafficGen::new(
@@ -56,8 +56,8 @@ fn two_machine_export_keeps_both_rings_and_their_accounting() {
     // Two machines in one process: different seeds (different
     // schedules) and wildly different ring capacities (only the tiny
     // ring evicts).
-    let m1 = traced_machine(0xAAAA, 65_536);
-    let m2 = traced_machine(0xBBBB, 64);
+    let m1 = traced_machine(0xAAAA, 65_536, &dest);
+    let m2 = traced_machine(0xBBBB, 64, &dest);
     let tsv1 = m1.trace_tsv().expect("m1 traced");
     let tsv2 = m2.trace_tsv().expect("m2 traced");
     assert_ne!(tsv1, tsv2, "distinct seeds must give distinct schedules");
@@ -75,12 +75,10 @@ fn two_machine_export_keeps_both_rings_and_their_accounting() {
         "warning must carry this ring's own drop count: {w}"
     );
 
-    // Export both under one explicit TAICHI_TRACE destination.
+    // Export both to their one shared explicit destination.
     taichi_sim::trace::reset_export_paths();
-    std::env::set_var("TAICHI_TRACE", &dest_str);
     emit_trace("m1", &m1);
     emit_trace("m2", &m2);
-    std::env::remove_var("TAICHI_TRACE");
 
     // The first export owns the named path; the second lands at the
     // disambiguated sibling instead of clobbering it.

@@ -312,8 +312,8 @@ pub fn check_invariants(m: &Machine) -> InvariantReport {
 
 /// Fail-fast variant of [`check_invariants`]: on any violation, arms a
 /// [`FailureDump`](taichi_sim::trace::FailureDump) (so the trace TSV
-/// lands at `$TAICHI_TRACE` when tracing is on) and panics with the
-/// full report.
+/// lands at the configured `trace.dump` path when tracing is on) and
+/// panics with the full report.
 ///
 /// # Panics
 ///

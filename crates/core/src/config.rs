@@ -5,11 +5,10 @@ use taichi_hw::accel::AcceleratorConfig;
 use taichi_hw::SmartNicSpec;
 use taichi_os::KernelConfig;
 use taichi_sim::trace::TraceConfig;
-use taichi_sim::{FaultPlan, FootprintProfile, SimDuration};
+use taichi_sim::{FaultPlan, FootprintProfile, QueueBackend, SimDuration};
 use taichi_virt::{Type2Model, VirtCosts};
 
-/// Idle-time skipping for the machine driver (the `TAICHI_SKIP`
-/// escape hatch, threaded like `TAICHI_QUEUE`).
+/// Idle-time skipping for the machine driver ([`MachineConfig::skip`]).
 ///
 /// With skipping on (the default) the driver cancels superseded
 /// periodic timers — DP idle notifications, vCPU slice expiries,
@@ -30,22 +29,6 @@ pub enum SkipMode {
 }
 
 impl SkipMode {
-    /// Resolves the mode from the `TAICHI_SKIP` environment variable:
-    /// `on` (or unset/empty) and `off` are accepted; anything else
-    /// warns to stderr once per process and falls back to `On`,
-    /// mirroring the `TAICHI_QUEUE` convention.
-    pub fn from_env() -> SkipMode {
-        taichi_sim::env::env_parse_or_warn("TAICHI_SKIP", |s| match s.trim() {
-            "" | "on" => Ok(SkipMode::On),
-            "off" => Ok(SkipMode::Off),
-            other => Err(format!(
-                "warning: TAICHI_SKIP={other:?} is not a known skip mode \
-                 (expected \"on\" or \"off\"); skipping stays on"
-            )),
-        })
-        .unwrap_or_default()
-    }
-
     /// True when superseded timers are cancelled rather than
     /// dispatched.
     pub fn is_on(self) -> bool {
@@ -137,27 +120,25 @@ impl Default for TenantConfig {
     }
 }
 
-/// Parses `TAICHI_TENANTS_COUNT` / `--tenants` (a tenant count >= 1).
+/// Parses the `--tenants` flag (a tenant count >= 1).
 pub fn parse_tenant_count(s: &str) -> Result<u32, String> {
     match s.trim().parse::<u32>() {
         Ok(0) | Err(_) => Err(format!(
-            "warning: {s:?} is not a valid tenant count \
-             (expected an integer >= 1); using the default"
+            "--tenants {s:?} is not a valid tenant count (expected an integer >= 1)"
         )),
         Ok(n) => Ok(n),
     }
 }
 
-/// Parses `TAICHI_TENANTS_WEIGHTS` / `--weights`: colon-separated DRR
+/// Parses the `--weights` flag: colon-separated DRR
 /// weights, e.g. `3:1` (zero entries are rejected — a zero weight
 /// would starve a tenant forever, which the `TenantConfig` layer bumps
 /// to 1 anyway).
 pub fn parse_tenant_weights(s: &str) -> Result<Vec<u64>, String> {
     let err = || {
         format!(
-            "warning: {s:?} is not a valid weight vector \
-             (expected colon-separated integers >= 1, e.g. \"3:1\"); \
-             using the default"
+            "--weights {s:?} is not a valid weight vector \
+             (expected colon-separated integers >= 1, e.g. \"3:1\")"
         )
     };
     let ws: Result<Vec<u64>, ()> = s
@@ -178,20 +159,6 @@ impl TenantConfig {
     /// True when the multi-tenant machinery should be constructed.
     pub fn is_multi(&self) -> bool {
         self.count > 1
-    }
-
-    /// Overlays the `TAICHI_TENANTS_COUNT` and `TAICHI_TENANTS_WEIGHTS`
-    /// environment knobs on this config, following the workspace
-    /// convention (unset keeps, valid applies, invalid warns once and
-    /// keeps).
-    pub fn apply_env(&mut self) {
-        use taichi_sim::env::env_parse_or_warn;
-        if let Some(v) = env_parse_or_warn("TAICHI_TENANTS_COUNT", parse_tenant_count) {
-            self.count = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_TENANTS_WEIGHTS", parse_tenant_weights) {
-            self.weights = v;
-        }
     }
 
     /// The effective weight vector: `weights` normalized to exactly
@@ -229,26 +196,18 @@ pub struct MachineConfig {
     /// RNG seed — identical seeds give bit-identical runs.
     pub seed: u64,
     /// Scheduler trace layer (off by default; enabling it never
-    /// perturbs the simulated schedule, only records it).
+    /// perturbs the simulated schedule, only records it). Its `dump`
+    /// path is where exports and failure dumps land.
     pub trace: TraceConfig,
     /// Fault-injection plan (inactive by default; an inactive plan
-    /// constructs no injector and leaves runs byte-identical). The
-    /// `TAICHI_FAULTS` environment variable overlays this at machine
-    /// construction.
+    /// constructs no injector and leaves runs byte-identical).
     pub faults: FaultPlan,
-    /// Explicit scheduling-policy override. `None` (the default)
-    /// derives the policy from the run's [`Mode`] — or from the
-    /// `TAICHI_POLICY` environment variable when that is set. `Some`
-    /// wins over both: a machine built for one mode re-resolves to the
-    /// policy's canonical mode (see [`crate::sched::PolicyKind`]).
-    ///
-    /// [`Mode`]: crate::machine::Mode
-    pub policy: Option<crate::sched::PolicyKind>,
-    /// Idle-time skipping override. `None` (the default) resolves from
-    /// the `TAICHI_SKIP` environment variable at machine construction
-    /// (on unless `TAICHI_SKIP=off`); `Some` wins over the
-    /// environment, exactly like the queue-backend selection.
-    pub skip: Option<SkipMode>,
+    /// Event-queue scheduling core: the timing wheel (the default) or
+    /// the binary-heap reference it must match byte for byte.
+    pub queue: QueueBackend,
+    /// Idle-time skipping: on (the default) or off, the reference the
+    /// skip layer must match byte for byte.
+    pub skip: SkipMode,
     /// Memory-footprint profile: `Hot` (the default) makes every
     /// worst-case reservation at construction so the steady-state loop
     /// never allocates; `Fleet` starts the event slab, skip heap, and
@@ -273,8 +232,8 @@ impl Default for MachineConfig {
             seed: 0xD1CE,
             trace: TraceConfig::default(),
             faults: FaultPlan::default(),
-            policy: None,
-            skip: None,
+            queue: QueueBackend::default(),
+            skip: SkipMode::default(),
             footprint: FootprintProfile::default(),
         }
     }

@@ -42,4 +42,4 @@ pub use config::{
 };
 pub use machine::{FaultHealth, Machine, Mode};
 pub use metrics::RunReport;
-pub use sched::{make_scheduler, KernelCtx, PolicyKind, ReschedulePick, Scheduler};
+pub use sched::{make_scheduler, KernelCtx, ReschedulePick, Scheduler};

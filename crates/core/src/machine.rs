@@ -27,10 +27,10 @@
 //! preprocess+transfer window, so the DP service is back on the core
 //! before the packet reaches shared memory.
 
-use crate::config::{MachineConfig, SkipMode};
+use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
 use crate::probe_sw::AdaptiveYield;
-use crate::sched::{make_scheduler, KernelCtx, PolicyKind, Scheduler};
+use crate::sched::{make_scheduler, KernelCtx, Scheduler};
 use crate::vcpu_sched::VcpuScheduler;
 
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
@@ -42,8 +42,8 @@ use taichi_hw::{
 use taichi_os::{ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId};
 use taichi_sim::trace::FailureDump;
 use taichi_sim::{
-    Arena, ArenaStats, EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng,
-    SimDuration, SimTime, TraceKind, Tracer,
+    Arena, ArenaStats, EventQueue, EventToken, FaultInjector, IpiFate, Rng, SimDuration, SimTime,
+    TraceKind, Tracer,
 };
 use taichi_virt::{VcpuState, VmExitReason};
 
@@ -253,9 +253,8 @@ pub struct Machine {
     /// dispatched). `events_dispatched + events_skipped` is invariant
     /// across skip modes.
     events_skipped: u64,
-    /// Idle-time skipping resolved at construction (`cfg.skip`, else
-    /// `TAICHI_SKIP`): cancel superseded timers instead of dispatching
-    /// them later as stale no-ops.
+    /// `cfg.skip.is_on()`, cached: cancel superseded timers instead of
+    /// dispatching them later as stale no-ops.
     skip: bool,
     /// Cached `policy.uses_vcpus()` — the policy never changes after
     /// construction, and the flag gates every idle-arm and CP-fill
@@ -365,24 +364,12 @@ macro_rules! sched_ctx {
 }
 
 impl Machine {
-    /// Builds a machine in the given mode.
-    ///
-    /// An explicit policy selection — `cfg.policy`, or the
-    /// `TAICHI_POLICY` environment variable when the config leaves it
-    /// `None` — wins over `mode` when the two disagree: the machine
-    /// re-resolves to the selected policy's canonical mode. When the
-    /// selection matches the mode's own policy (e.g. `taichi` on any
-    /// Tai Chi ablation mode), the richer mode is kept unchanged, so
-    /// `--policy taichi` never flattens `taichi-vdp` into plain
-    /// `taichi`.
+    /// Builds a machine in the given mode. `cfg` and `mode` are the
+    /// whole truth about the run: nothing here reads the environment.
     pub fn new(cfg: MachineConfig, mode: Mode) -> Self {
-        let mode = match cfg.policy.or_else(PolicyKind::from_env) {
-            Some(kind) if PolicyKind::for_mode(mode) != kind => kind.canonical_mode(),
-            _ => mode,
-        };
         let policy = make_scheduler(mode, &cfg);
         // Borrowed, not cloned: thousands of short-lived machines go
-        // through here under `par::sweep`, and the spec is only read
+        // through here under `par::sweep_with`, and the spec is only read
         // during construction.
         let spec = &cfg.spec;
         let num_cpus = spec.num_cpus;
@@ -453,25 +440,18 @@ impl Machine {
             hw_probe.set_enabled(false);
         }
 
-        // Tracing is on when configured explicitly or when the
-        // `TAICHI_TRACE` dump path is set (so a plain
-        // `TAICHI_TRACE=/tmp/t.tsv cargo test` captures failing
-        // schedules without code changes). The tracer only records the
-        // schedule; it never influences it.
-        let trace_on = cfg.trace.enabled || std::env::var_os("TAICHI_TRACE").is_some();
-        let tracer = trace_on.then(|| Tracer::new(cfg.trace.capacity));
+        // The tracer only records the schedule; it never influences it.
+        let tracer = Tracer::from_config(&cfg.trace);
         let mut accel = Accelerator::new(cfg.accel.clone());
         if let Some(t) = &tracer {
             kernel.set_tracer(t.clone());
             accel.set_tracer(t.clone());
         }
 
-        // Fault layer: the injector exists only when the plan (after
-        // the TAICHI_FAULTS overlay) can actually fire, so inactive
-        // plans leave every subsystem on its pre-fault fast path and
-        // runs byte-identical.
-        let fault_plan = cfg.faults.with_env_overrides();
-        let fault = FaultInjector::from_plan(&fault_plan, cfg.seed);
+        // Fault layer: the injector exists only when the plan can
+        // actually fire, so inactive plans leave every subsystem on its
+        // pre-fault fast path and runs byte-identical.
+        let fault = FaultInjector::from_plan(&cfg.faults, cfg.seed);
         let mut apic = ApicFabric::new(spec.num_cpus + num_vcpus, SimDuration::from_nanos(300));
         if let Some(f) = &fault {
             if let Some(t) = &tracer {
@@ -502,7 +482,7 @@ impl Machine {
         }
 
         let n_v = vcpu_ids.len();
-        let skip = cfg.skip.unwrap_or_else(SkipMode::from_env).is_on();
+        let skip = cfg.skip.is_on();
         let uses_vcpus = policy.uses_vcpus();
         Machine {
             accel,
@@ -566,7 +546,7 @@ impl Machine {
             now: SimTime::ZERO,
             queue: {
                 let mut q = EventQueue::with_backend_and_slots(
-                    QueueBackend::from_env(),
+                    cfg.queue,
                     cfg.footprint.initial_event_slots(),
                 );
                 if cfg.footprint.eager_rings() {
@@ -1822,10 +1802,14 @@ impl Machine {
     }
 
     /// Arms a dump-on-panic guard: if the calling test fails while the
-    /// guard is live, the trace TSV is written to `$TAICHI_TRACE`.
+    /// guard is live, the trace TSV is written to the configured
+    /// [`TraceConfig::dump`](taichi_sim::TraceConfig::dump) path.
     /// `None` when tracing is disabled.
     pub fn failure_dump(&self, label: &str) -> Option<FailureDump> {
-        self.tracer.as_ref().map(|t| FailureDump::new(t, label))
+        let dest = self.cfg.trace.dump.as_deref();
+        self.tracer
+            .as_ref()
+            .map(|t| FailureDump::new(t, dest, label))
     }
 
     /// The DP services (one per DP CPU).
@@ -1856,11 +1840,6 @@ impl Machine {
     /// The hardware workload probe (check/IRQ counters).
     pub fn hw_probe(&self) -> &HwWorkloadProbe {
         &self.hw_probe
-    }
-
-    /// The active scheduling policy (decision layer).
-    pub fn policy(&self) -> &dyn Scheduler {
-        self.policy.as_ref()
     }
 
     /// The adaptive yield controller (the active policy's view).
@@ -1906,7 +1885,7 @@ impl Machine {
     }
 
     /// Superseded timers cancelled before dispatch by the skip layer
-    /// (always zero under `TAICHI_SKIP=off`).
+    /// (always zero under `SkipMode::Off`).
     pub fn events_skipped(&self) -> u64 {
         self.events_skipped
     }

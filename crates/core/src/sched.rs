@@ -11,15 +11,18 @@
 //! policy callbacks receive a context exposing a subset of kernel
 //! resources.
 //!
-//! Three policies ship today, selected per-run via
-//! `MachineConfig::policy`, the `TAICHI_POLICY` environment variable,
-//! or `--policy` on the experiment binaries:
+//! Two policies ship today. The run's [`Mode`] is the only selector:
+//! [`make_scheduler`] builds the policy each mode runs.
 //!
-//! | [`PolicyKind`] | vCPU harvest | HW probe | Decision behaviour |
-//! |----------------|--------------|----------|--------------------|
-//! | `taichi`   | yes | per-config | adaptive yield/slice, RR vCPU pick, §4.1 lock reschedule |
-//! | `baseline` | no  | no | native CFS-like kernel scheduling only |
-//! | `type2`    | no  | no | as baseline; the type-2 taxes are structural ([`Mode::Type2`]) |
+//! | Policy | Modes | vCPU harvest | HW probe | Decision behaviour |
+//! |--------|-------|--------------|----------|--------------------|
+//! | [`TaiChiPolicy`] | `TaiChi`, `TaiChiNoHwProbe`, `TaiChiVdp` | yes | per-mode | adaptive yield/slice, RR vCPU pick, §4.1 lock reschedule |
+//! | [`BaselinePolicy`] | `Baseline`, `Type2` | no | no | native CFS-like kernel scheduling only |
+//!
+//! [`Mode::Type2`] runs the baseline's decisions: what makes the
+//! type-2 regime slow (guest taxes, IPC→RPC inflation, the pCPU lost
+//! to emulation) is structural and modeled by its machine construction
+//! and program transformation.
 //!
 //! The split is deliberately honest about what differs between the
 //! paper's regimes: the CFS-like baseline and the type-2 hypervisor
@@ -36,19 +39,19 @@
 //! every pre-existing [`Mode`], the policy methods reproduce the
 //! formerly hardwired logic exactly — same RR cursor behaviour, same
 //! adaptation arithmetic, same counter increments — which the
-//! `policy_identity` harness in `taichi-bench` pins down (trace TSV,
-//! stats fingerprint, and experiment CSV equality across queue
-//! backends and sweep worker counts).
+//! `identity` harness in `taichi-bench` pins down (trace TSV, stats
+//! fingerprint, and experiment CSV equality across queue backends,
+//! skip modes, and sweep worker counts, for every mode).
 //!
 //! # Adding a policy
 //!
 //! 1. Implement [`Scheduler`]. State lives in your struct; everything
 //!    you may read lives in [`KernelCtx`].
-//! 2. Extend [`PolicyKind`] (parse + display + canonical mode) and
-//!    [`make_scheduler`].
-//! 3. Run the `policy_identity` harness (existing policies must stay
-//!    byte-identical) and the per-policy invariant sweep
-//!    (`policy_invariants`), which runs your policy across the fault
+//! 2. Add the [`Mode`] that runs it and map it in [`make_scheduler`].
+//! 3. Add the mode to the `identity` harness's case table (existing
+//!    modes must stay byte-identical) and to the per-mode invariant
+//!    sweep (`every_policy_survives_graded_fault_matrix` in
+//!    `fault_invariants`), which runs each mode across the fault
 //!    matrix and asserts no stranded sleepers or leaked grants.
 
 use crate::config::MachineConfig;
@@ -62,88 +65,6 @@ use taichi_hw::{CpuId, HwWorkloadProbe};
 use taichi_os::Kernel;
 use taichi_sim::{SimDuration, SimTime};
 use taichi_virt::VmExitReason;
-
-/// Which of the three shipped policies to run. Distinct from [`Mode`]:
-/// a mode is the full structural regime (CPU counts, taxes, program
-/// transformations), a policy is the scheduling decision logic. Every
-/// mode maps onto a policy ([`PolicyKind::for_mode`]); selecting a
-/// policy explicitly re-derives the canonical mode for it
-/// ([`PolicyKind::canonical_mode`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// Full Tai Chi: adaptive DP→CP yield + CP→DP preempt.
-    TaiChi,
-    /// Static partitioning over the CFS-like kernel scheduler.
-    Baseline,
-    /// Type-2 hypervisor regime (scheduling-wise identical to the
-    /// baseline; the guest taxes are structural to [`Mode::Type2`]).
-    Type2,
-}
-
-impl PolicyKind {
-    /// All selectable policies, in evaluation order.
-    pub fn all() -> [PolicyKind; 3] {
-        [PolicyKind::Baseline, PolicyKind::TaiChi, PolicyKind::Type2]
-    }
-
-    /// The mode this policy canonically runs as.
-    pub fn canonical_mode(self) -> Mode {
-        match self {
-            PolicyKind::TaiChi => Mode::TaiChi,
-            PolicyKind::Baseline => Mode::Baseline,
-            PolicyKind::Type2 => Mode::Type2,
-        }
-    }
-
-    /// The policy behind a mode (ablation modes run the TaiChi policy
-    /// with different knobs).
-    pub fn for_mode(mode: Mode) -> PolicyKind {
-        match mode {
-            Mode::Baseline => PolicyKind::Baseline,
-            Mode::TaiChi | Mode::TaiChiNoHwProbe | Mode::TaiChiVdp => PolicyKind::TaiChi,
-            Mode::Type2 => PolicyKind::Type2,
-        }
-    }
-
-    /// Resolves the `TAICHI_POLICY` environment override. An
-    /// unrecognized value warns to stderr once per process and is
-    /// ignored (the mode-derived policy applies), following the
-    /// `TAICHI_QUEUE`/`TAICHI_SEED` convention.
-    pub fn from_env() -> Option<PolicyKind> {
-        taichi_sim::env::env_parse_or_warn("TAICHI_POLICY", |s| {
-            s.trim().parse().map_err(|_| {
-                format!(
-                    "warning: TAICHI_POLICY={s:?} is not a known scheduler policy \
-                     (expected \"taichi\", \"baseline\", or \"type2\"); \
-                     keeping the mode-derived policy"
-                )
-            })
-        })
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "taichi" => Ok(PolicyKind::TaiChi),
-            "baseline" => Ok(PolicyKind::Baseline),
-            "type2" => Ok(PolicyKind::Type2),
-            other => Err(format!("unknown policy {other:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PolicyKind::TaiChi => "taichi",
-            PolicyKind::Baseline => "baseline",
-            PolicyKind::Type2 => "type2",
-        })
-    }
-}
 
 /// Read-only view of kernel state handed to every [`Scheduler`]
 /// decision point: runqueues, pending softirqs, probe state, vCPU
@@ -221,9 +142,6 @@ pub struct ReschedulePick {
 /// whatever state their decisions need — adaptive controllers, RR
 /// cursors — and read everything else from the [`KernelCtx`].
 pub trait Scheduler: Send {
-    /// Stable lowercase policy name (matches [`PolicyKind`] parsing).
-    fn name(&self) -> &'static str;
-
     /// True when this policy harvests DP idle cycles through vCPUs.
     /// `false` turns off the entire vCPU layer: no pool, no idle
     /// probes, no grants — the kernel's native scheduling runs alone.
@@ -303,11 +221,6 @@ impl TaiChiPolicy {
 
 impl Scheduler for TaiChiPolicy {
     #[inline]
-    fn name(&self) -> &'static str {
-        "taichi"
-    }
-
-    #[inline]
     fn uses_vcpus(&self) -> bool {
         true
     }
@@ -384,7 +297,8 @@ impl Scheduler for TaiChiPolicy {
 
 /// Static partitioning: no vCPU layer at all; the kernel's native
 /// CFS-like scheduling (least-loaded placement, work stealing,
-/// preemption rotation) is the whole policy.
+/// preemption rotation) is the whole policy. Both [`Mode::Baseline`]
+/// and [`Mode::Type2`] run it.
 pub struct BaselinePolicy {
     /// Kept (untouched) so diagnostics see the same threshold table a
     /// machine has always carried in every mode.
@@ -412,11 +326,6 @@ impl BaselinePolicy {
 }
 
 impl Scheduler for BaselinePolicy {
-    #[inline]
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
     #[inline]
     fn uses_vcpus(&self) -> bool {
         false
@@ -464,87 +373,14 @@ impl Scheduler for BaselinePolicy {
     }
 }
 
-/// Type-2 hypervisor regime: scheduling decisions are the baseline's
-/// (no harvest; native kernel scheduling); what makes type-2 slow —
-/// guest execution taxes, IPC→RPC inflation, the pCPU lost to
-/// emulation — is structural and modeled by [`Mode::Type2`]'s machine
-/// construction and program transformation.
-pub struct Type2Policy {
-    inner: BaselinePolicy,
-}
-
-impl Type2Policy {
-    /// Builds the policy from the machine config.
-    pub fn new(cfg: &MachineConfig) -> Self {
-        Type2Policy {
-            inner: BaselinePolicy::new(cfg),
-        }
-    }
-}
-
-impl Scheduler for Type2Policy {
-    #[inline]
-    fn name(&self) -> &'static str {
-        "type2"
-    }
-
-    #[inline]
-    fn uses_vcpus(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn hw_probe_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn yield_threshold(&self, ctx: &KernelCtx<'_>, host: CpuId) -> u32 {
-        self.inner.yield_threshold(ctx, host)
-    }
-
-    #[inline]
-    fn grant_slice(&self, ctx: &KernelCtx<'_>, host: CpuId) -> SimDuration {
-        self.inner.grant_slice(ctx, host)
-    }
-
-    #[inline]
-    fn pick_vcpu(&mut self, ctx: &KernelCtx<'_>) -> Option<usize> {
-        self.inner.pick_vcpu(ctx)
-    }
-
-    fn on_vm_exit(&mut self, ctx: &KernelCtx<'_>, host: CpuId, reason: VmExitReason) {
-        self.inner.on_vm_exit(ctx, host, reason);
-    }
-
-    fn pick_reschedule_host(
-        &mut self,
-        ctx: &KernelCtx<'_>,
-        idle_dp: &[CpuId],
-        cp_hosts: &[CpuId],
-    ) -> Option<ReschedulePick> {
-        self.inner.pick_reschedule_host(ctx, idle_dp, cp_hosts)
-    }
-
-    #[inline]
-    fn clamp_yield_to_max(&mut self, host: CpuId) -> bool {
-        self.inner.clamp_yield_to_max(host)
-    }
-
-    #[inline]
-    fn yield_view(&self) -> &AdaptiveYield {
-        self.inner.yield_view()
-    }
-}
-
 /// Builds the scheduler for a mode: ablation modes share the TaiChi
-/// policy with different knobs, everything else maps 1:1.
+/// policy with different knobs, and the two non-harvesting regimes
+/// share the baseline policy.
 pub fn make_scheduler(mode: Mode, cfg: &MachineConfig) -> Box<dyn Scheduler> {
     match mode {
-        Mode::Baseline => Box::new(BaselinePolicy::new(cfg)),
+        Mode::Baseline | Mode::Type2 => Box::new(BaselinePolicy::new(cfg)),
         Mode::TaiChi | Mode::TaiChiVdp => Box::new(TaiChiPolicy::new(cfg, true)),
         Mode::TaiChiNoHwProbe => Box::new(TaiChiPolicy::new(cfg, false)),
-        Mode::Type2 => Box::new(Type2Policy::new(cfg)),
     }
 }
 
@@ -707,34 +543,25 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_round_trips() {
-        for k in PolicyKind::all() {
-            assert_eq!(k.to_string().parse::<PolicyKind>(), Ok(k));
-            assert_eq!(PolicyKind::for_mode(k.canonical_mode()), k);
-        }
-        assert!("cfs".parse::<PolicyKind>().is_err());
-    }
-
-    #[test]
     fn ablation_modes_map_to_taichi_policy() {
-        assert_eq!(
-            PolicyKind::for_mode(Mode::TaiChiNoHwProbe),
-            PolicyKind::TaiChi
-        );
-        assert_eq!(PolicyKind::for_mode(Mode::TaiChiVdp), PolicyKind::TaiChi);
         let cfg = MachineConfig::default();
+        for mode in [Mode::TaiChiNoHwProbe, Mode::TaiChiVdp] {
+            assert!(make_scheduler(mode, &cfg).uses_vcpus(), "{mode}");
+        }
         assert!(!make_scheduler(Mode::TaiChiNoHwProbe, &cfg).hw_probe_enabled());
         assert!(make_scheduler(Mode::TaiChiVdp, &cfg).hw_probe_enabled());
         assert!(make_scheduler(Mode::TaiChi, &cfg).hw_probe_enabled());
     }
 
     #[test]
-    fn make_scheduler_names_match_modes() {
+    fn make_scheduler_harvests_exactly_in_taichi_modes() {
         let cfg = MachineConfig::default();
         for mode in Mode::all() {
             let s = make_scheduler(mode, &cfg);
-            assert_eq!(s.name(), PolicyKind::for_mode(mode).to_string());
-            assert_eq!(s.uses_vcpus(), mode.has_taichi());
+            assert_eq!(s.uses_vcpus(), mode.has_taichi(), "{mode}");
+            if !mode.has_taichi() {
+                assert!(!s.hw_probe_enabled(), "{mode}");
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! (proving the checker has teeth, not just green lights).
 
 use taichi_core::machine::{Machine, Mode};
-use taichi_core::{assert_invariants, check_invariants, MachineConfig, PolicyKind};
+use taichi_core::{assert_invariants, check_invariants, MachineConfig};
 use taichi_cp::{CpTaskKind, SynthCp, TaskFactory};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
@@ -93,27 +93,25 @@ fn invariants_hold_across_random_fault_matrix() {
     });
 }
 
-/// Every pluggable `Scheduler` implementation — selected through
-/// `MachineConfig::policy`, so the trait-dispatched construction path
-/// is what runs — preserves the machine-wide invariants across a
-/// graded fault matrix. The checker's violation list covers stranded
+/// Every pluggable `Scheduler` implementation — selected by the mode
+/// that runs it, through the trait-dispatched construction path —
+/// preserves the machine-wide invariants across a graded fault
+/// matrix. The checker's violation list covers stranded
 /// sleepers (dropped wakeups never re-armed) and leaked vCPU grants
 /// (a raise rolled back without conserving the vCPU), so a policy
 /// that mishandles a degradation path fails here by name.
 #[test]
 fn every_policy_survives_graded_fault_matrix() {
-    for kind in PolicyKind::all() {
+    for mode in [Mode::Baseline, Mode::TaiChi, Mode::Type2] {
         for pct in [0u64, 1, 5, 20] {
             let cfg = MachineConfig {
                 seed: 0x5EED ^ (pct << 8),
                 faults: FaultPlan::uniform(pct as f64 / 100.0),
-                policy: Some(kind),
                 ..MachineConfig::default()
             };
-            let mut m = build_machine(cfg, kind.canonical_mode());
+            let mut m = build_machine(cfg, mode);
             m.run_until(SimTime::ZERO + HORIZON);
-            assert_eq!(m.policy().name(), kind.to_string(), "policy must be live");
-            assert_invariants(&m, &format!("policy {kind} @ {pct}% faults"));
+            assert_invariants(&m, &format!("mode {mode} @ {pct}% faults"));
         }
     }
 }

@@ -45,7 +45,7 @@ use std::sync::mpsc;
 
 use taichi_core::audit::check_invariants;
 use taichi_core::machine::{Machine, Mode};
-use taichi_core::{MachineConfig, TenantConfig};
+use taichi_core::MachineConfig;
 use taichi_cp::{TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, LatencyRecorder, TrafficGen};
 use taichi_hw::{CpuId, IoKind, TenantId};
@@ -104,18 +104,18 @@ pub struct FleetConfig {
     /// Run the invariant checker on every machine at every epoch
     /// boundary.
     pub check_invariants: bool,
-    /// Multi-tenant data-path configuration applied to every machine.
-    /// The default (one tenant) keeps the fleet on the pre-tenant code
-    /// path byte for byte: no extra generators, no extra RNG draws, no
-    /// tenant columns in any export.
-    pub tenants: TenantConfig,
-    /// Memory footprint profile applied to every machine. Fleets
-    /// default to [`FootprintProfile::Fleet`] (grow-on-demand backing
-    /// storage) because a rack holds thousands of mostly-idle
-    /// machines; every observable is byte-identical to
-    /// [`FootprintProfile::Hot`] — the `fleet_identity` matrix pins
-    /// that.
-    pub footprint: FootprintProfile,
+    /// Template every machine is built from; the fleet overrides only
+    /// its `seed` (per machine, from [`FleetConfig::seed`]). Its
+    /// `tenants` shape the fleet's traffic too: the default (one
+    /// tenant) keeps the fleet on the pre-tenant code path byte for
+    /// byte — no extra generators, no extra RNG draws, no tenant
+    /// columns in any export. The default footprint is
+    /// [`FootprintProfile::Fleet`] (grow-on-demand backing storage),
+    /// because a rack holds thousands of mostly-idle machines; every
+    /// observable is byte-identical to [`FootprintProfile::Hot`], and
+    /// to every queue backend and skip mode the template can name —
+    /// the `fleet_identity` matrix pins that.
+    pub machine: MachineConfig,
 }
 
 impl Default for FleetConfig {
@@ -140,100 +140,15 @@ impl Default for FleetConfig {
             storm_vms_per_machine: 2,
             vm_density: 2,
             check_invariants: true,
-            tenants: TenantConfig::default(),
-            footprint: FootprintProfile::Fleet,
+            machine: MachineConfig {
+                footprint: FootprintProfile::Fleet,
+                ..MachineConfig::default()
+            },
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// TAICHI_FLEET_* environment knobs.
-// ---------------------------------------------------------------------
-
-/// Parses `TAICHI_FLEET_MACHINES` (a machine count >= 1).
-pub fn parse_machines(s: &str) -> Result<usize, String> {
-    match s.trim().parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_MACHINES={s:?} is not a valid machine \
-             count (expected an integer >= 1); using the default"
-        )),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// Parses `TAICHI_FLEET_EPOCHS` (an epoch count >= 1).
-pub fn parse_epochs(s: &str) -> Result<usize, String> {
-    match s.trim().parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_EPOCHS={s:?} is not a valid epoch \
-             count (expected an integer >= 1); using the default"
-        )),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// Parses `TAICHI_FLEET_EPOCH_US` (epoch length in microseconds >= 1).
-pub fn parse_epoch_us(s: &str) -> Result<SimDuration, String> {
-    match s.trim().parse::<u64>() {
-        Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_EPOCH_US={s:?} is not a valid epoch \
-             length (expected microseconds >= 1); using the default"
-        )),
-        Ok(us) => Ok(SimDuration::from_micros(us)),
-    }
-}
-
-/// Parses `TAICHI_FLEET_CHURN` (expected VM placements per epoch,
-/// a finite value >= 0).
-pub fn parse_churn(s: &str) -> Result<f64, String> {
-    match s.trim().parse::<f64>() {
-        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-        _ => Err(format!(
-            "warning: TAICHI_FLEET_CHURN={s:?} is not a valid churn rate \
-             (expected a finite number >= 0); using the default"
-        )),
-    }
-}
-
-/// Parses `TAICHI_FLEET_STORM` (`off`, or the storm epoch index).
-pub fn parse_storm(s: &str) -> Result<Option<usize>, String> {
-    let t = s.trim();
-    if t.eq_ignore_ascii_case("off") {
-        return Ok(None);
-    }
-    t.parse::<usize>().map(Some).map_err(|_| {
-        format!(
-            "warning: TAICHI_FLEET_STORM={s:?} is not a valid storm epoch \
-             (expected \"off\" or an epoch index); using the default"
-        )
-    })
 }
 
 impl FleetConfig {
-    /// Overlays the `TAICHI_FLEET_*` environment knobs on this config.
-    /// Each knob follows the workspace convention: unset keeps the
-    /// current value, a valid value applies, and an invalid value
-    /// keeps the current value with a one-shot warning to stderr.
-    pub fn apply_env(&mut self) {
-        use taichi_sim::env::env_parse_or_warn;
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_MACHINES", parse_machines) {
-            self.machines = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_EPOCHS", parse_epochs) {
-            self.epochs = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_EPOCH_US", parse_epoch_us) {
-            self.epoch_len = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_CHURN", parse_churn) {
-            self.churn_per_epoch = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_STORM", parse_storm) {
-            self.storm_epoch = v;
-        }
-        self.footprint = FootprintProfile::from_env_or(self.footprint);
-    }
-
     /// Start of epoch `e`.
     fn epoch_start(&self, e: usize) -> SimTime {
         SimTime::ZERO + self.epoch_len.saturating_mul(e as u64)
@@ -361,8 +276,8 @@ fn fill_plans(
             let packets = 1 + rng.next_below(cfg.ew_packets_per_flow.max(1) as u64);
             // The whole flow belongs to one tenant; the draw is gated
             // so single-tenant plan streams stay byte-identical.
-            let tenant = if cfg.tenants.is_multi() {
-                rng.next_below(cfg.tenants.count as u64) as u32
+            let tenant = if cfg.machine.tenants.is_multi() {
+                rng.next_below(cfg.machine.tenants.count as u64) as u32
             } else {
                 0
             };
@@ -472,9 +387,7 @@ impl MachineSlot {
     fn new(cfg: &FleetConfig, index: usize) -> Self {
         let mcfg = MachineConfig {
             seed: cfg.machine_seed(index),
-            tenants: cfg.tenants.clone(),
-            footprint: cfg.footprint,
-            ..MachineConfig::default()
+            ..cfg.machine.clone()
         };
         let mut machine = Machine::new(mcfg, cfg.mode);
         // Baseline local (intra-NIC) load; east-west traffic rides on
@@ -483,7 +396,7 @@ impl MachineSlot {
         // (one generator — and one RNG stream — per tenant); with one
         // tenant the single pre-tenant generator is reproduced exactly.
         let dp = machine.services().len() as u32;
-        let tenants = cfg.tenants.count.max(1);
+        let tenants = cfg.machine.tenants.count.max(1);
         for t in 0..tenants {
             machine.add_traffic(
                 TrafficGen::new(
@@ -1143,6 +1056,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taichi_core::TenantConfig;
 
     fn tiny() -> FleetConfig {
         FleetConfig {
@@ -1211,16 +1125,16 @@ mod tests {
     fn footprint_profiles_share_one_fingerprint() {
         // No storm: the post-storm compact would converge both
         // profiles' backing storage and mask the reservation gap.
-        let hot = FleetConfig {
-            footprint: FootprintProfile::Hot,
-            storm_epoch: None,
-            ..tiny()
+        let profile = |footprint| {
+            let mut cfg = FleetConfig {
+                storm_epoch: None,
+                ..tiny()
+            };
+            cfg.machine.footprint = footprint;
+            cfg
         };
-        let fleet = FleetConfig {
-            footprint: FootprintProfile::Fleet,
-            storm_epoch: None,
-            ..tiny()
-        };
+        let hot = profile(FootprintProfile::Hot);
+        let fleet = profile(FootprintProfile::Fleet);
         let a = run(&hot, FleetDriver::Sequential);
         let b = run(&fleet, FleetDriver::Sequential);
         assert_eq!(a.fingerprint(), b.fingerprint());
@@ -1264,14 +1178,14 @@ mod tests {
 
     #[test]
     fn multi_tenant_fleet_aggregates_per_tenant_and_stays_conserved() {
-        let cfg = FleetConfig {
-            tenants: TenantConfig {
-                count: 2,
-                weights: vec![3, 1],
-                ..TenantConfig::default()
-            },
+        let mut cfg = FleetConfig {
             storm_epoch: None,
             ..tiny()
+        };
+        cfg.machine.tenants = TenantConfig {
+            count: 2,
+            weights: vec![3, 1],
+            ..TenantConfig::default()
         };
         let r = run(&cfg, FleetDriver::Sequential);
         assert_eq!(r.violation_count, 0, "{:?}", r.violations);
@@ -1292,76 +1206,5 @@ mod tests {
         let single = run(&tiny(), FleetDriver::Sequential);
         assert!(single.tenant_rack.is_empty());
         assert_eq!(single.tenant_table().to_csv().lines().count(), 1);
-    }
-
-    #[test]
-    fn env_knob_parsers_accept_and_reject() {
-        assert_eq!(parse_machines("64"), Ok(64));
-        assert!(parse_machines("0").is_err());
-        assert!(parse_machines("lots").unwrap_err().contains("machine"));
-        assert_eq!(parse_epochs(" 12 "), Ok(12));
-        assert!(parse_epochs("-3").is_err());
-        assert_eq!(parse_epoch_us("250"), Ok(SimDuration::from_micros(250)));
-        assert!(parse_epoch_us("0").is_err());
-        assert_eq!(parse_churn("1.5"), Ok(1.5));
-        assert!(parse_churn("NaN").is_err());
-        assert!(parse_churn("-1").is_err());
-        assert_eq!(parse_storm("off"), Ok(None));
-        assert_eq!(parse_storm("4"), Ok(Some(4)));
-        assert!(parse_storm("sometime").is_err());
-    }
-
-    // Single test for everything that mutates TAICHI_FLEET_* env vars:
-    // they are process-global, and sibling tests run in parallel.
-    #[test]
-    fn env_overlay_applies_valid_values_and_warns_on_bad_ones() {
-        use taichi_sim::env::{reset_warned, warn_once};
-        for var in [
-            "TAICHI_FLEET_MACHINES",
-            "TAICHI_FLEET_EPOCHS",
-            "TAICHI_FLEET_EPOCH_US",
-            "TAICHI_FLEET_CHURN",
-            "TAICHI_FLEET_STORM",
-        ] {
-            reset_warned(var);
-            std::env::set_var(var, "bogus!");
-        }
-        let mut cfg = FleetConfig::default();
-        let before = cfg.clone();
-        cfg.apply_env();
-        assert_eq!(cfg.machines, before.machines);
-        assert_eq!(cfg.epochs, before.epochs);
-        assert_eq!(cfg.epoch_len, before.epoch_len);
-        assert_eq!(cfg.churn_per_epoch, before.churn_per_epoch);
-        assert_eq!(cfg.storm_epoch, before.storm_epoch);
-        for var in [
-            "TAICHI_FLEET_MACHINES",
-            "TAICHI_FLEET_EPOCHS",
-            "TAICHI_FLEET_EPOCH_US",
-            "TAICHI_FLEET_CHURN",
-            "TAICHI_FLEET_STORM",
-        ] {
-            // The one-shot warning already fired for this var, so a
-            // second emission attempt reports "already warned".
-            assert!(
-                !warn_once(var, "probe"),
-                "{var} must have warned during apply_env"
-            );
-            std::env::remove_var(var);
-            reset_warned(var);
-        }
-
-        // Valid values apply (same test: the vars are process-global).
-        std::env::set_var("TAICHI_FLEET_MACHINES", "9");
-        std::env::set_var("TAICHI_FLEET_STORM", "off");
-        let mut cfg = FleetConfig {
-            storm_epoch: Some(3),
-            ..FleetConfig::default()
-        };
-        cfg.apply_env();
-        std::env::remove_var("TAICHI_FLEET_MACHINES");
-        std::env::remove_var("TAICHI_FLEET_STORM");
-        assert_eq!(cfg.machines, 9);
-        assert_eq!(cfg.storm_epoch, None);
     }
 }

@@ -4,16 +4,16 @@
 //! `{sequential, epoch-parallel}` drivers × `{1, 4}` workers ×
 //! `{hot, fleet}` footprint profiles.
 //!
-//! This is the fleet analogue of `queue_backends.rs`: machine-level
-//! identity says one NIC's exports don't depend on the scheduling
-//! core's implementation; fleet identity additionally says the rack
-//! fold doesn't depend on how machines are sharded across worker
-//! threads or in what order their epoch deltas arrive.
-//!
-//! Kept as a single `#[test]` on purpose: `TAICHI_QUEUE` and
-//! `TAICHI_SKIP` are process-global environment variables, and sibling
-//! tests running concurrently in this binary would race on them.
+//! This is the fleet analogue of the machine-level `identity` harness
+//! in `taichi-bench`: machine-level identity says one NIC's exports
+//! don't depend on the scheduling core's implementation; fleet
+//! identity additionally says the rack fold doesn't depend on how
+//! machines are sharded across worker threads or in what order their
+//! epoch deltas arrive. Every cell is selected through the fleet's
+//! machine template (`FleetConfig::machine`), so nothing here touches
+//! process-global state.
 
+use taichi_core::SkipMode;
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_sim::{FootprintProfile, QueueBackend, SimDuration};
 
@@ -38,31 +38,20 @@ struct Artifacts {
 }
 
 fn collect(
-    backend: QueueBackend,
-    skip: &str,
+    queue: QueueBackend,
+    skip: SkipMode,
     driver: FleetDriver,
     footprint: FootprintProfile,
 ) -> Artifacts {
-    std::env::set_var(
-        "TAICHI_QUEUE",
-        match backend {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
-    );
-    std::env::set_var("TAICHI_SKIP", skip);
-    assert_eq!(QueueBackend::from_env(), backend, "selector must resolve");
-    let cfg = FleetConfig {
-        footprint,
-        ..config()
-    };
+    let mut cfg = config();
+    cfg.machine.queue = queue;
+    cfg.machine.skip = skip;
+    cfg.machine.footprint = footprint;
     let result = run(&cfg, driver);
-    std::env::remove_var("TAICHI_QUEUE");
-    std::env::remove_var("TAICHI_SKIP");
     assert_eq!(
         result.violation_count, 0,
         "invariants must hold on every machine at every epoch boundary \
-         ({backend:?}/skip={skip}/{driver:?}/{footprint:?}): {:?}",
+         ({queue:?}/{skip:?}/{driver:?}/{footprint:?}): {:?}",
         result.violations
     );
     Artifacts {
@@ -80,10 +69,10 @@ fn rack_artifacts_are_byte_identical_across_the_matrix() {
         FleetDriver::EpochParallel { workers: 4 },
     ];
     let cells = [
-        (QueueBackend::Wheel, "on"),
-        (QueueBackend::Wheel, "off"),
-        (QueueBackend::Heap, "on"),
-        (QueueBackend::Heap, "off"),
+        (QueueBackend::Wheel, SkipMode::On),
+        (QueueBackend::Wheel, SkipMode::Off),
+        (QueueBackend::Heap, SkipMode::On),
+        (QueueBackend::Heap, SkipMode::Off),
     ];
 
     let profiles = [FootprintProfile::Fleet, FootprintProfile::Hot];
@@ -98,24 +87,22 @@ fn rack_artifacts_are_byte_identical_across_the_matrix() {
     // and a storm both show up in the CSV.
     assert!(baseline.epoch_csv.contains(','), "CSV renders");
 
-    for &(backend, skip) in &cells {
+    for &(queue, skip) in &cells {
         for &driver in &drivers {
             for &footprint in &profiles {
-                let other = collect(backend, skip, driver, footprint);
+                let other = collect(queue, skip, driver, footprint);
+                let cell = format!("{queue:?}/{skip:?}/{driver:?}/{footprint:?}");
                 assert_eq!(
                     baseline.fingerprint, other.fingerprint,
-                    "aggregate fingerprint differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
+                    "aggregate fingerprint differs: Wheel/On/Sequential/Fleet vs {cell}"
                 );
                 assert_eq!(
                     baseline.epoch_csv, other.epoch_csv,
-                    "rack CSV differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
+                    "rack CSV differs: Wheel/On/Sequential/Fleet vs {cell}"
                 );
                 assert_eq!(
                     baseline.summary_csv, other.summary_csv,
-                    "summary CSV differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
+                    "summary CSV differs: Wheel/On/Sequential/Fleet vs {cell}"
                 );
             }
         }

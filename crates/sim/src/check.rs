@@ -22,14 +22,6 @@ fn name_seed(name: &str) -> u64 {
     h
 }
 
-/// Number of cases to run, honouring the `TAICHI_PROP_CASES` override.
-pub fn case_count(default_cases: u64) -> u64 {
-    std::env::var("TAICHI_PROP_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_cases)
-}
-
 /// Runs `f` for `cases` independent cases.
 ///
 /// Each case receives `(case_index, rng)` where the RNG stream depends
@@ -40,7 +32,6 @@ pub fn run_cases<F>(name: &str, cases: u64, mut f: F)
 where
     F: FnMut(u64, &mut Rng),
 {
-    let cases = case_count(cases);
     for i in 0..cases {
         let mut rng = Rng::stream(name_seed(name), i);
         let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &mut rng)));

@@ -27,10 +27,10 @@
 //!
 //! # Backends: hierarchical timing wheel vs. binary heap
 //!
-//! Two interchangeable scheduling cores sit on top of the slab,
-//! selected by the `TAICHI_QUEUE` environment variable (`wheel`, the
-//! default, or `heap`) or programmatically via
-//! [`EventQueue::with_backend`]. Both produce **identical observable
+//! Two interchangeable scheduling cores sit on top of the slab:
+//! [`EventQueue::new`] always builds the wheel, and
+//! [`EventQueue::with_backend`] picks one explicitly (machines take it
+//! from their configuration's `queue` field). Both produce **identical observable
 //! behaviour** — the same `(time, seq)` pop order, the same `cancel`
 //! return values, the same `peek_time` — so traces, stats, and CSVs are
 //! byte-identical across backends for the same seed. (The only
@@ -123,8 +123,9 @@ pub struct EventToken {
     seq: u64,
 }
 
-/// Scheduling core selection (see the module docs). The default —
-/// and the `TAICHI_QUEUE` fallback — is the timing wheel.
+/// Scheduling core selection (see the module docs). The default is
+/// the timing wheel; the heap is the reference the identity tests
+/// compare it against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
     /// Hierarchical timing wheel with heap overflow (the default).
@@ -132,28 +133,6 @@ pub enum QueueBackend {
     Wheel,
     /// Binary min-heap with lazy cancellation (the PR 2 engine).
     Heap,
-}
-
-impl QueueBackend {
-    /// Resolves the backend from the `TAICHI_QUEUE` environment
-    /// variable: `wheel` (or unset/empty) and `heap` are accepted; an
-    /// unrecognized value warns to stderr **once per process** and
-    /// falls back to the wheel, mirroring the `TAICHI_SEED` convention
-    /// — silently ignoring a typoed selector would fake a backend
-    /// comparison, and every `EventQueue` construction re-reads the
-    /// variable, so without deduplication a sweep would repeat the
-    /// warning per machine.
-    pub fn from_env() -> QueueBackend {
-        crate::env::env_parse_or_warn("TAICHI_QUEUE", |s| match s.trim() {
-            "" | "wheel" => Ok(QueueBackend::Wheel),
-            "heap" => Ok(QueueBackend::Heap),
-            other => Err(format!(
-                "warning: TAICHI_QUEUE={other:?} is not a known queue backend \
-                 (expected \"wheel\" or \"heap\"); using the wheel"
-            )),
-        })
-        .unwrap_or_default()
-    }
 }
 
 /// A heap entry carries no payload — only the key and the slot index.
@@ -539,10 +518,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero, with the backend selected
-    /// by `TAICHI_QUEUE` (the timing wheel unless overridden).
+    /// Creates an empty queue at time zero on the timing wheel.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
+        Self::with_backend(QueueBackend::Wheel)
     }
 
     /// Creates an empty queue at time zero on an explicit backend.
@@ -1724,10 +1702,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_env_selector_parses() {
-        // Only exercises the parser (the env var itself is process
-        // global and owned by the integration tests).
+    fn explicit_backend_selection() {
         assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
+        assert_eq!(EventQueue::<()>::new().backend(), QueueBackend::Wheel);
         let q: EventQueue<()> = EventQueue::with_backend(QueueBackend::Heap);
         assert_eq!(q.backend(), QueueBackend::Heap);
         let q: EventQueue<()> = EventQueue::with_backend(QueueBackend::Wheel);

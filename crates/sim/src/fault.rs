@@ -219,20 +219,6 @@ impl FaultPlan {
         }
         Ok(self)
     }
-
-    /// Applies the `TAICHI_FAULTS` environment override on top of
-    /// `self`, warning once per process (and keeping `self`) when the
-    /// spec is invalid.
-    pub fn with_env_overrides(self) -> FaultPlan {
-        crate::env::env_parse_or_warn("TAICHI_FAULTS", |spec| {
-            if spec.trim().is_empty() {
-                return Ok(self);
-            }
-            self.apply_spec(spec)
-                .map_err(|e| format!("warning: ignoring TAICHI_FAULTS={spec:?}: {e}"))
-        })
-        .unwrap_or(self)
-    }
 }
 
 /// What the fabric did to an interrupt message.

@@ -7,8 +7,8 @@
 //! - [`time`]: a nanosecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]).
 //! - [`event`]: a deterministic event queue with FIFO tie-breaking and
-//!   cancellation tokens, backed by a hierarchical timing wheel (or a
-//!   binary heap, selectable via `TAICHI_QUEUE`).
+//!   cancellation tokens, backed by a hierarchical timing wheel (or the
+//!   binary-heap reference backend, chosen by value).
 //! - [`arena`]: a handle-addressed side table that keeps large event
 //!   payloads out of the queue.
 //! - [`inline_vec`]: an allocation-free small vector for hot-path
@@ -33,12 +33,13 @@
 //!
 //! Everything here is `std`-only and dependency-free by design: the
 //! reproduction contract requires identical results for identical seeds.
+//! Nothing here reads the process environment: every knob arrives as a
+//! plain value from the caller's configuration.
 
 pub mod alloc;
 pub mod arena;
 pub mod check;
 pub mod dist;
-pub mod env;
 pub mod event;
 pub mod fault;
 pub mod footprint;

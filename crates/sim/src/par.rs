@@ -5,8 +5,9 @@
 //! its own RNG streams, and never touches shared state. That makes the
 //! sweep embarrassingly parallel *without* giving up determinism — the
 //! only ordering that matters is the order results are **emitted** in,
-//! and [`sweep`] returns them in input order regardless of which worker
-//! finished first.
+//! and [`sweep_with`] returns them in input order regardless of which
+//! worker finished first. The worker count is always the caller's: the
+//! experiment binaries resolve it once from their knobs.
 //!
 //! The implementation is plain `std::thread` (the workspace builds
 //! offline; no rayon): workers pull job indices from an atomic counter
@@ -16,69 +17,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Default worker count: the `TAICHI_WORKERS` environment variable when
-/// set (`0` or a value that fails to parse falls back with a one-shot
-/// warning to stderr), otherwise the machine's available parallelism.
-pub fn default_workers() -> usize {
-    let var = std::env::var("TAICHI_WORKERS").ok();
-    let (workers, warning) = resolve_workers(var.as_deref(), available());
-    if let Some(w) = warning {
-        // Deduplicated: nested sweeps would otherwise repeat the same
-        // line once per `sweep` call.
-        crate::env::warn_once("TAICHI_WORKERS", &w);
-    }
-    workers
-}
-
-/// Pure resolution of the `TAICHI_WORKERS` override: returns the worker
-/// count plus an optional warning line. Separated from the env read so
-/// both fallback paths are unit-testable without mutating process
-/// state.
-fn resolve_workers(var: Option<&str>, available: usize) -> (usize, Option<String>) {
-    let Some(s) = var else {
-        return (available, None);
-    };
-    match s.trim().parse::<usize>() {
-        Ok(0) => (
-            1,
-            Some(
-                "warning: TAICHI_WORKERS=0 requests zero workers; \
-                 clamping to 1 (serial)"
-                    .to_string(),
-            ),
-        ),
-        Ok(n) => (n, None),
-        Err(_) => (
-            available,
-            Some(format!(
-                "warning: TAICHI_WORKERS={s:?} is not a valid worker count; \
-                 using available parallelism"
-            )),
-        ),
-    }
-}
-
-fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs `f` over `items` on [`default_workers`] threads, returning the
-/// results **in input order** (bit-identical to a serial loop for
-/// self-contained jobs).
-pub fn sweep<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    sweep_with(default_workers(), items, f)
-}
-
-/// Like [`sweep`] with an explicit worker count. `workers <= 1` runs
-/// the jobs serially on the calling thread (the reference ordering the
-/// parallel path must reproduce).
+/// Runs `f` over `items` on `workers` threads, returning the results
+/// **in input order** (bit-identical to a serial loop for
+/// self-contained jobs). `workers <= 1` runs the jobs serially on the
+/// calling thread (the reference ordering the parallel path must
+/// reproduce).
 pub fn sweep_with<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -155,27 +98,5 @@ mod tests {
     fn more_workers_than_jobs() {
         let out = sweep_with(16, vec![1u32, 2], |i| i * 2);
         assert_eq!(out, vec![2, 4]);
-    }
-
-    #[test]
-    fn zero_workers_warns_and_clamps_to_serial() {
-        let (workers, warning) = resolve_workers(Some("0"), 8);
-        assert_eq!(workers, 1);
-        let w = warning.expect("zero must warn");
-        assert!(w.contains("TAICHI_WORKERS=0"), "{w}");
-    }
-
-    #[test]
-    fn unparsable_workers_warns_and_uses_available() {
-        let (workers, warning) = resolve_workers(Some("lots"), 6);
-        assert_eq!(workers, 6);
-        let w = warning.expect("garbage must warn");
-        assert!(w.contains("\"lots\""), "{w}");
-    }
-
-    #[test]
-    fn valid_and_unset_workers_resolve_silently() {
-        assert_eq!(resolve_workers(Some(" 3 "), 8), (3, None));
-        assert_eq!(resolve_workers(None, 5), (5, None));
     }
 }

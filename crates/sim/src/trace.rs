@@ -30,9 +30,11 @@
 //!
 //! # Dump-on-failure
 //!
-//! Set `TAICHI_TRACE=<path>` and hold a [`FailureDump`] guard in a
-//! test: if the test panics, the guard writes the trace TSV to
-//! `<path>` on unwind so the failing schedule can be inspected.
+//! Set [`TraceConfig::dump`] and hold a [`FailureDump`] guard in a
+//! test: if the test panics, the guard writes the trace TSV to that
+//! path on unwind so the failing schedule can be inspected. (The
+//! experiment binaries and the paper-claim tests fill `dump` from
+//! `TAICHI_TRACE=<path>`; this crate never reads the environment.)
 
 use crate::time::SimTime;
 
@@ -53,6 +55,10 @@ pub struct TraceConfig {
     /// Ring capacity in events. Oldest events are evicted (and
     /// counted) beyond this.
     pub capacity: usize,
+    /// Where to write the trace TSV when a run exports it or a
+    /// [`FailureDump`] fires. `None` keeps each exporter's default
+    /// destination, and disarms failure dumps.
+    pub dump: Option<std::path::PathBuf>,
 }
 
 impl Default for TraceConfig {
@@ -60,6 +66,7 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 65_536,
+            dump: None,
         }
     }
 }
@@ -538,8 +545,8 @@ impl Tracer {
 
 /// Process-global registry of claimed trace-export destinations.
 ///
-/// When many machines export TSVs in one process under an explicit
-/// `TAICHI_TRACE=<path>`, writing the same path from every export
+/// When many machines export TSVs in one process to one explicit
+/// [`TraceConfig::dump`] path, writing the same path from every export
 /// silently clobbers all rings but the last — and the eviction
 /// warning printed alongside then describes a different ring than the
 /// file holds. [`claim_export_path`] makes the destination per-export.
@@ -553,19 +560,20 @@ static EXPORT_PATHS: std::sync::OnceLock<std::sync::Mutex<BTreeMap<String, u64>>
 /// from 1) plus a warning message explaining the rename, so no export
 /// overwrites another ring's schedule. Claims are process-global and
 /// thread-safe.
-pub fn claim_export_path(path: &str) -> (std::path::PathBuf, Option<String>) {
+pub fn claim_export_path(path: &std::path::Path) -> (std::path::PathBuf, Option<String>) {
+    let path = path.display().to_string();
     let mut map = EXPORT_PATHS
         .get_or_init(|| std::sync::Mutex::new(BTreeMap::new()))
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    let n = map.entry(path.to_string()).or_insert(0);
+    let n = map.entry(path.clone()).or_insert(0);
     *n += 1;
     if *n == 1 {
         (std::path::PathBuf::from(path), None)
     } else {
         let unique = format!("{path}.{}", *n - 1);
         let warning = format!(
-            "TAICHI_TRACE destination {path} was already written by an \
+            "trace destination {path} was already written by an \
              earlier export in this process; writing {unique} instead \
              so the earlier ring's schedule survives"
         );
@@ -573,8 +581,7 @@ pub fn claim_export_path(path: &str) -> (std::path::PathBuf, Option<String>) {
     }
 }
 
-/// Forgets all claimed export destinations (test helper, mirroring
-/// `env::reset_warned`).
+/// Forgets all claimed export destinations (test helper).
 #[doc(hidden)]
 pub fn reset_export_paths() {
     if let Some(m) = EXPORT_PATHS.get() {
@@ -582,19 +589,23 @@ pub fn reset_export_paths() {
     }
 }
 
-/// RAII guard that writes the trace to `$TAICHI_TRACE` if the holding
-/// thread unwinds with a panic (i.e. a test fails). No-op otherwise.
+/// RAII guard that writes the trace to its destination if the holding
+/// thread unwinds with a panic (i.e. a test fails). No-op otherwise,
+/// and always a no-op without a destination.
 #[derive(Debug)]
 pub struct FailureDump {
     tracer: Tracer,
+    dest: Option<std::path::PathBuf>,
     label: String,
 }
 
 impl FailureDump {
-    /// Arms a dump guard labelled `label` (shown in the stderr note).
-    pub fn new(tracer: &Tracer, label: &str) -> Self {
+    /// Arms a dump guard labelled `label` (shown in the stderr note)
+    /// that writes to `dest` (normally [`TraceConfig::dump`]).
+    pub fn new(tracer: &Tracer, dest: Option<&std::path::Path>, label: &str) -> Self {
         FailureDump {
             tracer: tracer.clone(),
+            dest: dest.map(std::path::Path::to_path_buf),
             label: label.to_string(),
         }
     }
@@ -605,13 +616,10 @@ impl Drop for FailureDump {
         if !std::thread::panicking() {
             return;
         }
-        let Ok(path) = std::env::var("TAICHI_TRACE") else {
+        let Some(dest) = &self.dest else {
             return;
         };
-        if path.is_empty() {
-            return;
-        }
-        let (path, clash) = claim_export_path(&path);
+        let (path, clash) = claim_export_path(dest);
         let path = path.display();
         if let Some(w) = clash {
             eprintln!("[taichi-trace] {}: warning: {w}", self.label);
@@ -792,20 +800,20 @@ mod tests {
     #[test]
     fn export_path_claims_disambiguate() {
         reset_export_paths();
-        let (p1, w1) = claim_export_path("/tmp/taichi-claim-test.tsv");
+        let (p1, w1) = claim_export_path("/tmp/taichi-claim-test.tsv".as_ref());
         assert_eq!(p1, std::path::PathBuf::from("/tmp/taichi-claim-test.tsv"));
         assert!(w1.is_none());
-        let (p2, w2) = claim_export_path("/tmp/taichi-claim-test.tsv");
+        let (p2, w2) = claim_export_path("/tmp/taichi-claim-test.tsv".as_ref());
         assert_eq!(p2, std::path::PathBuf::from("/tmp/taichi-claim-test.tsv.1"));
         assert!(w2.expect("second claim warns").contains("already written"));
-        let (p3, _) = claim_export_path("/tmp/taichi-claim-test.tsv");
+        let (p3, _) = claim_export_path("/tmp/taichi-claim-test.tsv".as_ref());
         assert_eq!(p3, std::path::PathBuf::from("/tmp/taichi-claim-test.tsv.2"));
         // A different destination is untouched by earlier claims.
-        let (q1, wq) = claim_export_path("/tmp/taichi-claim-other.tsv");
+        let (q1, wq) = claim_export_path("/tmp/taichi-claim-other.tsv".as_ref());
         assert_eq!(q1, std::path::PathBuf::from("/tmp/taichi-claim-other.tsv"));
         assert!(wq.is_none());
         reset_export_paths();
-        let (p4, w4) = claim_export_path("/tmp/taichi-claim-test.tsv");
+        let (p4, w4) = claim_export_path("/tmp/taichi-claim-test.tsv".as_ref());
         assert_eq!(p4, std::path::PathBuf::from("/tmp/taichi-claim-test.tsv"));
         assert!(w4.is_none());
     }
@@ -816,6 +824,7 @@ mod tests {
         let on = TraceConfig {
             enabled: true,
             capacity: 16,
+            ..TraceConfig::default()
         };
         assert!(Tracer::from_config(&on).is_some());
     }

@@ -9,6 +9,7 @@
 
 use crate::runner::{measure, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// fio case configuration.
@@ -47,9 +48,9 @@ pub struct FioResult {
 
 impl FioRw {
     /// Runs the case under `mode`.
-    pub fn run(&self, mode: Mode, seed: u64) -> FioResult {
+    pub fn run(&self, mode: Mode, cfg: &MachineConfig) -> FioResult {
         let traffic = BenchTraffic::storage(self.block_bytes as f64, self.offered, false);
-        let raw = measure(mode, &traffic, self.window, seed);
+        let raw = measure(cfg, mode, &traffic, self.window);
         FioResult {
             iops: raw.pps,
             bw_mib_s: raw.pps * self.block_bytes as f64 / (1024.0 * 1024.0),
@@ -62,6 +63,7 @@ impl FioRw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn fio_shape_across_modes() {
@@ -69,10 +71,10 @@ mod tests {
             window: SimDuration::from_millis(120),
             ..FioRw::default()
         };
-        let base = fio.run(Mode::Baseline, 5);
-        let taichi = fio.run(Mode::TaiChi, 5);
-        let vdp = fio.run(Mode::TaiChiVdp, 5);
-        let t2 = fio.run(Mode::Type2, 5);
+        let base = fio.run(Mode::Baseline, &seeded(5));
+        let taichi = fio.run(Mode::TaiChi, &seeded(5));
+        let vdp = fio.run(Mode::TaiChiVdp, &seeded(5));
+        let t2 = fio.run(Mode::Type2, &seeded(5));
         // Tai Chi within ~2 % of baseline.
         let d_taichi = (base.iops - taichi.iops) / base.iops;
         assert!(d_taichi < 0.03, "taichi IOPS loss {:.3}", d_taichi);

@@ -31,6 +31,4 @@ pub mod ping;
 pub mod runner;
 pub mod sockperf;
 
-pub use runner::{
-    measure, measure_cfg, measure_modes, measure_probed, measure_sweep, BenchTraffic, MeasuredDp,
-};
+pub use runner::{measure, measure_probed, BenchTraffic, MeasuredDp};

@@ -21,6 +21,7 @@
 
 use crate::runner::{measure, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// sysbench thread count (paper: 192).
@@ -52,14 +53,18 @@ pub struct MysqlResult {
 }
 
 /// Runs the MySQL case under `mode`.
-pub fn run(mode: Mode, seed: u64) -> MysqlResult {
+pub fn run(mode: Mode, cfg: &MachineConfig) -> MysqlResult {
     let window = SimDuration::from_millis(250);
-    let net = measure(mode, &BenchTraffic::net(512.0, 0.35, true), window, seed);
+    let net = measure(cfg, mode, &BenchTraffic::net(512.0, 0.35, true), window);
+    let storage_cfg = MachineConfig {
+        seed: cfg.seed ^ 0x5707A6E,
+        ..cfg.clone()
+    };
     let storage = measure(
+        &storage_cfg,
         mode,
         &BenchTraffic::storage(4096.0, 0.30, true),
         window,
-        seed ^ 0x5707A6E,
     );
     let lat_us = |net_ns: f64, st_ns: f64| {
         HOST_QUERY_US + NET_RTS_PER_QUERY * 2.0 * net_ns / 1e3 + STORAGE_OPS_PER_QUERY * st_ns / 1e3
@@ -81,10 +86,11 @@ pub fn run(mode: Mode, seed: u64) -> MysqlResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn throughput_relationships_hold() {
-        let r = run(Mode::Baseline, 8);
+        let r = run(Mode::Baseline, &seeded(8));
         assert!(r.max_query >= r.avg_query);
         assert!((r.avg_trans - r.avg_query / QUERIES_PER_TRANS).abs() < 1e-9);
         assert!(r.avg_query > 100_000.0, "avg qps {}", r.avg_query);
@@ -92,8 +98,8 @@ mod tests {
 
     #[test]
     fn taichi_overhead_in_paper_band() {
-        let base = run(Mode::Baseline, 8);
-        let taichi = run(Mode::TaiChi, 8);
+        let base = run(Mode::Baseline, &seeded(8));
+        let taichi = run(Mode::TaiChi, &seeded(8));
         let overhead = (base.avg_query - taichi.avg_query) / base.avg_query;
         // Paper: 1.56 % average overhead; accept a 0–5 % band.
         assert!(

@@ -17,6 +17,7 @@
 
 use crate::runner::{measure, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// Packets through the SmartNIC per tcp_crr transaction
@@ -58,12 +59,12 @@ pub struct NetperfResult {
 }
 
 /// Runs one netperf case under `mode`.
-pub fn run(case: NetperfCase, mode: Mode, seed: u64) -> NetperfResult {
+pub fn run(case: NetperfCase, mode: Mode, cfg: &MachineConfig) -> NetperfResult {
     let window = SimDuration::from_millis(250);
     match case {
         NetperfCase::TcpCrr => {
             let traffic = BenchTraffic::net(256.0, 1.2, false);
-            let raw = measure(mode, &traffic, window, seed);
+            let raw = measure(cfg, mode, &traffic, window);
             NetperfResult {
                 case,
                 cps: raw.pps / TCP_CRR_PKTS,
@@ -81,7 +82,7 @@ pub fn run(case: NetperfCase, mode: Mode, seed: u64) -> NetperfResult {
                 NetperfCase::TcpCrr => unreachable!(),
             };
             let traffic = BenchTraffic::net(size, util, true);
-            let raw = measure(mode, &traffic, window, seed);
+            let raw = measure(cfg, mode, &traffic, window);
             // Closed loop: each connection completes one round trip per
             // BASE_RTT + 2 × one-way SmartNIC latency.
             let rtt_us = BASE_RTT_US + 2.0 * raw.lat_mean_ns / 1e3;
@@ -101,13 +102,14 @@ pub fn run(case: NetperfCase, mode: Mode, seed: u64) -> NetperfResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn tcp_crr_mode_ordering_matches_fig12() {
-        let base = run(NetperfCase::TcpCrr, Mode::Baseline, 9);
-        let taichi = run(NetperfCase::TcpCrr, Mode::TaiChi, 9);
-        let vdp = run(NetperfCase::TcpCrr, Mode::TaiChiVdp, 9);
-        let t2 = run(NetperfCase::TcpCrr, Mode::Type2, 9);
+        let base = run(NetperfCase::TcpCrr, Mode::Baseline, &seeded(9));
+        let taichi = run(NetperfCase::TcpCrr, Mode::TaiChi, &seeded(9));
+        let vdp = run(NetperfCase::TcpCrr, Mode::TaiChiVdp, &seeded(9));
+        let t2 = run(NetperfCase::TcpCrr, Mode::Type2, &seeded(9));
         assert!(base.cps > 0.0);
         let loss = |x: &NetperfResult| (base.cps - x.cps) / base.cps;
         assert!(loss(&taichi) < 0.03, "taichi loss {:.3}", loss(&taichi));
@@ -130,7 +132,7 @@ mod tests {
             NetperfCase::TcpStream,
             NetperfCase::TcpRr,
         ] {
-            let r = run(case, Mode::Baseline, 3);
+            let r = run(case, Mode::Baseline, &seeded(3));
             assert!(r.avg_rx_pps > 0.0, "{case:?}");
             assert_eq!(r.avg_rx_pps, r.avg_tx_pps);
             assert_eq!(r.cps, 0.0);
@@ -139,8 +141,8 @@ mod tests {
 
     #[test]
     fn taichi_overhead_small_on_closed_loop() {
-        let base = run(NetperfCase::TcpRr, Mode::Baseline, 4);
-        let taichi = run(NetperfCase::TcpRr, Mode::TaiChi, 4);
+        let base = run(NetperfCase::TcpRr, Mode::Baseline, &seeded(4));
+        let taichi = run(NetperfCase::TcpRr, Mode::TaiChi, &seeded(4));
         let overhead = (base.avg_rx_pps - taichi.avg_rx_pps) / base.avg_rx_pps;
         assert!(
             overhead.abs() < 0.05,
@@ -151,7 +153,7 @@ mod tests {
 
     #[test]
     fn udp_stream_reports_bandwidth() {
-        let r = run(NetperfCase::UdpStream, Mode::Baseline, 6);
+        let r = run(NetperfCase::UdpStream, Mode::Baseline, &seeded(6));
         assert!(r.avg_rx_bw_gbps > 0.1, "bw {}", r.avg_rx_bw_gbps);
         // Consistency: bw = pps × size × 8.
         let want = r.avg_rx_pps * 1400.0 * 8.0 / 1e9;

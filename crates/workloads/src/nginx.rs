@@ -17,6 +17,7 @@
 
 use crate::runner::{measure, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// Concurrent wrk connections (paper: 10 000).
@@ -42,12 +43,12 @@ pub struct NginxResult {
 }
 
 /// Runs the Nginx case under `mode`.
-pub fn run(mode: Mode, seed: u64) -> NginxResult {
+pub fn run(mode: Mode, cfg: &MachineConfig) -> NginxResult {
     let raw = measure(
+        cfg,
         mode,
         &BenchTraffic::net(1024.0, 0.40, true),
         SimDuration::from_millis(250),
-        seed,
     );
     let one_way_us = raw.lat_mean_ns / 1e3;
     let http_lat = HOST_HTTP_US + HTTP_RTS * 2.0 * one_way_us;
@@ -62,18 +63,19 @@ pub fn run(mode: Mode, seed: u64) -> NginxResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn https_slower_than_http() {
-        let r = run(Mode::Baseline, 6);
+        let r = run(Mode::Baseline, &seeded(6));
         assert!(r.http_rps > r.https_rps);
         assert!(r.https_rps > 0.0);
     }
 
     #[test]
     fn taichi_overhead_in_paper_band() {
-        let base = run(Mode::Baseline, 6);
-        let taichi = run(Mode::TaiChi, 6);
+        let base = run(Mode::Baseline, &seeded(6));
+        let taichi = run(Mode::TaiChi, &seeded(6));
         let http_over = (base.http_rps - taichi.http_rps) / base.http_rps;
         let https_over = (base.https_rps - taichi.https_rps) / base.https_rps;
         // Paper: 0.51 % average, up to 1 % for short connections.

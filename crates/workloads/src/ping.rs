@@ -12,6 +12,7 @@
 
 use crate::runner::{measure_probed, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// Host network stacks + wire component of the RTT (µs), chosen so the
@@ -34,7 +35,7 @@ pub struct PingResult {
 }
 
 /// Runs the ping case under `mode`.
-pub fn run(mode: Mode, seed: u64) -> PingResult {
+pub fn run(mode: Mode, cfg: &MachineConfig) -> PingResult {
     // Production-steady bursts: ~40 % within-burst utilization (calm
     // enough that queueing stays in the single-digit microseconds, as
     // the paper's tight baseline RTT spread of 26-38 us implies) with
@@ -43,7 +44,7 @@ pub fn run(mode: Mode, seed: u64) -> PingResult {
     // echoes themselves are a sparse probe stream sampling the data
     // path uniformly in time (one echo every ~200 us on average).
     let traffic = BenchTraffic::net(512.0, 0.3, true).with_burst_intensity(0.45);
-    let (_bg, raw) = measure_probed(mode, &traffic, 200.0, SimDuration::from_millis(400), seed);
+    let (_bg, raw) = measure_probed(cfg, mode, &traffic, 200.0, SimDuration::from_millis(400));
     let one_way = |ns: f64| ns / 1e3;
     PingResult {
         min_us: BASE_NET_US + 2.0 * one_way(raw.lat_min_ns as f64),
@@ -57,10 +58,11 @@ pub fn run(mode: Mode, seed: u64) -> PingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn baseline_rtt_in_paper_band() {
-        let r = run(Mode::Baseline, 5);
+        let r = run(Mode::Baseline, &seeded(5));
         assert!(
             (20.0..35.0).contains(&r.min_us),
             "min RTT {:.1} µs",
@@ -71,9 +73,9 @@ mod tests {
 
     #[test]
     fn table5_shape() {
-        let base = run(Mode::Baseline, 5);
-        let taichi = run(Mode::TaiChi, 5);
-        let noprobe = run(Mode::TaiChiNoHwProbe, 5);
+        let base = run(Mode::Baseline, &seeded(5));
+        let taichi = run(Mode::TaiChi, &seeded(5));
+        let noprobe = run(Mode::TaiChiNoHwProbe, &seeded(5));
         // Tai Chi ≈ baseline on avg (within a few percent).
         let avg_over = (taichi.avg_us - base.avg_us) / base.avg_us;
         assert!(avg_over < 0.08, "taichi avg overhead {:.3}", avg_over);

@@ -128,43 +128,22 @@ pub struct MeasuredDp {
 }
 
 /// Runs one measurement: `traffic` for `horizon`, with background CP
-/// activity, under `mode`.
+/// activity, on a machine built from `cfg` in `mode`.
 ///
 /// Background CP load: a rolling mix of device-management and
 /// monitoring tasks (≈2 concurrent device inits plus monitors every
 /// 5 ms) — enough to keep vCPUs populated without saturating the CP
 /// plane.
-pub fn measure(mode: Mode, traffic: &BenchTraffic, horizon: SimDuration, seed: u64) -> MeasuredDp {
-    let cfg = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
-    measure_cfg(cfg, mode, traffic, horizon)
-}
-
-/// Runs [`measure`] for each `(mode, seed)` case across worker threads
-/// (see [`taichi_sim::par`]), returning results in input order — each
-/// run builds its own machine and RNG streams, so the fan-out is
-/// byte-identical to a serial loop.
-pub fn measure_sweep(
-    cases: &[(Mode, u64)],
+pub fn measure(
+    cfg: &MachineConfig,
+    mode: Mode,
     traffic: &BenchTraffic,
     horizon: SimDuration,
-) -> Vec<MeasuredDp> {
-    taichi_sim::par::sweep(cases.to_vec(), |(mode, seed)| {
-        measure(mode, traffic, horizon, seed)
-    })
-}
-
-/// Like [`measure_sweep`] for a set of modes sharing one seed.
-pub fn measure_modes(
-    modes: &[Mode],
-    traffic: &BenchTraffic,
-    horizon: SimDuration,
-    seed: u64,
-) -> Vec<MeasuredDp> {
-    let cases: Vec<(Mode, u64)> = modes.iter().map(|&m| (m, seed)).collect();
-    measure_sweep(&cases, traffic, horizon)
+) -> MeasuredDp {
+    let mut m = machine_with_load(cfg, mode, traffic, horizon);
+    m.run_until(SimTime::ZERO + horizon);
+    maybe_dump_trace(&m);
+    extract(&m, horizon, |s| s.recorder().clone())
 }
 
 /// Like [`measure`] but additionally injects a sparse latency-probe
@@ -174,16 +153,12 @@ pub fn measure_modes(
 /// `sockperf`'s latency mode. Returns `(background, probe)` where the
 /// probe's latency fields describe only the tagged packets.
 pub fn measure_probed(
+    cfg: &MachineConfig,
     mode: Mode,
     traffic: &BenchTraffic,
     probe_gap_us: f64,
     horizon: SimDuration,
-    seed: u64,
 ) -> (MeasuredDp, MeasuredDp) {
-    let cfg = MachineConfig {
-        seed,
-        ..MachineConfig::default()
-    };
     let mut m = machine_with_load(cfg, mode, traffic, horizon);
     let dp_cpus = m.services().len() as u32;
     let probe = TrafficGen::new(
@@ -203,40 +178,26 @@ pub fn measure_probed(
     (background, probe_stats)
 }
 
-/// Like [`measure`] but with an explicit machine configuration (used
-/// by experiments that change the CPU split or scheduler knobs).
-pub fn measure_cfg(
-    cfg: MachineConfig,
-    mode: Mode,
-    traffic: &BenchTraffic,
-    horizon: SimDuration,
-) -> MeasuredDp {
-    let mut m = machine_with_load(cfg, mode, traffic, horizon);
-    m.run_until(SimTime::ZERO + horizon);
-    maybe_dump_trace(&m);
-    extract(&m, horizon, |s| s.recorder().clone())
-}
-
-/// When the run recorded a scheduler trace (the `TAICHI_TRACE`
-/// override or an explicit `MachineConfig.trace.enabled`), writes its
-/// TSV to `$TAICHI_TRACE` (when set to a non-empty path) or to
-/// `target/experiments/<mode>.trace.tsv`. Each run overwrites, so the
-/// file holds the most recent run for that mode — enough to replay the
-/// schedule behind the numbers a benchmark just printed.
+/// When the run recorded a scheduler trace (`cfg.trace.enabled`),
+/// writes its TSV to `cfg.trace.dump` (when set) or to
+/// `target/experiments/<mode>.trace.tsv`. Each run overwrites the
+/// default destination, so that file holds the most recent run for the
+/// mode — enough to replay the schedule behind the numbers a benchmark
+/// just printed.
 fn maybe_dump_trace(m: &Machine) {
     let Some(tsv) = m.trace_tsv() else { return };
-    let path = match std::env::var("TAICHI_TRACE") {
-        Ok(p) if !p.is_empty() => {
+    let path = match &m.config().trace.dump {
+        Some(p) => {
             // Per-export destination claim: a process that measures
             // several machines must not clobber earlier rings' TSVs
             // (later exports land at `<path>.<n>`).
-            let (path, clash) = taichi_sim::trace::claim_export_path(&p);
+            let (path, clash) = taichi_sim::trace::claim_export_path(p);
             if let Some(w) = clash {
                 eprintln!("warning: {w}");
             }
             path
         }
-        _ => {
+        None => {
             let dir = std::path::PathBuf::from("target/experiments");
             let _ = std::fs::create_dir_all(&dir);
             dir.join(format!("{}.trace.tsv", m.mode()))
@@ -255,13 +216,13 @@ fn maybe_dump_trace(m: &Machine) {
 /// Builds a machine with `traffic` plus the standard background CP
 /// churn, ready to run until `horizon`.
 fn machine_with_load(
-    cfg: MachineConfig,
+    cfg: &MachineConfig,
     mode: Mode,
     traffic: &BenchTraffic,
     horizon: SimDuration,
 ) -> Machine {
     let seed = cfg.seed;
-    let mut m = Machine::new(cfg, mode);
+    let mut m = Machine::new(cfg.clone(), mode);
     let dp_cpus = m.services().len() as u32;
     m.add_traffic(traffic.generator(dp_cpus));
 
@@ -318,6 +279,15 @@ fn extract(
     }
 }
 
+/// The default machine at `seed` (unit-test shorthand).
+#[cfg(test)]
+pub(crate) fn seeded(seed: u64) -> MachineConfig {
+    MachineConfig {
+        seed,
+        ..MachineConfig::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,10 +299,10 @@ mod tests {
     #[test]
     fn baseline_measurement_is_sane() {
         let d = measure(
+            &seeded(1),
             Mode::Baseline,
             &net_traffic(0.3, true),
             SimDuration::from_millis(150),
-            1,
         );
         assert!(d.pps > 100_000.0, "pps {}", d.pps);
         assert_eq!(d.yields, 0);
@@ -343,10 +313,10 @@ mod tests {
     #[test]
     fn taichi_yields_during_measurement() {
         let d = measure(
+            &seeded(1),
             Mode::TaiChi,
             &net_traffic(0.3, true),
             SimDuration::from_millis(150),
-            1,
         );
         assert!(d.yields > 0, "background CP must trigger yields");
     }
@@ -354,10 +324,10 @@ mod tests {
     #[test]
     fn saturation_drops_or_caps() {
         let d = measure(
+            &seeded(2),
             Mode::Baseline,
             &net_traffic(1.3, false),
             SimDuration::from_millis(120),
-            2,
         );
         // Achieved throughput caps near capacity: 8 CPUs / 1.5 µs.
         let cap = 8.0 / 1.5e-6;
@@ -368,16 +338,16 @@ mod tests {
     #[test]
     fn type2_achieves_less_at_saturation() {
         let base = measure(
+            &seeded(3),
             Mode::Baseline,
             &net_traffic(1.3, false),
             SimDuration::from_millis(120),
-            3,
         );
         let t2 = measure(
+            &seeded(3),
             Mode::Type2,
             &net_traffic(1.3, false),
             SimDuration::from_millis(120),
-            3,
         );
         let ratio = t2.pps / base.pps;
         assert!(
@@ -389,16 +359,16 @@ mod tests {
     #[test]
     fn deterministic_measurement() {
         let a = measure(
+            &seeded(7),
             Mode::TaiChi,
             &net_traffic(0.3, true),
             SimDuration::from_millis(100),
-            7,
         );
         let b = measure(
+            &seeded(7),
             Mode::TaiChi,
             &net_traffic(0.3, true),
             SimDuration::from_millis(100),
-            7,
         );
         assert_eq!(a.pps.to_bits(), b.pps.to_bits());
         assert_eq!(a.lat_mean_ns.to_bits(), b.lat_mean_ns.to_bits());

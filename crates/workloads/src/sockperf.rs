@@ -11,6 +11,7 @@
 
 use crate::runner::{measure, measure_probed, BenchTraffic, MeasuredDp};
 use taichi_core::machine::Mode;
+use taichi_core::MachineConfig;
 use taichi_sim::SimDuration;
 
 /// Peer-side + wire one-way component (µs) added to SmartNIC latency.
@@ -46,9 +47,9 @@ pub struct SockperfUdpResult {
 }
 
 /// Runs the sockperf `tcp` case (1 024 short connections).
-pub fn run_tcp(mode: Mode, seed: u64) -> SockperfTcpResult {
+pub fn run_tcp(mode: Mode, cfg: &MachineConfig) -> SockperfTcpResult {
     let traffic = BenchTraffic::net(128.0, 0.4, true);
-    let raw = measure(mode, &traffic, SimDuration::from_millis(250), seed);
+    let raw = measure(cfg, mode, &traffic, SimDuration::from_millis(250));
     // Each short connection: two round trips (handshake, then
     // request/response+close overlap).
     let rtt_us = 2.0 * BASE_ONEWAY_US + 2.0 * raw.lat_mean_ns / 1e3;
@@ -62,11 +63,11 @@ pub fn run_tcp(mode: Mode, seed: u64) -> SockperfTcpResult {
 }
 
 /// Runs the sockperf `udp` latency case.
-pub fn run_udp(mode: Mode, seed: u64) -> SockperfUdpResult {
+pub fn run_udp(mode: Mode, cfg: &MachineConfig) -> SockperfUdpResult {
     // sockperf's latency mode sends paced probe messages over the
     // background load and reports their percentiles.
     let traffic = BenchTraffic::net(512.0, 0.3, true).with_burst_intensity(0.5);
-    let (_bg, raw) = measure_probed(mode, &traffic, 50.0, SimDuration::from_millis(600), seed);
+    let (_bg, raw) = measure_probed(cfg, mode, &traffic, 50.0, SimDuration::from_millis(600));
     SockperfUdpResult {
         avg_lat_us: BASE_ONEWAY_US + raw.lat_mean_ns / 1e3,
         p99_lat_us: BASE_ONEWAY_US + raw.lat_p99_ns as f64 / 1e3,
@@ -78,10 +79,11 @@ pub fn run_udp(mode: Mode, seed: u64) -> SockperfUdpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seeded;
 
     #[test]
     fn udp_percentiles_ordered() {
-        let r = run_udp(Mode::Baseline, 2);
+        let r = run_udp(Mode::Baseline, &seeded(2));
         assert!(r.avg_lat_us >= BASE_ONEWAY_US);
         assert!(r.avg_lat_us <= r.p99_lat_us);
         assert!(r.p99_lat_us <= r.p999_lat_us);
@@ -89,8 +91,8 @@ mod tests {
 
     #[test]
     fn udp_taichi_tail_close_to_baseline() {
-        let base = run_udp(Mode::Baseline, 3);
-        let taichi = run_udp(Mode::TaiChi, 3);
+        let base = run_udp(Mode::Baseline, &seeded(3));
+        let taichi = run_udp(Mode::TaiChi, &seeded(3));
         let d999 = (taichi.p999_lat_us - base.p999_lat_us) / base.p999_lat_us;
         assert!(d999 < 0.30, "p999 overhead {:.3}", d999);
         let davg = (taichi.avg_lat_us - base.avg_lat_us) / base.avg_lat_us;
@@ -99,7 +101,7 @@ mod tests {
 
     #[test]
     fn tcp_reports_cps_and_pps() {
-        let r = run_tcp(Mode::Baseline, 4);
+        let r = run_tcp(Mode::Baseline, &seeded(4));
         assert!(r.cps > 1000.0, "cps {}", r.cps);
         assert_eq!(r.avg_rx_pps, r.avg_tx_pps);
         assert!(r.avg_rx_pps > r.cps, "pps should exceed cps");

@@ -13,14 +13,18 @@ use taichi::core::machine::Mode;
 use taichi::core::MachineConfig;
 use taichi::hw::{IoKind, SmartNicSpec};
 use taichi::sim::SimDuration;
-use taichi::workloads::{measure_cfg, BenchTraffic};
+use taichi::workloads::{measure, BenchTraffic};
 
 fn peak_pps(spec: SmartNicSpec, mode: Mode) -> f64 {
-    let cfg = MachineConfig {
+    let mut cfg = MachineConfig {
         spec,
         seed: 0xD1CE,
         ..MachineConfig::default()
     };
+    // `--trace`: every machine records a scheduler trace and the
+    // workload runner dumps the last run per mode under
+    // target/experiments/ (see README: scheduler tracing).
+    cfg.trace.enabled = std::env::args().any(|a| a == "--trace");
     let traffic = BenchTraffic {
         kind: IoKind::Network,
         size_bytes: 256.0,
@@ -28,16 +32,10 @@ fn peak_pps(spec: SmartNicSpec, mode: Mode) -> f64 {
         bursty: false,
         burst_intensity: 0.9,
     };
-    measure_cfg(cfg, mode, &traffic, SimDuration::from_millis(200)).pps
+    measure(&cfg, mode, &traffic, SimDuration::from_millis(200)).pps
 }
 
 fn main() {
-    // `--trace` arms the TAICHI_TRACE override: every machine records a
-    // scheduler trace and the workload runner dumps the last run per
-    // mode under target/experiments/ (see README: scheduler tracing).
-    if std::env::args().any(|a| a == "--trace") && std::env::var_os("TAICHI_TRACE").is_none() {
-        std::env::set_var("TAICHI_TRACE", "");
-    }
     println!("peak packet throughput at saturating offered load ...\n");
     let base = peak_pps(SmartNicSpec::default(), Mode::Baseline);
     println!("static 8 DP + 4 CP (baseline) : {base:>12.0} pps");

@@ -11,15 +11,15 @@
 //! ```
 
 use taichi::core::machine::Mode;
+use taichi::core::MachineConfig;
 use taichi::workloads::ping;
 
 fn main() {
-    // `--trace` arms the TAICHI_TRACE override: every machine records a
-    // scheduler trace and the workload runner dumps the last run per
-    // mode under target/experiments/ (see README: scheduler tracing).
-    if std::env::args().any(|a| a == "--trace") && std::env::var_os("TAICHI_TRACE").is_none() {
-        std::env::set_var("TAICHI_TRACE", "");
-    }
+    // `--trace`: every machine records a scheduler trace and the
+    // workload runner dumps the last run per mode under
+    // target/experiments/ (see README: scheduler tracing).
+    let mut cfg = MachineConfig::default();
+    cfg.trace.enabled = std::env::args().any(|a| a == "--trace");
     println!("ping through the SmartNIC under background traffic + CP churn ...\n");
     println!(
         "{:<22} {:>9} {:>9} {:>9} {:>9}",
@@ -31,7 +31,7 @@ fn main() {
         ("tai chi", Mode::TaiChi),
         ("tai chi w/o probe", Mode::TaiChiNoHwProbe),
     ] {
-        let r = ping::run(mode, 0xD1CE);
+        let r = ping::run(mode, &cfg);
         println!(
             "{name:<22} {:>9.0} {:>9.0} {:>9.0} {:>9.0}",
             r.min_us, r.avg_us, r.max_us, r.mdev_us

@@ -76,8 +76,12 @@ fn workload_measurements_are_reproducible() {
     use taichi::sim::SimDuration;
     use taichi::workloads::{measure, BenchTraffic};
     let t = BenchTraffic::net(512.0, 0.35, true);
-    let a = measure(Mode::TaiChi, &t, SimDuration::from_millis(120), 9);
-    let b = measure(Mode::TaiChi, &t, SimDuration::from_millis(120), 9);
+    let cfg = MachineConfig {
+        seed: 9,
+        ..MachineConfig::default()
+    };
+    let a = measure(&cfg, Mode::TaiChi, &t, SimDuration::from_millis(120));
+    let b = measure(&cfg, Mode::TaiChi, &t, SimDuration::from_millis(120));
     assert_eq!(a.pps.to_bits(), b.pps.to_bits());
     assert_eq!(a.lat_p999_ns, b.lat_p999_ns);
     assert_eq!(a.yields, b.yields);
@@ -176,8 +180,12 @@ fn enabling_trace_does_not_perturb_the_run() {
 #[test]
 fn ping_benchmark_reproducible() {
     use taichi::workloads::ping;
-    let a = ping::run(Mode::TaiChiNoHwProbe, 5);
-    let b = ping::run(Mode::TaiChiNoHwProbe, 5);
+    let cfg = MachineConfig {
+        seed: 5,
+        ..MachineConfig::default()
+    };
+    let a = ping::run(Mode::TaiChiNoHwProbe, &cfg);
+    let b = ping::run(Mode::TaiChiNoHwProbe, &cfg);
     assert_eq!(a.max_us.to_bits(), b.max_us.to_bits());
     assert_eq!(a.avg_us.to_bits(), b.avg_us.to_bits());
 }

@@ -1,6 +1,10 @@
 //! The paper's headline claims, asserted end-to-end: each test mirrors
 //! one evaluation result (see EXPERIMENTS.md for the full
 //! paper-vs-measured accounting).
+//!
+//! `TAICHI_TRACE=/tmp/t.tsv cargo test --test paper_claims <name>`
+//! traces every machine a claim builds and, when the claim fails,
+//! writes the failing run's schedule to that path.
 
 use taichi::core::machine::{Machine, Mode};
 use taichi::core::metrics::RunReport;
@@ -11,6 +15,20 @@ use taichi::hw::{CpuId, IoKind};
 use taichi::sim::{Dist, Rng, SimDuration, SimTime};
 use taichi::workloads::fio::FioRw;
 use taichi::workloads::ping;
+
+/// The default machine at `seed`, traced when `TAICHI_TRACE` is set
+/// (a non-empty value is the failure-dump destination).
+fn config(seed: u64) -> MachineConfig {
+    let mut cfg = MachineConfig {
+        seed,
+        ..MachineConfig::default()
+    };
+    if let Ok(dump) = std::env::var("TAICHI_TRACE") {
+        cfg.trace.enabled = true;
+        cfg.trace.dump = Some(dump).filter(|p| !p.is_empty()).map(Into::into);
+    }
+    cfg
+}
 
 fn bursty_30pct() -> TrafficGen {
     TrafficGen::new(
@@ -32,11 +50,7 @@ fn claim_cp_speedup_at_32_tasks() {
     let mut results = Vec::new();
     let mut dumps = Vec::new();
     for mode in [Mode::Baseline, Mode::TaiChi] {
-        let cfg = MachineConfig {
-            seed: 0xC1A1,
-            ..MachineConfig::default()
-        };
-        let mut m = Machine::new(cfg, mode);
+        let mut m = Machine::new(config(0xC1A1), mode);
         dumps.extend(m.failure_dump(&format!("claim_cp_speedup_{mode}")));
         m.add_traffic(bursty_30pct());
         // Production CP background, as on the paper's nodes.
@@ -85,11 +99,7 @@ fn claim_dp_overhead_below_two_percent() {
     let mut means = Vec::new();
     let mut dumps = Vec::new();
     for mode in [Mode::Baseline, Mode::TaiChi] {
-        let cfg = MachineConfig {
-            seed: 0xD9,
-            ..MachineConfig::default()
-        };
-        let mut m = Machine::new(cfg, mode);
+        let mut m = Machine::new(config(0xD9), mode);
         dumps.extend(m.failure_dump(&format!("claim_dp_overhead_{mode}")));
         m.add_traffic(bursty_30pct());
         let synth = SynthCp::default();
@@ -111,9 +121,10 @@ fn claim_dp_overhead_below_two_percent() {
 /// ablation shows the un-hidden tail.
 #[test]
 fn claim_probe_hides_scheduling_latency() {
-    let base = ping::run(Mode::Baseline, 0xF00);
-    let taichi = ping::run(Mode::TaiChi, 0xF00);
-    let noprobe = ping::run(Mode::TaiChiNoHwProbe, 0xF00);
+    let cfg = config(0xF00);
+    let base = ping::run(Mode::Baseline, &cfg);
+    let taichi = ping::run(Mode::TaiChi, &cfg);
+    let noprobe = ping::run(Mode::TaiChiNoHwProbe, &cfg);
     // With the probe: max RTT within ~40 % of baseline.
     assert!(
         taichi.max_us < base.max_us * 1.4,
@@ -138,10 +149,11 @@ fn claim_hybrid_beats_type1_and_type2() {
         window: SimDuration::from_millis(150),
         ..FioRw::default()
     };
-    let base = fio.run(Mode::Baseline, 0xAB).iops;
-    let taichi = fio.run(Mode::TaiChi, 0xAB).iops;
-    let vdp = fio.run(Mode::TaiChiVdp, 0xAB).iops;
-    let t2 = fio.run(Mode::Type2, 0xAB).iops;
+    let cfg = config(0xAB);
+    let base = fio.run(Mode::Baseline, &cfg).iops;
+    let taichi = fio.run(Mode::TaiChi, &cfg).iops;
+    let vdp = fio.run(Mode::TaiChiVdp, &cfg).iops;
+    let t2 = fio.run(Mode::Type2, &cfg).iops;
     assert!(taichi > 0.98 * base, "hybrid is near-native");
     assert!(vdp < 0.97 * base, "type-1-like pays the guest tax");
     assert!(t2 < 0.85 * base, "type-2 pays the emulation CPU");
@@ -156,11 +168,7 @@ fn claim_vm_startup_improves_at_density() {
     let mut means = Vec::new();
     let mut dumps = Vec::new();
     for mode in [Mode::Baseline, Mode::TaiChi] {
-        let cfg = MachineConfig {
-            seed: 0xBEEF,
-            ..MachineConfig::default()
-        };
-        let mut m = Machine::new(cfg, mode);
+        let mut m = Machine::new(config(0xBEEF), mode);
         dumps.extend(m.failure_dump(&format!("claim_vm_startup_{mode}")));
         m.add_traffic(bursty_30pct());
         let factory = TaskFactory::default();
