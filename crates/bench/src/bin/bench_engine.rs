@@ -24,6 +24,9 @@
 //!   severalfold) that still catches real regressions without flaking
 //!   on slower CI runners.
 //!
+//! Any other argument, or a bad `TAICHI_*` value, is a usage error
+//! (exit status 2).
+//!
 //! Event accounting: `events` is the *logical* count (dispatched
 //! handlers plus skip-layer-elided stale timers — invariant across
 //! backends and skip modes), `fast_forwarded` is the empty-poll
@@ -40,7 +43,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
 
-use taichi_bench::{bench_coarse_ms, bench_ns, results_dir};
+use taichi_bench::{bench_coarse_ms, bench_ns, results_dir, usage_error, Knobs};
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::SynthCp;
@@ -177,7 +180,16 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    const USAGE: &str = "[--quick] [--check]";
+    // The machines below use a fixed configuration; the knobs are
+    // parsed only so a bad `TAICHI_*` value or flag is a usage error.
+    let (_, args) = Knobs::init_with_args(USAGE);
+    if let Some(a) = args
+        .iter()
+        .find(|a| !["--quick", "--check"].contains(&a.as_str()))
+    {
+        usage_error(USAGE, &format!("unknown argument {a:?}"));
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     let iters: u32 = if quick { 3 } else { 10 };

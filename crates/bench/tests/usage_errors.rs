@@ -3,29 +3,45 @@
 //! fallback to a default. Each case sets the child's environment
 //! through `Command::env`; the test process's own stays untouched.
 
+use std::path::Path;
 use std::process::Command;
 
-/// Runs a paper binary with `args` and one extra environment variable
-/// and asserts it fails as a usage error mentioning `needle`.
-fn expect_usage_error(args: &[&str], var: Option<(&str, &str)>, needle: &str) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig5_nonpreempt_hist"));
+const FIG5: &str = env!("CARGO_BIN_EXE_fig5_nonpreempt_hist");
+const BENCH_ENGINE: &str = env!("CARGO_BIN_EXE_bench_engine");
+
+/// Runs the binary at `bin` with `args` and one extra environment
+/// variable and asserts it fails as a usage error mentioning `needle`.
+fn expect_usage_error(bin: &str, args: &[&str], var: Option<(&str, &str)>, needle: &str) {
+    let name = Path::new(bin).file_stem().unwrap().to_string_lossy();
+    let mut cmd = Command::new(bin);
     cmd.args(args).env_remove("TAICHI_TRACE");
     if let Some((k, v)) = var {
         cmd.env(k, v);
     }
-    let out = cmd.output().expect("spawn paper binary");
+    let out = cmd.output().expect("spawn binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} {var:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{stderr}");
     assert!(stderr.contains(needle), "{stderr}");
-    assert!(stderr.contains("usage: fig5_nonpreempt_hist"), "{stderr}");
+    assert!(stderr.contains(&format!("usage: {name}")), "{stderr}");
 }
 
 #[test]
 fn bad_knobs_and_unknown_flags_exit_with_usage() {
-    expect_usage_error(&[], Some(("TAICHI_SEED", "junk")), "TAICHI_SEED");
-    expect_usage_error(&[], Some(("TAICHI_WORKERS", "0")), "TAICHI_WORKERS=0");
-    expect_usage_error(&[], Some(("TAICHI_WORKERS", "many")), "TAICHI_WORKERS");
-    expect_usage_error(&[], Some(("TAICHI_FAULTS", "ipi_drop=2")), "TAICHI_FAULTS");
-    expect_usage_error(&["--policy", "taichi"], None, "--policy");
+    expect_usage_error(FIG5, &[], Some(("TAICHI_SEED", "junk")), "TAICHI_SEED");
+    expect_usage_error(FIG5, &[], Some(("TAICHI_WORKERS", "0")), "TAICHI_WORKERS=0");
+    expect_usage_error(
+        FIG5,
+        &[],
+        Some(("TAICHI_WORKERS", "many")),
+        "TAICHI_WORKERS",
+    );
+    expect_usage_error(
+        FIG5,
+        &[],
+        Some(("TAICHI_FAULTS", "ipi_drop=2")),
+        "TAICHI_FAULTS",
+    );
+    expect_usage_error(FIG5, &["--policy", "taichi"], None, "--policy");
+    expect_usage_error(BENCH_ENGINE, &["--quick", "--chek"], None, "--chek");
 }

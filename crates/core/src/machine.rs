@@ -176,6 +176,7 @@ enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(std::mem::size_of::<EventToken>() == 16);
 
 /// Degradation-bookkeeping counters for the fault layer: every
 /// recovery action the scheduler took, plus the loss counters the

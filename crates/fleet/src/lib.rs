@@ -701,9 +701,9 @@ pub struct FleetResult {
     pub violation_count: u64,
     /// Max event-slab high-water mark (slots) across every machine.
     /// Diagnostic only: the slab fill differs between queue backends
-    /// (the wheel fuses same-deadline events into fewer slots), so
-    /// this must never enter [`FleetResult::fingerprint`] or any
-    /// identity-compared table.
+    /// (the wheel frees a cancelled slot at once, the heap only when
+    /// the entry surfaces), so this must never enter
+    /// [`FleetResult::fingerprint`] or any identity-compared table.
     pub slab_high_watermark: usize,
     /// Max rx/staging-ring high-water mark (packets) across every
     /// machine. Diagnostic only, like the slab mark.

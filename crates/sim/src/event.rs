@@ -80,24 +80,6 @@
 //! entry *eagerly* — except in the overflow heap, where cancellation
 //! stays lazy exactly like the heap backend.
 //!
-//! # Same-deadline fusion (wheel backend)
-//!
-//! Periodic timer re-arms frequently collide on the exact same
-//! deadline (several DP services arming the same poll window, a burst
-//! of slice expiries at one instant). Scheduling into a wheel level
-//! first checks the target bucket for a live slot firing at exactly
-//! that time; on a hit the new event is appended to that slot's
-//! `fused` member list instead of consuming a fresh slab slot and
-//! bucket node. The slot's ordering key is always its *front* member's
-//! sequence number: popping a fused slot sheds one member and re-keys
-//! the slot to the next, so exact `(time, seq)` order — including
-//! interleaving with other same-time slots — is preserved, and each
-//! member token (stamped with its own sequence number) remains
-//! individually cancellable. Fusion is an optimization, not a
-//! guarantee: the bucket walk is bounded, and the heap backend and the
-//! wheel's overflow heap never fuse, yet all backends stay observably
-//! identical.
-//!
 //! Advancing the level-0 window over a long idle gap hops via the
 //! level-1 occupancy bitmap: a span of empty calendar costs one bitmap
 //! scan, not one iteration per 131 µs block, so a simulated
@@ -112,15 +94,12 @@ use crate::time::SimTime;
 ///
 /// Tokens are generation-stamped: once the event fires (or the cancel
 /// is swept), the token goes stale and [`EventQueue::cancel`] on it is
-/// a recorded-nothing no-op. The sequence number additionally
-/// distinguishes the members of a fused slot (several same-deadline
-/// events sharing one slab slot — see the module docs), so member
-/// tokens stay individually cancellable.
+/// a recorded-nothing no-op. Every queued event owns its own slot, so
+/// `(slot, generation)` identifies it exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EventToken {
     slot: u32,
     generation: u64,
-    seq: u64,
 }
 
 /// Scheduling core selection (see the module docs). The default is
@@ -208,14 +187,6 @@ struct Slot<E> {
     /// Next slot in the same bucket's intrusive list, or [`NIL`].
     next: u32,
     event: Option<E>,
-    /// Same-deadline fusion members (wheel levels only), in ascending
-    /// sequence order. The slot's `seq`/`event` pair is the *front*
-    /// member; these are the rest. Empty for singletons, the heap
-    /// backend, and the overflow heap. A retiring slot hands a Vec with
-    /// capacity to [`EventQueue::spare_fused`], so the queue allocates
-    /// one per concurrently fused slot, not one per slot that ever
-    /// hosted a fusion.
-    fused: Vec<(u64, E)>,
 }
 
 // --------------------------------------------------------------------
@@ -367,30 +338,6 @@ impl Wheel {
     }
 }
 
-/// Upper bound on the bucket walk looking for a same-deadline fusion
-/// target. Level-0 buckets cover one 64 ns instant-range (nearly
-/// always 0–1 entries); level-1 buckets span 131 µs and can hold a
-/// longer mixed-deadline list, so the search gives up rather than
-/// scan it — fusion is an optimization, never a requirement.
-const FUSE_SCAN: usize = 16;
-
-/// Bounded search of a bucket list for a live slot firing at exactly
-/// `time` (a same-deadline fusion target).
-#[inline]
-fn find_coincident<E>(slots: &[Slot<E>], head: u32, time: SimTime) -> Option<u32> {
-    let mut cur = head;
-    let mut budget = FUSE_SCAN;
-    while cur != NIL && budget > 0 {
-        let s = &slots[cur as usize];
-        if s.time == time {
-            return Some(cur);
-        }
-        budget -= 1;
-        cur = s.next;
-    }
-    None
-}
-
 /// Finds the first set bit at or after `start` (wrapping) in a bitmap.
 #[inline]
 fn find_set_from(mask: &[u64], start: usize) -> Option<usize> {
@@ -506,9 +453,6 @@ pub struct EventQueue<E> {
     gen_floor: u64,
     /// Largest slab length ever reached, surviving compaction.
     slab_hwm: usize,
-    /// Empty fused-member Vecs (with capacity) from retired slots,
-    /// handed to the next slot that hosts a fusion.
-    spare_fused: Vec<Vec<(u64, E)>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -575,7 +519,6 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             gen_floor: 0,
             slab_hwm: 0,
-            spare_fused: Vec::new(),
         }
     }
 
@@ -605,37 +548,6 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Same-deadline fusion (wheel levels): a live slot already
-        // firing at exactly `time` absorbs the new event as a member
-        // instead of costing a fresh slab slot and bucket node.
-        // Members carry strictly increasing sequence numbers (the
-        // global counter only grows), so a push keeps the list sorted.
-        if let Core::Wheel(wheel) = &self.core {
-            let t = time.as_nanos();
-            let head = if t < wheel.l0_end {
-                Some(wheel.l0_head.get(Wheel::l0_bucket(t)))
-            } else if t < wheel.h1() {
-                Some(wheel.l1_head.get(Wheel::l1_bucket(t)))
-            } else {
-                None
-            };
-            if let Some(host) = head.and_then(|h| find_coincident(&self.slots, h, time)) {
-                let s = &mut self.slots[host as usize];
-                if s.fused.capacity() == 0 {
-                    if let Some(spare) = self.spare_fused.pop() {
-                        s.fused = spare;
-                    }
-                }
-                s.fused.push((seq, event));
-                let generation = s.generation;
-                self.live += 1;
-                return EventToken {
-                    slot: host,
-                    generation,
-                    seq,
-                };
-            }
-        }
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -653,7 +565,6 @@ impl<E> EventQueue<E> {
                     seq,
                     next: NIL,
                     event: Some(event),
-                    fused: Vec::new(),
                 });
                 (self.slots.len() - 1) as u32
             }
@@ -674,11 +585,7 @@ impl<E> EventQueue<E> {
             }
         }
         self.live += 1;
-        EventToken {
-            slot,
-            generation,
-            seq,
-        }
+        EventToken { slot, generation }
     }
 
     /// Cancels a previously scheduled event.
@@ -695,31 +602,6 @@ impl<E> EventQueue<E> {
         };
         if slot.generation != token.generation || slot.cancelled {
             return false;
-        }
-        // Fused slots (wheel levels) map several tokens to one slot,
-        // distinguished by sequence number: the front member keys the
-        // slot, the rest live in `fused`.
-        if token.seq != slot.seq {
-            let Some(i) = slot.fused.iter().position(|&(s, _)| s == token.seq) else {
-                // The member already popped (the slot was re-keyed past
-                // it): the token is stale, exactly like a fired
-                // singleton, so record nothing.
-                return false;
-            };
-            slot.fused.remove(i);
-            self.live -= 1;
-            return true;
-        }
-        if !slot.fused.is_empty() {
-            // Cancelling the front member of a fused slot: promote the
-            // next member into the key. The deadline is unchanged, so
-            // the slot stays where it is linked; only the sequence
-            // number moves forward.
-            let (seq, event) = slot.fused.remove(0);
-            slot.seq = seq;
-            slot.event = Some(event);
-            self.live -= 1;
-            return true;
         }
         match &mut self.core {
             Core::Heap(_) => {
@@ -819,7 +701,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event only if it fires at or before `limit`.
     ///
-    /// The fused peek+pop the driver loop wants: one queue access per
+    /// The combined peek+pop the driver loop wants: one queue access per
     /// event instead of a peek followed by a pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         match &mut self.core {
@@ -901,11 +783,15 @@ impl<E> EventQueue<E> {
                 if time > limit {
                     return None;
                 }
-                let event = self.wheel_take_l0(b, prev, min);
-                let Core::Wheel(wheel) = &self.core else {
-                    unreachable!()
-                };
-                if wheel.l0_count == 0 && wheel.l1_count == 0 {
+                list_unlink(&mut self.slots, wheel.l0_head.slot_mut(b), prev, min);
+                if wheel.l0_head.get(b) == NIL {
+                    clear_bit(&mut wheel.l0_mask, b);
+                }
+                wheel.l0_count -= 1;
+                let wheel_empty = wheel.l0_count == 0 && wheel.l1_count == 0;
+                let (_, event) = self.retire_queued(min);
+                let event = event.expect("wheel entries are never cancelled in place");
+                if wheel_empty {
                     // The popped entry was the last one in the wheel
                     // proper: the overflow top is the front now, so
                     // discard any cancelled run sitting on it.
@@ -947,33 +833,6 @@ impl<E> EventQueue<E> {
             let new_end = (t >> G1_BITS << G1_BITS) + G1;
             self.wheel_advance_to(new_end);
         }
-    }
-
-    /// Removes the front member of the level-0 entry `slot` (bucket
-    /// `b`, list predecessor `prev`): a fused slot sheds one member and
-    /// stays linked, re-keyed to its next member's sequence number; a
-    /// singleton is unlinked from the bucket and its slab slot retired.
-    /// Returns the removed event. `self.live` is the caller's job.
-    fn wheel_take_l0(&mut self, b: usize, prev: u32, slot: u32) -> E {
-        let s = &mut self.slots[slot as usize];
-        if !s.fused.is_empty() {
-            let (seq, next_ev) = s.fused.remove(0);
-            s.seq = seq;
-            return s
-                .event
-                .replace(next_ev)
-                .expect("fused front member owns a payload");
-        }
-        let Core::Wheel(wheel) = &mut self.core else {
-            unreachable!()
-        };
-        list_unlink(&mut self.slots, wheel.l0_head.slot_mut(b), prev, slot);
-        if wheel.l0_head.get(b) == NIL {
-            clear_bit(&mut wheel.l0_mask, b);
-        }
-        wheel.l0_count -= 1;
-        let (_, event) = self.retire_queued(slot);
-        event.expect("wheel entries are never cancelled in place")
     }
 
     /// Moves the level-0 window forward so that its exclusive end is
@@ -1080,13 +939,9 @@ impl<E> EventQueue<E> {
     /// payload the slot owned.
     fn retire_queued(&mut self, slot: u32) -> (bool, Option<E>) {
         let s = &mut self.slots[slot as usize];
-        debug_assert!(s.fused.is_empty(), "fused slots shed members, not retire");
         s.generation += 1;
         s.loc = LOC_NONE;
         s.next = NIL;
-        if s.fused.capacity() > 0 {
-            self.spare_fused.push(std::mem::take(&mut s.fused));
-        }
         let event = s.event.take();
         let was_cancelled = std::mem::replace(&mut s.cancelled, false);
         if was_cancelled {
@@ -1132,9 +987,8 @@ impl<E> EventQueue<E> {
 
     /// Releases memory retained past the current working set: trailing
     /// free slab slots (and their spare capacity), the overflow/heap
-    /// storage's spare capacity, spare fused-member Vecs, and
-    /// bucket-head chunks whose buckets are all empty. Bounded by the
-    /// structures' current sizes and
+    /// storage's spare capacity, and bucket-head chunks whose buckets
+    /// are all empty. Bounded by the structures' current sizes and
     /// observably inert — pop order, cancel results, and `peek_time`
     /// are identical with or without the call — so fleet drivers can
     /// invoke it after a storm peak without disturbing byte-identity.
@@ -1176,7 +1030,6 @@ impl<E> EventQueue<E> {
         }
         self.slots.shrink_to_fit();
         self.free.shrink_to_fit();
-        self.spare_fused = Vec::new();
     }
 
     /// Largest slab length ever reached (slots, not bytes), surviving
@@ -1188,8 +1041,7 @@ impl<E> EventQueue<E> {
 
     /// Approximate resident bytes held by the queue's own structures
     /// (slab, free list, heap storage, materialized bucket chunks).
-    /// Fused-member spill and payload-internal allocations are not
-    /// counted.
+    /// Payload-internal allocations are not counted.
     pub fn resident_bytes(&self) -> usize {
         let slab = self.slots.capacity() * std::mem::size_of::<Slot<E>>();
         let free = self.free.capacity() * std::mem::size_of::<u32>();
@@ -1553,22 +1405,23 @@ mod tests {
 
     #[test]
     fn fused_same_deadline_share_one_slot() {
-        // Coincident deadlines in a wheel level collapse into one slab
-        // slot and one bucket node, popping in FIFO order regardless.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
-        let t = SimTime::from_nanos(500);
-        for i in 0..8 {
-            q.schedule(t, i);
+        // Coincident deadlines inside level 0 pop in FIFO order on
+        // either backend.
+        for be in BACKENDS {
+            let mut q = EventQueue::with_backend(be);
+            let t = SimTime::from_nanos(500);
+            for i in 0..8 {
+                q.schedule(t, i);
+            }
+            assert_eq!(q.len(), 8, "{be:?}");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, (0..8).collect::<Vec<_>>(), "{be:?}");
         }
-        assert_eq!(q.slots.len(), 1, "members fused into the first slot");
-        assert_eq!(q.len(), 8);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn fused_member_cancel_semantics() {
-        // Every member token of a fused slot is individually
+        // Every token of a same-deadline group is individually
         // cancellable, with the same stale-token contract singletons
         // have, on either backend.
         for be in BACKENDS {
@@ -1590,15 +1443,14 @@ mod tests {
 
     #[test]
     fn fused_slot_interleaves_with_later_singleton() {
-        // A fused slot keyed by its front member must interleave
-        // correctly with a separate same-time slot arriving via a
-        // different route (level-1 redistribution), exactly as the
-        // heap backend would order the four events.
+        // Same-deadline events parked in level 1 must come back in
+        // FIFO order after redistribution into level 0, exactly as the
+        // heap backend orders them.
         for be in BACKENDS {
             let mut q = EventQueue::with_backend(be);
             let t = SimTime::from_millis(1); // starts in level 1
             q.schedule(t, 0u32);
-            q.schedule(t, 1); // fuses with 0 on the wheel
+            q.schedule(t, 1);
             q.schedule(t, 2);
             let out: Vec<_> = std::iter::from_fn(|| q.pop_at_or_before(t)).collect();
             assert_eq!(out, vec![(t, 0), (t, 1), (t, 2)], "{be:?}");
@@ -1608,18 +1460,19 @@ mod tests {
 
     #[test]
     fn fusion_in_level_one_pops_in_order() {
-        // Fusing inside a level-1 bucket: members ride the
-        // redistribution into level 0 together and still pop in
-        // global (time, seq) order against neighbours.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
-        let a = SimTime::from_micros(200); // level 1
-        let b = SimTime::from_micros(201); // same level-1 bucket
-        q.schedule(a, 10u32);
-        q.schedule(b, 20);
-        q.schedule(a, 11); // fuses with 10
-        assert_eq!(q.slots.len(), 2, "coincident deadline fused");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![10, 11, 20]);
+        // A same-deadline pair sharing a level-1 bucket with a later
+        // neighbour rides the redistribution into level 0 and still
+        // pops in global (time, seq) order.
+        for be in BACKENDS {
+            let mut q = EventQueue::with_backend(be);
+            let a = SimTime::from_micros(200); // level 1
+            let b = SimTime::from_micros(201); // same level-1 bucket
+            q.schedule(a, 10u32);
+            q.schedule(b, 20);
+            q.schedule(a, 11);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec![10, 11, 20], "{be:?}");
+        }
     }
 
     #[test]

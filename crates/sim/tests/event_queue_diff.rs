@@ -15,9 +15,9 @@
 //! 2. **Wheel-vs-heap differential** (≥100k ops) — the two backends
 //!    run the same interleaved push/cancel/advance sequence, with time
 //!    deltas spread across all three wheel levels, deliberate
-//!    same-timestamp bursts, *fused-deadline* inserts (re-scheduling
-//!    at the exact deadline of a still-pending entry, so the wheel's
-//!    same-deadline fusion shares one slot), and long idle gaps
+//!    same-timestamp bursts, same-deadline inserts (re-scheduling at
+//!    the exact deadline of a still-pending entry, so equal times
+//!    arrive out of bucket order), and long idle gaps
 //!    (drains far past the last pending entry, so the wheel's bulk
 //!    level-hop advance crosses swaths of empty buckets), and must
 //!    produce identical `(time, payload)` pop sequences and identical
@@ -156,8 +156,8 @@ fn run_differential(backend: QueueBackend, seed: u64, ops: usize) {
             // Half the ops schedule, so the queue keeps growing and
             // slots recycle through the free list. A quarter of the
             // schedules reuse the exact deadline of a recent entry,
-            // driving the wheel's same-deadline fusion (the spec
-            // model is fusion-blind — observables must not change).
+            // so FIFO order among equal times is exercised against
+            // the spec model.
             0 | 1 => {
                 let time = match recent_times.get(rng.next_below(4) as usize) {
                     Some(&t) if rng.next_below(4) == 0 && t >= q.now() => t,
@@ -527,9 +527,8 @@ fn wheel_and_heap_pop_identical_sequences() {
             0..=3 => {
                 // Same-timestamp runs matter most: occasionally push a
                 // small burst at one instant, or re-land on the exact
-                // deadline of a recent pending entry so the wheel's
-                // same-deadline fusion packs them into one slot (the
-                // heap never fuses — pop sequences must still match).
+                // deadline of a recent pending entry: both backends
+                // must pop equal times in schedule order.
                 let burst = if rng.next_below(8) == 0 { 4 } else { 1 };
                 let time = match recent_times.get(rng.next_below(8) as usize) {
                     Some(&t) if rng.next_below(3) == 0 && t >= wheel.now() => t,
