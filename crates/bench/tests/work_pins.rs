@@ -1,0 +1,178 @@
+//! Work pins: exact, seed-deterministic engine work counts for three
+//! fixed configurations shaped like the repo benchmark's `harvest`,
+//! `dp_saturated` and `fleet_rack` workloads.
+//!
+//! Wall-time gates on a shared machine cannot be tight, but most
+//! engine wins and losses are changes in *work* — events dispatched
+//! vs. skipped vs. fast-forwarded, slab and ring high-water marks,
+//! resident bytes — and those counts are exact for a seed. A change
+//! that alters any of them fails here with a per-key diff. An
+//! intended change updates the pin in the same commit and says why.
+
+use taichi_core::machine::{Machine, Mode};
+use taichi_core::{MachineConfig, TenantConfig};
+use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
+use taichi_dp::{ArrivalPattern, TrafficGen};
+use taichi_fleet::{run, FleetConfig, FleetDriver};
+use taichi_hw::{IoKind, TenantId};
+use taichi_sim::{Dist, Rng, SimTime};
+
+type Pins = [(&'static str, u64)];
+
+/// Compares `actual` against `expected` key by key and panics with
+/// every mismatching key (and any missing or extra one) listed.
+fn check(config: &str, actual: &Pins, expected: &Pins) {
+    let mut diff = Vec::new();
+    for &(key, want) in expected {
+        match actual.iter().find(|(k, _)| *k == key) {
+            Some(&(_, got)) if got == want => {}
+            Some(&(_, got)) => diff.push(format!("  {key}: pinned {want}, got {got}")),
+            None => diff.push(format!("  {key}: pinned {want}, not measured")),
+        }
+    }
+    for &(key, got) in actual {
+        if !expected.iter().any(|(k, _)| *k == key) {
+            diff.push(format!("  {key}: not pinned, got {got}"));
+        }
+    }
+    assert!(
+        diff.is_empty(),
+        "{config}: engine work changed\n{}",
+        diff.join("\n")
+    );
+}
+
+/// The per-machine counts every single-machine config pins.
+fn machine_pins(m: &Machine) -> Vec<(&'static str, u64)> {
+    let (slab_hwm, ring_hwm) = m.memory_high_watermarks();
+    vec![
+        ("events_processed", m.events_processed()),
+        ("events_dispatched", m.events_dispatched()),
+        ("events_skipped", m.events_skipped()),
+        ("events_fast_forwarded", m.events_fast_forwarded()),
+        ("slab_high_watermark", slab_hwm as u64),
+        ("ring_high_watermark", ring_hwm as u64),
+        ("resident_bytes", m.resident_bytes() as u64),
+    ]
+}
+
+#[test]
+fn harvest_shaped_machine() {
+    // Bursty traffic on every DP CPU while a synth_cp batch and two VM
+    // creations harvest their idle time.
+    let seed = 0x4A27;
+    let mut m = Machine::new(
+        MachineConfig {
+            seed,
+            ..MachineConfig::default()
+        },
+        Mode::TaiChi,
+    );
+    m.add_traffic(TrafficGen::new(
+        ArrivalPattern::OnOff {
+            on_us: Dist::constant(200.0),
+            off_us: Dist::exponential(400.0),
+            burst_gap_us: Dist::exponential(0.21),
+        },
+        Dist::constant(512.0),
+        IoKind::Network,
+        m.dp_cpu_ids().to_vec(),
+    ));
+    let mut rng = Rng::new(seed ^ 0xC0);
+    m.schedule_cp_batch(SynthCp::default().workload(8, &mut rng), SimTime::ZERO);
+    let factory = TaskFactory::default();
+    for v in 0..2 {
+        let at = SimTime::from_millis(5 + 10 * v);
+        m.schedule_vm_create(VmCreateRequest::at_density(v, 2, at), &factory);
+    }
+    m.run_until(SimTime::from_millis(20));
+    check(
+        "harvest",
+        &machine_pins(&m),
+        &[
+            ("events_processed", 86568),
+            ("events_dispatched", 81994),
+            ("events_skipped", 4574),
+            ("events_fast_forwarded", 297196),
+            ("slab_high_watermark", 54),
+            ("ring_high_watermark", 27),
+            ("resident_bytes", 886208),
+        ],
+    );
+}
+
+#[test]
+fn dp_saturated_shaped_machine() {
+    // Two tenants' open-loop streams behind the DRR arbiter at equal
+    // weights, no CP work.
+    let mut m = Machine::new(
+        MachineConfig {
+            seed: 0x5A7,
+            tenants: TenantConfig {
+                count: 2,
+                weights: vec![1, 1],
+                ..TenantConfig::default()
+            },
+            ..MachineConfig::default()
+        },
+        Mode::TaiChi,
+    );
+    let dp = m.dp_cpu_ids().to_vec();
+    let (first, second) = dp.split_at(dp.len() / 2);
+    for (tenant, cpus) in [(0, first), (1, second)] {
+        let gen = TrafficGen::new(
+            ArrivalPattern::OpenLoop {
+                gap_us: Dist::exponential(0.45),
+            },
+            Dist::constant(512.0),
+            IoKind::Network,
+            cpus.to_vec(),
+        );
+        m.add_traffic(gen.with_tenant(TenantId(tenant)));
+    }
+    m.run_until(SimTime::from_millis(20));
+    check(
+        "dp_saturated",
+        &machine_pins(&m),
+        &[
+            ("events_processed", 326841),
+            ("events_dispatched", 313425),
+            ("events_skipped", 13416),
+            ("events_fast_forwarded", 213955),
+            ("slab_high_watermark", 50),
+            ("ring_high_watermark", 26),
+            ("resident_bytes", 1065984),
+        ],
+    );
+}
+
+#[test]
+fn fleet_rack_shaped_fleet() {
+    // 16 machines, 8 epochs of 2 ms, churn and a startup storm.
+    let cfg = FleetConfig {
+        machines: 16,
+        epochs: 8,
+        churn_per_epoch: 2.0,
+        storm_epoch: Some(4),
+        storm_vms_per_machine: 2,
+        ..FleetConfig::default()
+    };
+    let r = run(&cfg, FleetDriver::EpochParallel { workers: 2 });
+    assert_eq!(r.violation_count, 0, "{:?}", r.violations);
+    let actual = [
+        ("epoch_events", r.epochs.iter().map(|e| e.events).sum()),
+        ("slab_high_watermark", r.slab_high_watermark as u64),
+        ("ring_high_watermark", r.ring_high_watermark as u64),
+        ("resident_bytes", r.resident_bytes),
+    ];
+    check(
+        "fleet_rack",
+        &actual,
+        &[
+            ("epoch_events", 942106),
+            ("slab_high_watermark", 97),
+            ("ring_high_watermark", 11),
+            ("resident_bytes", 375984),
+        ],
+    );
+}
