@@ -36,54 +36,18 @@
 //! per-machine backing storage (event slab, wheel chunks, rings) at
 //! the final epoch boundary. Peak RSS is read from `/proc/self/status`
 //! where available. None of these memory numbers are identity-compared
-//! — they vary by backend, profile, and run.
+//! — they vary by footprint profile and run.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-use taichi_bench::{peak_rss_kb, results_dir, usage_error, Knobs};
+use taichi_bench::{
+    bench_json_path, json_block, json_number, peak_rss_kb, results_dir, usage_error, Knobs,
+};
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_sim::alloc::{self, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Extracts `"key": { ... }` (balanced braces) from `text`, including
-/// the key itself — enough JSON awareness to carry the committed
-/// baseline block forward without a parser dependency.
-fn extract_block<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let start = text.find(key)?;
-    let open = start + text[start..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&text[start..=open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Pulls `"key": <number>` out of a JSON block.
-fn number_of(block: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let at = block.find(&tag)?;
-    let num = block[at + tag.len()..]
-        .trim_start()
-        .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .next()?;
-    num.parse().ok()
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn main() {
     const USAGE: &str = "[--quick] [--check] [--sequential]";
@@ -166,9 +130,9 @@ fn main() {
 
     // ---- Assemble the trajectory file. ----
 
-    let root_path = repo_root().join("BENCH_fleet.json");
+    let root_path = bench_json_path("BENCH_fleet.json");
     let existing = std::fs::read_to_string(&root_path).unwrap_or_default();
-    let baseline_block = match extract_block(&existing, "\"baseline\"") {
+    let baseline_block = match json_block(&existing, "baseline") {
         Some(b) => b.to_string(),
         None => {
             // No committed baseline: freeze this run's numbers as the
@@ -195,8 +159,8 @@ fn main() {
         }
     };
 
-    let baseline_meps = number_of(&baseline_block, "machine_epochs_per_sec");
-    let baseline_rss_per_machine = number_of(&baseline_block, "peak_rss_kb_per_machine");
+    let baseline_meps = json_number(&baseline_block, "machine_epochs_per_sec");
+    let baseline_rss_per_machine = json_number(&baseline_block, "peak_rss_kb_per_machine");
     let speedup = baseline_meps.map(|b| meps / b).unwrap_or(f64::NAN);
     let rss_ratio = match (baseline_rss_per_machine, rss_kb) {
         (Some(b), Some(kb)) if kb > 0 => b / (kb / machines) as f64,
@@ -212,9 +176,7 @@ fn main() {
          \"alloc_bytes_per_machine\": {},\n    \"resident_bytes_per_machine\": {},\n    \
          \"slab_high_watermark\": {},\n    \"ring_high_watermark\": {},\n    \
          \"peak_rss_kb\": {},\n    \"peak_rss_kb_per_machine\": {},\n    \
-         \"speedup_vs_baseline\": {:.2},\n    \"rss_reduction_vs_baseline\": {:.2},\n    \
-         \"note\": \"speedup scales with available cores; the parallel driver's \
-         machines are fully independent within an epoch\"\n  }}",
+         \"speedup_vs_baseline\": {:.2},\n    \"rss_reduction_vs_baseline\": {:.2}\n  }}",
         if sequential {
             "sequential"
         } else {

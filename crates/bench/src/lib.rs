@@ -212,6 +212,47 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Path of a committed `BENCH_*.json` trajectory file at the
+/// repository root.
+pub fn bench_json_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name)
+}
+
+/// Extracts `"key": { ... }` (balanced braces) from `text`, including
+/// the key itself — enough JSON awareness to carry a committed frozen
+/// block forward without a parser dependency.
+pub fn json_block<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let start = text.find(&format!("\"{key}\""))?;
+    let open = start + text[start..].find('{')?;
+    let mut depth = 0usize;
+    for (i, c) in text[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&text[start..=open + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Pulls the first `"key": <number>` out of a JSON block.
+pub fn json_number(block: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\":");
+    let at = block.find(&tag)?;
+    let num = block[at + tag.len()..]
+        .trim_start()
+        .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .next()?;
+    num.parse().ok()
+}
+
 /// Minimal micro-benchmark loop (the workspace builds without network
 /// access, so Criterion is not available): runs `f` for a warmup, then
 /// measures batches until ~0.2 s elapses and prints ns/iter.

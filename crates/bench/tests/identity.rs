@@ -4,7 +4,9 @@
 //! configuration value: the event-queue backend (`MachineConfig::queue`,
 //! the timing wheel vs. its binary-heap reference) and idle-time
 //! skipping (`MachineConfig::skip`, on vs. the dispatch-everything
-//! reference). Each case names a machine configuration and a mode. It
+//! reference). Both fields are test-only: they exist under the dev-only
+//! `oracle` feature, which this crate's dev-dependencies turn on. Each
+//! case names a machine configuration and a mode. It
 //! runs in all four oracle cells, `{wheel, heap} × {skip on, skip off}`,
 //! and everything a user can export must be byte-identical to the
 //! case's reference run on the production cell (wheel, skip on):

@@ -3,7 +3,8 @@
 //!
 //! `MachineConfig::queue` picks the scheduling core under a machine and
 //! `MachineConfig::skip` toggles the idle-gap skip layer (cancelling
-//! superseded timers instead of dispatching them as stale no-ops). This
+//! superseded timers instead of dispatching them as stale no-ops); both
+//! exist only under the dev-only `oracle` feature. This
 //! test runs the same seeded workloads under the full
 //! `{wheel, heap} × {skip on, skip off}` matrix and asserts that
 //! everything a user can export — the scheduler trace TSV, the

@@ -5,19 +5,24 @@ use taichi_hw::accel::AcceleratorConfig;
 use taichi_hw::SmartNicSpec;
 use taichi_os::KernelConfig;
 use taichi_sim::trace::TraceConfig;
-use taichi_sim::{FaultPlan, FootprintProfile, QueueBackend, SimDuration};
+#[cfg(feature = "oracle")]
+use taichi_sim::QueueBackend;
+use taichi_sim::{FaultPlan, FootprintProfile, SimDuration};
 use taichi_virt::{Type2Model, VirtCosts};
 
-/// Idle-time skipping for the machine driver ([`MachineConfig::skip`]).
+/// Idle-time skipping for the machine driver (`MachineConfig::skip`),
+/// a test-only choice under the dev-only `oracle` feature.
 ///
-/// With skipping on (the default) the driver cancels superseded
-/// periodic timers — DP idle notifications, vCPU slice expiries,
-/// kernel decision ticks — instead of dispatching them later as
-/// stale-generation no-ops, and the elided dispatches are folded into
-/// [`Machine::events_processed`] so every observable (traces, stats
-/// fingerprints, CSVs) stays byte-identical to a skip-off run.
+/// With skipping on (the default, and the only production behaviour)
+/// the driver cancels superseded periodic timers — DP idle
+/// notifications, vCPU slice expiries, kernel decision ticks — instead
+/// of dispatching them later as stale-generation no-ops, and the
+/// elided dispatches are folded into [`Machine::events_processed`] so
+/// every observable (traces, stats fingerprints, CSVs) stays
+/// byte-identical to a skip-off run.
 ///
 /// [`Machine::events_processed`]: crate::machine::Machine::events_processed
+#[cfg(feature = "oracle")]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SkipMode {
     /// Cancel superseded timers; count them as skipped (the default).
@@ -26,14 +31,6 @@ pub enum SkipMode {
     /// Dispatch every scheduled event, stale ones included — the
     /// oracle configuration the identity tests compare against.
     Off,
-}
-
-impl SkipMode {
-    /// True when superseded timers are cancelled rather than
-    /// dispatched.
-    pub fn is_on(self) -> bool {
-        self == SkipMode::On
-    }
 }
 
 /// Tuning knobs for the Tai Chi scheduler proper (§4).
@@ -202,11 +199,14 @@ pub struct MachineConfig {
     /// Fault-injection plan (inactive by default; an inactive plan
     /// constructs no injector and leaves runs byte-identical).
     pub faults: FaultPlan,
-    /// Event-queue scheduling core: the timing wheel (the default) or
-    /// the binary-heap reference it must match byte for byte.
+    /// Oracle: event-queue scheduling core, the timing wheel (the
+    /// default) or the binary-heap reference it must match byte for
+    /// byte.
+    #[cfg(feature = "oracle")]
     pub queue: QueueBackend,
-    /// Idle-time skipping: on (the default) or off, the reference the
-    /// skip layer must match byte for byte.
+    /// Oracle: idle-time skipping, on (the default) or off, the
+    /// reference the skip layer must match byte for byte.
+    #[cfg(feature = "oracle")]
     pub skip: SkipMode,
     /// Memory-footprint profile: `Hot` (the default) makes every
     /// worst-case reservation at construction so the steady-state loop
@@ -232,7 +232,9 @@ impl Default for MachineConfig {
             seed: 0xD1CE,
             trace: TraceConfig::default(),
             faults: FaultPlan::default(),
+            #[cfg(feature = "oracle")]
             queue: QueueBackend::default(),
+            #[cfg(feature = "oracle")]
             skip: SkipMode::default(),
             footprint: FootprintProfile::default(),
         }

@@ -37,8 +37,10 @@ pub mod slice;
 pub mod vcpu_sched;
 
 pub use audit::{assert_invariants, check_invariants, AuditReport, AuditSession, InvariantReport};
+#[cfg(feature = "oracle")]
+pub use config::SkipMode;
 pub use config::{
-    parse_tenant_count, parse_tenant_weights, MachineConfig, SkipMode, TaiChiConfig, TenantConfig,
+    parse_tenant_count, parse_tenant_weights, MachineConfig, TaiChiConfig, TenantConfig,
 };
 pub use machine::{FaultHealth, Machine, Mode};
 pub use metrics::RunReport;

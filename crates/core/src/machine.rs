@@ -254,8 +254,10 @@ pub struct Machine {
     /// dispatched). `events_dispatched + events_skipped` is invariant
     /// across skip modes.
     events_skipped: u64,
-    /// `cfg.skip.is_on()`, cached: cancel superseded timers instead of
-    /// dispatching them later as stale no-ops.
+    /// Oracle: `cfg.skip == SkipMode::On`, cached. Off dispatches
+    /// superseded timers later as stale no-ops instead of cancelling
+    /// them.
+    #[cfg(feature = "oracle")]
     skip: bool,
     /// Cached `policy.uses_vcpus()` — the policy never changes after
     /// construction, and the flag gates every idle-arm and CP-fill
@@ -483,7 +485,6 @@ impl Machine {
         }
 
         let n_v = vcpu_ids.len();
-        let skip = cfg.skip.is_on();
         let uses_vcpus = policy.uses_vcpus();
         Machine {
             accel,
@@ -505,7 +506,8 @@ impl Machine {
             cp_fill_dirty: true,
             events_dispatched: 0,
             events_skipped: 0,
-            skip,
+            #[cfg(feature = "oracle")]
+            skip: cfg.skip == crate::config::SkipMode::On,
             uses_vcpus,
             dp_idle_tok: vec![None; dp_count as usize],
             vcpu_slice_tok: vec![None; n_v],
@@ -546,10 +548,11 @@ impl Machine {
             probe_starve: vec![0; num_cpus as usize],
             now: SimTime::ZERO,
             queue: {
-                let mut q = EventQueue::with_backend_and_slots(
-                    cfg.queue,
-                    cfg.footprint.initial_event_slots(),
-                );
+                let slots = cfg.footprint.initial_event_slots();
+                #[cfg(not(feature = "oracle"))]
+                let mut q = EventQueue::with_slots(slots);
+                #[cfg(feature = "oracle")]
+                let mut q = EventQueue::with_backend_and_slots(cfg.queue, slots);
                 if cfg.footprint.eager_rings() {
                     // Hot profile: materialize the wheel's bucket-head
                     // chunks too, so the audited steady-state loop
@@ -868,6 +871,10 @@ impl Machine {
     /// clock reaches the deadline, and never if the run ends first.
     /// [`Machine::settle_skipped`] folds the matured deadlines in.
     fn skip_stale(&mut self, tok: Option<(EventToken, SimTime)>) {
+        #[cfg(feature = "oracle")]
+        if !self.skip {
+            return; // the skip-off oracle dispatches the stale timer
+        }
         if let Some((tok, deadline)) = tok {
             if self.queue.cancel(tok) {
                 self.skipped_deadlines.push(Reverse(deadline.as_nanos()));
@@ -1157,19 +1164,15 @@ impl Machine {
         };
         self.dp_idle_gen[si] += 1;
         let gen = self.dp_idle_gen[si];
-        if self.skip {
-            // Re-arming supersedes the previous notification: elide it
-            // instead of letting it fire as a gen-mismatch no-op. The
-            // early returns above leave the prior timer untouched — its
-            // generation still matches, so it is not stale.
-            let old = self.dp_idle_tok[si].take();
-            self.skip_stale(old);
-        }
+        // Re-arming supersedes the previous notification: elide it
+        // instead of letting it fire as a gen-mismatch no-op. The early
+        // returns above leave the prior timer untouched — its
+        // generation still matches, so it is not stale.
+        let old = self.dp_idle_tok[si].take();
+        self.skip_stale(old);
         let at = t.max(self.now);
         let tok = self.queue.schedule(at, Event::DpIdle { host, gen });
-        if self.skip {
-            self.dp_idle_tok[si] = Some((tok, at));
-        }
+        self.dp_idle_tok[si] = Some((tok, at));
     }
 
     fn on_dp_idle(&mut self, host: CpuId, gen: u64) {
@@ -1324,12 +1327,10 @@ impl Machine {
                 gen,
             },
         );
-        if self.skip {
-            // Any previous slice timer was already cancelled (or fired)
-            // when the prior grant exited; storing unconditionally is
-            // safe because stale tokens cancel as no-ops.
-            self.vcpu_slice_tok[idx] = Some((tok, slice_end));
-        }
+        // Any previous slice timer was already cancelled (or fired)
+        // when the prior grant exited; overwriting is safe because
+        // stale tokens cancel as no-ops.
+        self.vcpu_slice_tok[idx] = Some((tok, slice_end));
     }
 
     fn on_slice_expire(&mut self, idx: usize, gen: u64) {
@@ -1356,13 +1357,11 @@ impl Machine {
         self.with_kernel(|k, now, out| k.pause_cpu(vid, now, out));
         self.vsched.vcpu_mut(idx).begin_exit(reason, self.now);
         self.vcpu_gen[idx] += 1; // invalidate any pending slice timer
-        if self.skip {
-            // The invalidated slice timer can never match again: elide
-            // it. When this exit *is* the slice expiry, the token is
-            // already stale and the cancel records nothing.
-            let old = self.vcpu_slice_tok[idx].take();
-            self.skip_stale(old);
-        }
+                                 // The invalidated slice timer can never match again: elide it.
+                                 // When this exit *is* the slice expiry, the token is already
+                                 // stale and the cancel records nothing.
+        let old = self.vcpu_slice_tok[idx].take();
+        self.skip_stale(old);
         // Full switch latency (VM-exit + pCPU context restore): the
         // 2 µs the hardware probe hides inside the I/O window.
         let done = self.now + self.cfg.taichi.costs.switch_latency();
@@ -1540,15 +1539,13 @@ impl Machine {
         }
         self.kernel_gen[cpu.index()] += 1;
         let gen = self.kernel_gen[cpu.index()];
-        if self.skip {
-            if cpu.index() >= self.kernel_tok.len() {
-                self.kernel_tok.resize(cpu.index() + 1, None);
-            }
-            // The generation bump above permanently staled any pending
-            // decision timer — whether or not a new one gets armed.
-            let old = self.kernel_tok[cpu.index()].take();
-            self.skip_stale(old);
+        if cpu.index() >= self.kernel_tok.len() {
+            self.kernel_tok.resize(cpu.index() + 1, None);
         }
+        // The generation bump above permanently staled any pending
+        // decision timer — whether or not a new one gets armed.
+        let old = self.kernel_tok[cpu.index()].take();
+        self.skip_stale(old);
         if let Some(mut t) = self.kernel.next_decision_time(cpu, self.now) {
             if let Some(f) = &self.fault {
                 // Late decision timers are tolerated by the kernel (it
@@ -1558,9 +1555,7 @@ impl Machine {
             }
             let at = t.max(self.now);
             let tok = self.queue.schedule(at, Event::KernelDecide { cpu, gen });
-            if self.skip {
-                self.kernel_tok[cpu.index()] = Some((tok, at));
-            }
+            self.kernel_tok[cpu.index()] = Some((tok, at));
         }
     }
 

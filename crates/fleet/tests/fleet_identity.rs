@@ -11,7 +11,9 @@
 //! machines are sharded across worker threads or in what order their
 //! epoch deltas arrive. Every cell is selected through the fleet's
 //! machine template (`FleetConfig::machine`), so nothing here touches
-//! process-global state.
+//! process-global state; the heap and skip-off cells come from the
+//! dev-only `oracle` feature, which this crate's dev-dependencies turn
+//! on.
 
 use taichi_core::SkipMode;
 use taichi_fleet::{run, FleetConfig, FleetDriver};

@@ -25,28 +25,12 @@
 //!   (fired or swept), recycling the slot and invalidating any stale
 //!   tokens.
 //!
-//! # Backends: hierarchical timing wheel vs. binary heap
+//! # The hierarchical timing wheel
 //!
-//! Two interchangeable scheduling cores sit on top of the slab:
-//! [`EventQueue::new`] always builds the wheel, and
-//! [`EventQueue::with_backend`] picks one explicitly (machines take it
-//! from their configuration's `queue` field). Both produce **identical observable
-//! behaviour** — the same `(time, seq)` pop order, the same `cancel`
-//! return values, the same `peek_time` — so traces, stats, and CSVs are
-//! byte-identical across backends for the same seed. (The only
-//! backend-dependent observable is the diagnostic
-//! [`EventQueue::cancelled_backlog`], which reflects how lazily each
-//! backend disposes of cancelled entries.)
-//!
-//! **Heap**: a binary min-heap of keys with lazy cancellation (flipped
-//! bit, discarded when the entry surfaces). The heap top is kept live
-//! by sweeping in `pop` and `cancel`, so `peek_time` is a plain O(1)
-//! `&self` read. O(log n) per operation.
-//!
-//! **Wheel** (default): a hierarchical timing wheel (calendar queue)
-//! tuned for the simulator's actual event mix — dense, near-future
-//! timers (softirq deadlines, burst completions, probe windows, slice
-//! expiries):
+//! The scheduling core on top of the slab is a hierarchical timing
+//! wheel (calendar queue) tuned for the simulator's actual event mix —
+//! dense, near-future timers (softirq deadlines, burst completions,
+//! probe windows, slice expiries):
 //!
 //! - **Level 0**: 2048 buckets of 64 ns ⇒ a 131 µs window, with an
 //!   occupancy bitmap (one bit per bucket) so the scan jumps straight
@@ -75,15 +59,31 @@
 //! small `Copy` value (large payloads live in a [`crate::arena`]), so
 //! moving it in and out of the slab is a few words.
 //!
-//! Cancellation differs structurally: the wheel knows which bucket an
-//! entry lives in (the slab records it), so wheel cancels remove the
-//! entry *eagerly* — except in the overflow heap, where cancellation
-//! stays lazy exactly like the heap backend.
+//! The wheel knows which bucket an entry lives in (the slab records
+//! it), so cancels inside levels 0 and 1 remove the entry *eagerly*;
+//! in the overflow heap cancellation is lazy (a flipped bit, discarded
+//! when the entry surfaces), and the heap top is kept live by sweeping
+//! in `pop` and `cancel`, so `peek_time` is a plain `&self` read.
 //!
 //! Advancing the level-0 window over a long idle gap hops via the
 //! level-1 occupancy bitmap: a span of empty calendar costs one bitmap
 //! scan, not one iteration per 131 µs block, so a simulated
 //! multi-second quiet period is O(occupied buckets) to cross.
+//!
+//! # The heap-only oracle
+//!
+//! Test builds and the dev-only `oracle` feature add
+//! `EventQueue::with_backend`: `QueueBackend::Heap` is the wheel
+//! with its calendar off. Every entry goes to the overflow heap and
+//! pops from its top without promotion, which is exactly the binary
+//! min-heap with lazy cancellation the wheel replaced. It never touches
+//! levels 0 and 1, the code it checks, and produces **identical
+//! observable behaviour** — the same `(time, seq)` pop order, the same
+//! `cancel` return values, the same `peek_time` — so traces, stats, and
+//! CSVs are byte-identical across backends for the same seed. (The only
+//! backend-dependent observable is the diagnostic
+//! [`EventQueue::cancelled_backlog`]: the heap cancels lazily
+//! everywhere.)
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -102,15 +102,17 @@ pub struct EventToken {
     generation: u64,
 }
 
-/// Scheduling core selection (see the module docs). The default is
-/// the timing wheel; the heap is the reference the identity tests
-/// compare it against.
+/// Scheduling core selection for the identity oracle (see the module
+/// docs). Exists only in test builds and under the dev-only `oracle`
+/// feature; every other build runs the timing wheel.
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
     /// Hierarchical timing wheel with heap overflow (the default).
     #[default]
     Wheel,
-    /// Binary min-heap with lazy cancellation (the PR 2 engine).
+    /// The wheel with its calendar off: a binary min-heap with lazy
+    /// cancellation, the reference the wheel must match.
     Heap,
 }
 
@@ -166,22 +168,21 @@ const NIL: u32 = u32::MAX;
 /// Default slab capacity reserved at construction, sized so the
 /// in-flight high-water mark of a full machine (a few hundred events)
 /// never forces a mid-run doubling. Fleet footprint profiles override
-/// this via [`EventQueue::with_backend_and_slots`].
+/// this via [`EventQueue::with_slots`].
 pub const INITIAL_SLOTS: usize = 1024;
 
 /// Per-slot bookkeeping. A slot is bound to exactly one queued entry at
 /// a time; the generation distinguishes successive occupants. The slot
-/// owns the entry's payload and — for the wheel backend — carries the
-/// ordering key and the intrusive bucket-list link, so the wheel needs
-/// no storage of its own.
+/// owns the entry's payload and carries the ordering key and the
+/// intrusive bucket-list link, so the wheel needs no storage of its
+/// own.
 struct Slot<E> {
     generation: u64,
     cancelled: bool,
-    /// Wheel backend only: `LOC_OVERFLOW`, a level-0 bucket index
-    /// (`0..N0`), or `N0 +` a level-1 bucket index. `LOC_NONE` for the
-    /// heap backend and for free slots.
+    /// `LOC_OVERFLOW`, a level-0 bucket index (`0..N0`), or `N0 +` a
+    /// level-1 bucket index. `LOC_NONE` for free slots.
     loc: u32,
-    /// Ordering key, valid while queued (wheel backend).
+    /// Ordering key, valid while queued.
     time: SimTime,
     seq: u64,
     /// Next slot in the same bucket's intrusive list, or [`NIL`].
@@ -428,21 +429,20 @@ fn list_unlink<E>(slots: &mut [Slot<E>], head: &mut u32, prev: u32, slot: u32) {
     }
 }
 
-enum Core {
-    Heap(BinaryHeap<Entry>),
-    Wheel(Box<Wheel>),
-}
-
 /// A time-ordered queue of events of type `E`.
 pub struct EventQueue<E> {
-    core: Core,
+    wheel: Box<Wheel>,
+    /// Heap-only oracle: the calendar is off, so every entry lives in
+    /// the overflow heap.
+    #[cfg(any(test, feature = "oracle"))]
+    heap_only: bool,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
     /// Pending (non-cancelled) events.
     live: usize,
-    /// Cancelled entries still physically queued (heap backend, or the
-    /// wheel's overflow heap).
+    /// Cancelled entries still physically queued (in the overflow
+    /// heap).
     cancelled: usize,
     now: SimTime,
     /// Generation stamp for slots created by slab growth. Zero until
@@ -462,12 +462,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero on the timing wheel.
-    pub fn new() -> Self {
-        Self::with_backend(QueueBackend::Wheel)
-    }
-
-    /// Creates an empty queue at time zero on an explicit backend.
+    /// Creates an empty queue at time zero.
     ///
     /// Reserves the full [`INITIAL_SLOTS`] slab: a realloc mid-run is
     /// a steady-state allocation the hot loop is audited against (see
@@ -478,39 +473,35 @@ impl<E> EventQueue<E> {
     /// machines peak at a few hundred in-flight events, so 1024 slots
     /// leave ample headroom without meaningful memory cost — *for one
     /// hot machine*. Fleet drivers standing up thousands of mostly-idle
-    /// machines use [`EventQueue::with_backend_and_slots`] with a small
-    /// reservation instead and let the slab grow to each machine's
-    /// actual working set.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let mut q = Self::with_backend_and_slots(backend, INITIAL_SLOTS);
+    /// machines use [`EventQueue::with_slots`] with a small reservation
+    /// instead and let the slab grow to each machine's actual working
+    /// set.
+    pub fn new() -> Self {
+        let mut q = Self::with_slots(INITIAL_SLOTS);
         q.prewarm();
         q
     }
 
-    /// Materializes every wheel bucket-head chunk up front (no-op on
-    /// the heap backend) so the steady-state loop never allocates one
-    /// mid-run — the hot-profile companion to the eager
-    /// [`INITIAL_SLOTS`] slab. Purely a storage decision: the chunks
-    /// hold only [`NIL`] heads, identical to absent chunks.
+    /// Materializes every wheel bucket-head chunk up front so the
+    /// steady-state loop never allocates one mid-run — the hot-profile
+    /// companion to the eager [`INITIAL_SLOTS`] slab. Purely a storage
+    /// decision: the chunks hold only [`NIL`] heads, identical to
+    /// absent chunks.
     pub fn prewarm(&mut self) {
-        if let Core::Wheel(wheel) = &mut self.core {
-            wheel.l0_head.materialize_all();
-            wheel.l1_head.materialize_all();
-        }
+        self.wheel.l0_head.materialize_all();
+        self.wheel.l1_head.materialize_all();
     }
 
-    /// Creates an empty queue at time zero on an explicit backend with
-    /// an explicit initial slab reservation. The slab still grows on
-    /// demand — `initial_slots` only sets where growth starts, so every
+    /// Creates an empty queue at time zero with an explicit initial
+    /// slab reservation. The slab still grows on demand —
+    /// `initial_slots` only sets where growth starts, so every
     /// observable (pop order, cancel results, `peek_time`) is identical
     /// for any value.
-    pub fn with_backend_and_slots(backend: QueueBackend, initial_slots: usize) -> Self {
-        let core = match backend {
-            QueueBackend::Heap => Core::Heap(BinaryHeap::new()),
-            QueueBackend::Wheel => Core::Wheel(Wheel::new()),
-        };
+    pub fn with_slots(initial_slots: usize) -> Self {
         EventQueue {
-            core,
+            wheel: Wheel::new(),
+            #[cfg(any(test, feature = "oracle"))]
+            heap_only: false,
             slots: Vec::with_capacity(initial_slots),
             free: Vec::with_capacity(initial_slots),
             next_seq: 0,
@@ -522,11 +513,29 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The scheduling core this queue runs on.
+    /// Oracle: [`EventQueue::new`] on an explicit backend.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_backend(backend: QueueBackend) -> Self {
+        let mut q = Self::with_backend_and_slots(backend, INITIAL_SLOTS);
+        q.prewarm();
+        q
+    }
+
+    /// Oracle: [`EventQueue::with_slots`] on an explicit backend.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_backend_and_slots(backend: QueueBackend, initial_slots: usize) -> Self {
+        let mut q = Self::with_slots(initial_slots);
+        q.heap_only = backend == QueueBackend::Heap;
+        q
+    }
+
+    /// Oracle: the scheduling core this queue runs on.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn backend(&self) -> QueueBackend {
-        match self.core {
-            Core::Heap(_) => QueueBackend::Heap,
-            Core::Wheel(_) => QueueBackend::Wheel,
+        if self.heap_only {
+            QueueBackend::Heap
+        } else {
+            QueueBackend::Wheel
         }
     }
 
@@ -570,19 +579,19 @@ impl<E> EventQueue<E> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        match &mut self.core {
-            Core::Heap(heap) => heap.push(Entry { time, seq, slot }),
-            Core::Wheel(wheel) => {
-                let t = time.as_nanos();
-                if t < wheel.l0_end {
-                    l0_link(wheel, &mut self.slots, slot);
-                } else if t < wheel.h1() {
-                    l1_link(wheel, &mut self.slots, slot);
-                } else {
-                    wheel.overflow.push(Entry { time, seq, slot });
-                    self.slots[slot as usize].loc = LOC_OVERFLOW;
-                }
-            }
+        let wheel = &mut *self.wheel;
+        let t = time.as_nanos();
+        // Heap-only oracle: route as if beyond every horizon, so the
+        // entry lands in the overflow heap (keyed by its real time).
+        #[cfg(any(test, feature = "oracle"))]
+        let t = if self.heap_only { u64::MAX } else { t };
+        if t < wheel.l0_end {
+            l0_link(wheel, &mut self.slots, slot);
+        } else if t < wheel.h1() {
+            l1_link(wheel, &mut self.slots, slot);
+        } else {
+            wheel.overflow.push(Entry { time, seq, slot });
+            self.slots[slot as usize].loc = LOC_OVERFLOW;
         }
         self.live += 1;
         EventToken { slot, generation }
@@ -593,8 +602,8 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the token had not already fired or been
     /// cancelled. Cancelling an already-fired token is a no-op (and
     /// records nothing: the slot generation moved on, so the stale
-    /// token cannot leave residue). Identical return values on both
-    /// backends; only the disposal strategy differs (see
+    /// token cannot leave residue). Disposal is eager in the wheel
+    /// levels and lazy in the overflow heap (see
     /// [`EventQueue::cancelled_backlog`]).
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let Some(slot) = self.slots.get_mut(token.slot as usize) else {
@@ -603,100 +612,65 @@ impl<E> EventQueue<E> {
         if slot.generation != token.generation || slot.cancelled {
             return false;
         }
-        match &mut self.core {
-            Core::Heap(_) => {
-                slot.cancelled = true;
-                self.live -= 1;
-                self.cancelled += 1;
-                // Keep the heap-top-is-live invariant (peek_time is a
-                // plain `&self` read).
-                self.sweep_heap_top();
-            }
-            Core::Wheel(wheel) => {
-                let loc = slot.loc;
-                if loc == LOC_OVERFLOW {
-                    slot.cancelled = true;
-                    self.live -= 1;
-                    self.cancelled += 1;
-                    self.sweep_overflow_top();
-                } else {
-                    // The slab knows the bucket: remove eagerly so no
-                    // cancelled entry ever sits in the wheel proper.
-                    // (`slot_mut` cannot allocate here — the entry is
-                    // linked into the bucket, so its chunk exists.)
-                    let (head, mask, count, b) = if (loc as usize) < N0 {
-                        let b = loc as usize;
-                        (
-                            wheel.l0_head.slot_mut(b),
-                            &mut wheel.l0_mask[..],
-                            &mut wheel.l0_count,
-                            b,
-                        )
-                    } else {
-                        let b = loc as usize - N0;
-                        (
-                            wheel.l1_head.slot_mut(b),
-                            &mut wheel.l1_mask[..],
-                            &mut wheel.l1_count,
-                            b,
-                        )
-                    };
-                    let mut prev = NIL;
-                    let mut cur = *head;
-                    while cur != token.slot {
-                        debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
-                        prev = cur;
-                        cur = self.slots[cur as usize].next;
-                    }
-                    list_unlink(&mut self.slots, head, prev, token.slot);
-                    if *head == NIL {
-                        clear_bit(mask, b);
-                    }
-                    *count -= 1;
-                    self.live -= 1;
-                    self.retire_queued(token.slot);
-                    // The removal may have emptied both wheel levels,
-                    // promoting the overflow top to global front: it
-                    // must be live (`peek_time` relies on it), and a
-                    // cancelled entry parked there would hold its slot
-                    // until the next window advance.
-                    let Core::Wheel(wheel) = &self.core else {
-                        unreachable!()
-                    };
-                    if wheel.l0_count == 0 && wheel.l1_count == 0 {
-                        self.sweep_overflow_top();
-                    }
-                }
-            }
+        let loc = slot.loc;
+        if loc == LOC_OVERFLOW {
+            slot.cancelled = true;
+            self.live -= 1;
+            self.cancelled += 1;
+            // Keep the overflow-top-is-live invariant (peek_time is a
+            // plain `&self` read).
+            self.sweep_overflow_top();
+            return true;
+        }
+        // The slab knows the bucket: remove eagerly so no cancelled
+        // entry ever sits in the wheel proper. (`slot_mut` cannot
+        // allocate here — the entry is linked into the bucket, so its
+        // chunk exists.)
+        let wheel = &mut *self.wheel;
+        let (head, mask, count, b) = if (loc as usize) < N0 {
+            let b = loc as usize;
+            (
+                wheel.l0_head.slot_mut(b),
+                &mut wheel.l0_mask[..],
+                &mut wheel.l0_count,
+                b,
+            )
+        } else {
+            let b = loc as usize - N0;
+            (
+                wheel.l1_head.slot_mut(b),
+                &mut wheel.l1_mask[..],
+                &mut wheel.l1_count,
+                b,
+            )
+        };
+        let mut prev = NIL;
+        let mut cur = *head;
+        while cur != token.slot {
+            debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
+            prev = cur;
+            cur = self.slots[cur as usize].next;
+        }
+        list_unlink(&mut self.slots, head, prev, token.slot);
+        if *head == NIL {
+            clear_bit(mask, b);
+        }
+        *count -= 1;
+        self.live -= 1;
+        self.retire_queued(token.slot);
+        // The removal may have emptied both wheel levels, promoting the
+        // overflow top to global front: it must be live (`peek_time`
+        // relies on it), and a cancelled entry parked there would hold
+        // its slot until the next window advance.
+        if self.wheel.l0_count == 0 && self.wheel.l1_count == 0 {
+            self.sweep_overflow_top();
         }
         true
     }
 
     /// Pops the next non-cancelled event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.core {
-            Core::Heap(_) => loop {
-                let Core::Heap(heap) = &mut self.core else {
-                    unreachable!()
-                };
-                let entry = heap.pop()?;
-                let (was_cancelled, event) = self.retire_queued(entry.slot);
-                if was_cancelled {
-                    continue; // was cancelled; discard and keep looking
-                }
-                self.live -= 1;
-                self.now = entry.time;
-                self.sweep_heap_top();
-                let event = event.expect("live slot owns its payload");
-                return Some((entry.time, event));
-            },
-            Core::Wheel(_) => {
-                let (time, event) = self.wheel_pop_min(SimTime::MAX)?;
-                self.live -= 1;
-                self.now = time;
-                Some((time, event))
-            }
-        }
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Pops the next event only if it fires at or before `limit`.
@@ -704,77 +678,57 @@ impl<E> EventQueue<E> {
     /// The combined peek+pop the driver loop wants: one queue access per
     /// event instead of a peek followed by a pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.core {
-            Core::Heap(heap) => {
-                // The heap top is always live (sweep invariant).
-                if heap.peek().map(|e| e.time > limit).unwrap_or(true) {
-                    return None;
-                }
-                self.pop()
-            }
-            Core::Wheel(_) => {
-                let (time, event) = self.wheel_pop_min(limit)?;
-                self.live -= 1;
-                self.now = time;
-                Some((time, event))
-            }
-        }
+        let (time, event) = self.wheel_pop_min(limit)?;
+        self.live -= 1;
+        self.now = time;
+        Some((time, event))
     }
 
     /// Returns the time of the next pending event without popping it.
     ///
-    /// Heap backend: the top is never cancelled (`pop` and `cancel`
-    /// sweep), so this is a plain O(1) read. Wheel backend: a read-only
-    /// bucket scan (no cancelled entry ever sits in the wheel, and the
-    /// overflow top is kept live by the same sweeps).
+    /// A read-only bucket scan: no cancelled entry ever sits in the
+    /// wheel levels, and the overflow top is kept live by the sweeps in
+    /// `pop` and `cancel`.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.core {
-            Core::Heap(heap) => {
-                debug_assert!(heap
-                    .peek()
-                    .map(|e| !self.slots[e.slot as usize].cancelled)
-                    .unwrap_or(true));
-                heap.peek().map(|e| e.time)
-            }
-            Core::Wheel(wheel) => {
-                if wheel.l0_count > 0 {
-                    let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
-                    let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
-                    let (_, min) = list_min(&self.slots, wheel.l0_head.get(b));
-                    return Some(self.slots[min as usize].time);
-                }
-                if wheel.l1_count > 0 {
-                    // The global minimum is in the first occupied
-                    // level-1 bucket in ring order from the window
-                    // (bucket time-ranges are monotone from there, and
-                    // all overflow times are larger still).
-                    let start = Wheel::l1_bucket(wheel.l0_end);
-                    let b = find_set_from(&wheel.l1_mask, start).expect("l1_count > 0");
-                    let (_, min) = list_min(&self.slots, wheel.l1_head.get(b));
-                    return Some(self.slots[min as usize].time);
-                }
-                debug_assert!(wheel
-                    .overflow
-                    .peek()
-                    .map(|e| !self.slots[e.slot as usize].cancelled)
-                    .unwrap_or(true));
-                wheel.overflow.peek().map(|e| e.time)
-            }
+        let wheel = &*self.wheel;
+        if wheel.l0_count > 0 {
+            let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
+            let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
+            let (_, min) = list_min(&self.slots, wheel.l0_head.get(b));
+            return Some(self.slots[min as usize].time);
         }
+        if wheel.l1_count > 0 {
+            // The global minimum is in the first occupied level-1
+            // bucket in ring order from the window (bucket time-ranges
+            // are monotone from there, and all overflow times are
+            // larger still).
+            let start = Wheel::l1_bucket(wheel.l0_end);
+            let b = find_set_from(&wheel.l1_mask, start).expect("l1_count > 0");
+            let (_, min) = list_min(&self.slots, wheel.l1_head.get(b));
+            return Some(self.slots[min as usize].time);
+        }
+        debug_assert!(wheel
+            .overflow
+            .peek()
+            .map(|e| !self.slots[e.slot as usize].cancelled)
+            .unwrap_or(true));
+        wheel.overflow.peek().map(|e| e.time)
     }
 
-    /// Wheel backend: removes and returns `(time, event)` of the
-    /// minimum entry if its time is `<= limit`, advancing the level-0
-    /// window (draining level-1 buckets, promoting overflow entries)
-    /// as needed. Advancing only happens when the result is actually
-    /// popped — a `None` return leaves the window untouched, so `now`
-    /// can never fall behind the level-0 coverage. Does not touch
-    /// `self.live`; callers account for the removed event.
+    /// Removes and returns `(time, event)` of the minimum entry if its
+    /// time is `<= limit`, advancing the level-0 window (draining
+    /// level-1 buckets, promoting overflow entries) as needed.
+    /// Advancing only happens when the result is actually popped — a
+    /// `None` return leaves the window untouched, so `now` can never
+    /// fall behind the level-0 coverage. Does not touch `self.live`;
+    /// callers account for the removed event.
     fn wheel_pop_min(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.heap_only {
+            return self.overflow_pop(limit);
+        }
         loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!("wheel_pop_min on heap backend")
-            };
+            let wheel = &mut *self.wheel;
             if wheel.l0_count > 0 {
                 let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
                 let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
@@ -789,7 +743,7 @@ impl<E> EventQueue<E> {
                 }
                 wheel.l0_count -= 1;
                 let wheel_empty = wheel.l0_count == 0 && wheel.l1_count == 0;
-                let (_, event) = self.retire_queued(min);
+                let event = self.retire_queued(min);
                 let event = event.expect("wheel entries are never cancelled in place");
                 if wheel_empty {
                     // The popped entry was the last one in the wheel
@@ -822,10 +776,7 @@ impl<E> EventQueue<E> {
             }
             // Both wheel levels empty: jump to the overflow minimum.
             self.sweep_overflow_top();
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!()
-            };
-            let head = wheel.overflow.peek()?;
+            let head = self.wheel.overflow.peek()?;
             if head.time > limit {
                 return None;
             }
@@ -852,9 +803,7 @@ impl<E> EventQueue<E> {
     /// can never land behind the hopped window.
     fn wheel_advance_to(&mut self, new_end: u64) {
         loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!()
-            };
+            let wheel = &mut *self.wheel;
             if wheel.l0_end >= new_end {
                 break;
             }
@@ -913,7 +862,7 @@ impl<E> EventQueue<E> {
                 if self.slots[slot as usize].cancelled {
                     // Lazily cancelled while parked in overflow:
                     // retire the slot in place (inlined so the wheel
-                    // borrow from `self.core` stays disjoint).
+                    // borrow from `self.wheel` stays disjoint).
                     self.cancelled -= 1;
                     let s = &mut self.slots[slot as usize];
                     s.generation += 1;
@@ -935,59 +884,50 @@ impl<E> EventQueue<E> {
 
     /// Retires the slab slot of an entry leaving the queue structure
     /// (popped, swept, or eagerly cancelled), invalidating outstanding
-    /// tokens. Returns whether it had been (lazily) cancelled plus the
-    /// payload the slot owned.
-    fn retire_queued(&mut self, slot: u32) -> (bool, Option<E>) {
+    /// tokens. Returns the payload the slot owned.
+    fn retire_queued(&mut self, slot: u32) -> Option<E> {
         let s = &mut self.slots[slot as usize];
         s.generation += 1;
         s.loc = LOC_NONE;
         s.next = NIL;
         let event = s.event.take();
-        let was_cancelled = std::mem::replace(&mut s.cancelled, false);
-        if was_cancelled {
+        if std::mem::replace(&mut s.cancelled, false) {
             self.cancelled -= 1;
         }
         self.free.push(slot);
-        (was_cancelled, event)
+        event
     }
 
-    /// Discards cancelled entries sitting at the heap top so that the
-    /// top is always live (heap backend).
-    fn sweep_heap_top(&mut self) {
-        loop {
-            let Core::Heap(heap) = &mut self.core else {
-                return;
-            };
-            let Some(top) = heap.peek() else { return };
-            if !self.slots[top.slot as usize].cancelled {
-                return;
-            }
-            let entry = heap.pop().expect("peeked non-empty");
-            self.retire_queued(entry.slot);
-        }
-    }
-
-    /// Discards cancelled entries sitting at the overflow-heap top
-    /// (wheel backend), so overflow peeks always see a live entry.
+    /// Discards cancelled entries sitting at the overflow-heap top, so
+    /// overflow peeks always see a live entry.
     fn sweep_overflow_top(&mut self) {
-        loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                return;
-            };
-            let Some(top) = wheel.overflow.peek() else {
-                return;
-            };
+        while let Some(top) = self.wheel.overflow.peek() {
             if !self.slots[top.slot as usize].cancelled {
                 return;
             }
-            let entry = wheel.overflow.pop().expect("peeked non-empty");
+            let entry = self.wheel.overflow.pop().expect("peeked non-empty");
             self.retire_queued(entry.slot);
         }
+    }
+
+    /// Heap-only oracle: pops the overflow top if it fires at or before
+    /// `limit`, without promoting it into the calendar, then sweeps so
+    /// the new top is live.
+    #[cfg(any(test, feature = "oracle"))]
+    fn overflow_pop(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        // The top is always live (sweep invariant).
+        if self.wheel.overflow.peek()?.time > limit {
+            return None;
+        }
+        let entry = self.wheel.overflow.pop().expect("peeked non-empty");
+        let event = self.retire_queued(entry.slot);
+        self.sweep_overflow_top();
+        Some((entry.time, event.expect("live slot owns its payload")))
     }
 
     /// Releases memory retained past the current working set: trailing
-    /// free slab slots (and their spare capacity), the overflow/heap
-    /// storage's spare capacity, and bucket-head chunks whose buckets
+    /// free slab slots (and their spare capacity), the overflow heap's
+    /// spare capacity, and bucket-head chunks whose buckets
     /// are all empty. Bounded by the structures' current sizes and
     /// observably inert — pop order, cancel results, and `peek_time`
     /// are identical with or without the call — so fleet drivers can
@@ -997,14 +937,10 @@ impl<E> EventQueue<E> {
     /// slots start above every truncated generation (`gen_floor`).
     pub fn compact(&mut self) {
         self.slab_hwm = self.slab_hwm.max(self.slots.len());
-        match &mut self.core {
-            Core::Heap(heap) => heap.shrink_to_fit(),
-            Core::Wheel(wheel) => {
-                wheel.overflow.shrink_to_fit();
-                wheel.l0_head.release_empty(&wheel.l0_mask);
-                wheel.l1_head.release_empty(&wheel.l1_mask);
-            }
-        }
+        let wheel = &mut *self.wheel;
+        wheel.overflow.shrink_to_fit();
+        wheel.l0_head.release_empty(&wheel.l0_mask);
+        wheel.l1_head.release_empty(&wheel.l1_mask);
         // Drop the free tail of the slab: slots at the end that hold no
         // queued entry can go, and the free list forgets them. Interior
         // free slots stay (their indices are linked into live bucket
@@ -1040,20 +976,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Approximate resident bytes held by the queue's own structures
-    /// (slab, free list, heap storage, materialized bucket chunks).
+    /// (slab, free list, overflow heap, materialized bucket chunks).
     /// Payload-internal allocations are not counted.
     pub fn resident_bytes(&self) -> usize {
         let slab = self.slots.capacity() * std::mem::size_of::<Slot<E>>();
         let free = self.free.capacity() * std::mem::size_of::<u32>();
-        let core = match &self.core {
-            Core::Heap(heap) => heap.capacity() * std::mem::size_of::<Entry>(),
-            Core::Wheel(wheel) => {
-                wheel.overflow.capacity() * std::mem::size_of::<Entry>()
-                    + wheel.l0_head.resident_bytes()
-                    + wheel.l1_head.resident_bytes()
-            }
-        };
-        slab + free + core
+        let wheel = self.wheel.overflow.capacity() * std::mem::size_of::<Entry>()
+            + self.wheel.l0_head.resident_bytes()
+            + self.wheel.l1_head.resident_bytes();
+        slab + free + wheel
     }
 
     /// Number of pending (non-cancelled) events.
@@ -1063,8 +994,8 @@ impl<E> EventQueue<E> {
 
     /// Cancellation records not yet swept out of the queue structures
     /// (diagnostics; always bounded by the number of queued entries).
-    /// Backend-dependent: the heap cancels lazily everywhere, the
-    /// wheel only in its overflow heap.
+    /// Cancellation is lazy only in the overflow heap — which, in the
+    /// heap-only oracle, holds every entry.
     pub fn cancelled_backlog(&self) -> usize {
         self.cancelled
     }
@@ -1552,6 +1483,54 @@ mod tests {
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(order, vec![1, 2, 3], "{be:?}");
         }
+    }
+
+    #[test]
+    fn heap_oracle_never_touches_the_calendar() {
+        // The heap-only oracle must stay independent of the levels it
+        // checks: randomized schedule / cancel / limited-pop traffic
+        // spread over level 0, level 1 and overflow never links an
+        // entry into the calendar, and matches the wheel op for op.
+        let mut rng = crate::rng::Rng::new(0x0AC1E);
+        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut tokens = Vec::new();
+        let mut calendar_used = false;
+        for step in 0..20_000u64 {
+            let now = heap.now().as_nanos();
+            match rng.next_below(4) {
+                0 | 1 => {
+                    // Level 0 (< 131 µs), level 1 (< 33 ms) or overflow.
+                    let span = [100_000, 30_000_000, 2_000_000_000][rng.next_below(3) as usize];
+                    let at = SimTime::from_nanos(now + rng.next_below(span));
+                    tokens.push((heap.schedule(at, step), wheel.schedule(at, step)));
+                }
+                2 => {
+                    if let Some(&(h, w)) = rng.pick(&tokens) {
+                        assert_eq!(heap.cancel(h), wheel.cancel(w), "step {step}");
+                    }
+                }
+                _ => {
+                    let limit = SimTime::from_nanos(now + rng.next_below(20_000_000));
+                    let got = heap.pop_at_or_before(limit);
+                    assert_eq!(got, wheel.pop_at_or_before(limit), "step {step}");
+                }
+            }
+            assert_eq!(heap.peek_time(), wheel.peek_time(), "step {step}");
+            assert_eq!(
+                (heap.wheel.l0_count, heap.wheel.l1_count),
+                (0, 0),
+                "step {step}: heap oracle linked into the calendar"
+            );
+            calendar_used |= wheel.wheel.l0_count > 0 && wheel.wheel.l1_count > 0;
+        }
+        assert!(calendar_used, "traffic must reach both wheel levels");
+        while let Some(got) = heap.pop() {
+            assert_eq!(Some(got), wheel.pop());
+            assert_eq!((heap.wheel.l0_count, heap.wheel.l1_count), (0, 0));
+        }
+        assert!(wheel.is_empty());
+        assert_eq!(heap.cancelled_backlog(), 0);
     }
 
     #[test]

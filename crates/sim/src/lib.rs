@@ -55,7 +55,9 @@ pub mod trace;
 
 pub use arena::{Arena, ArenaStats};
 pub use dist::{Dist, PreparedDist};
-pub use event::{EventQueue, EventToken, QueueBackend};
+#[cfg(any(test, feature = "oracle"))]
+pub use event::QueueBackend;
+pub use event::{EventQueue, EventToken};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
 pub use footprint::FootprintProfile;
 pub use hist::Histogram;

@@ -10,7 +10,9 @@
 //!    reuse). `cancelled_backlog` is the one backend-dependent
 //!    diagnostic: the spec mirrors the *heap*'s lazy disposal, so that
 //!    assertion is pinned to the heap backend (the wheel removes
-//!    cancelled entries eagerly everywhere but its overflow heap).
+//!    cancelled entries eagerly everywhere but its overflow heap). The
+//!    heap backend is the wheel with its calendar off, available under
+//!    the dev-only `oracle` feature this crate's tests enable.
 //!
 //! 2. **Wheel-vs-heap differential** (≥100k ops) — the two backends
 //!    run the same interleaved push/cancel/advance sequence, with time
