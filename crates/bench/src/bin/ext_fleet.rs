@@ -70,7 +70,7 @@ fn main() {
             }
             "--sequential" => driver = FleetDriver::Sequential,
             // CI smoke size: small enough for a PR gate, large enough
-            // to exercise churn, the storm, and post-storm compaction.
+            // to exercise churn, the storm, and storm recovery.
             "--quick" => {
                 cfg.machines = 64;
                 cfg.epochs = 8;

@@ -330,7 +330,7 @@ pub struct Machine {
     unrouted: u64,
 
     tracer: Option<Tracer>,
-    /// Present only when the (env-overlaid) fault plan is active; a
+    /// Present only when `MachineConfig::faults` is active; a
     /// `None` here means zero fault branches are ever taken.
     fault: Option<FaultInjector>,
     health: FaultHealth,
@@ -674,30 +674,9 @@ impl Machine {
         }
     }
 
-    /// Releases memory retained past each subsystem's current working
-    /// set: the event queue's storm-peak slab/overflow storage, the
-    /// payload arenas' and skipped-deadline heap's spare capacity, every
-    /// DP rx ring's backing store, and the tenant staging rings. Bounded
-    /// work, observably inert — the simulated schedule, stats, and
-    /// traces are byte-identical with or without the call — so fleet
-    /// drivers invoke it after storm recovery to keep resident memory
-    /// flat across repeated storms.
-    pub fn compact(&mut self) {
-        self.queue.compact();
-        self.packets.compact();
-        self.vm_jobs.compact();
-        self.spawn_jobs.compact();
-        self.skipped_deadlines.shrink_to_fit();
-        for s in &mut self.services {
-            s.compact();
-        }
-        self.accel.compact_tenant_rings();
-    }
-
     /// Memory high-water marks for fleet footprint accounting: the
     /// event slab's peak slot count and the deepest rx-ring occupancy
-    /// across DP services and tenant staging rings. Both survive
-    /// [`Machine::compact`].
+    /// across DP services and tenant staging rings.
     pub fn memory_high_watermarks(&self) -> (usize, usize) {
         let ring = self
             .services
@@ -918,9 +897,7 @@ impl Machine {
             }
             Event::SpawnBatch { job, batch } => {
                 for p in self.spawn_jobs.unpark(job) {
-                    let p = self.maybe_transform(p);
-                    let aff = self.cp_affinity;
-                    let tid = self.with_kernel(|k, now, out| k.spawn(p, aff, now, out));
+                    let tid = self.spawn_cp_now(p);
                     self.batches[batch].push(tid);
                 }
             }
@@ -1008,6 +985,14 @@ impl Machine {
             }
             return;
         }
+        let out = self.accel.ingest(&mut packet, self.now, &mut self.hw_probe);
+        self.schedule_pipeline(packet, out);
+    }
+
+    /// Ledgers a packet the accelerator just ingested and schedules its
+    /// probe IRQ and shared-memory delivery (shared by the direct
+    /// single-tenant path and the arbiter issue path).
+    fn schedule_pipeline(&mut self, packet: Packet, out: taichi_hw::accel::PipelineOutput) {
         if let Some(si) = self.dp_index(packet.dest_cpu) {
             self.dp_inflight[si] += 1;
         } else {
@@ -1016,14 +1001,6 @@ impl Machine {
             // balances even while the packet is still in the pipeline.
             self.unrouted += 1;
         }
-        let out = self.accel.ingest(&mut packet, self.now, &mut self.hw_probe);
-        self.schedule_pipeline(packet, out);
-    }
-
-    /// Schedules the probe IRQ and shared-memory delivery for a packet
-    /// the accelerator just ingested (shared by the direct single-tenant
-    /// path and the arbiter issue path).
-    fn schedule_pipeline(&mut self, packet: Packet, out: taichi_hw::accel::PipelineOutput) {
         if let Some(cpu) = out.probe_irq {
             // A probe IRQ lost in the fabric is survivable: the probe
             // re-checks the CPU state when the packet reaches shared
@@ -1058,11 +1035,6 @@ impl Machine {
         self.arbiter_armed = false;
         let now = self.now;
         if let Some((packet, out)) = self.accel.issue_next(now, &mut self.hw_probe) {
-            if let Some(si) = self.dp_index(packet.dest_cpu) {
-                self.dp_inflight[si] += 1;
-            } else {
-                self.unrouted += 1;
-            }
             self.schedule_pipeline(packet, out);
         }
         self.kick_arbiter();
@@ -1093,19 +1065,7 @@ impl Machine {
         // stage ③ runs through the same accelerator, making the
         // second check as cheap as the first.
         if self.hw_probe.is_enabled() {
-            if let Some(idx) = self.vsched.occupant(host) {
-                match self.vsched.vcpu(idx).state() {
-                    VcpuState::Running { .. } => {
-                        self.trace(host, TraceKind::ProbeRecheck);
-                        self.begin_vcpu_exit(idx, VmExitReason::HwProbe);
-                    }
-                    VcpuState::Entering { .. } => {
-                        self.trace(host, TraceKind::ProbeRecheck);
-                        self.pending_preempt[idx] = true;
-                    }
-                    _ => {}
-                }
-            }
+            self.probe_preempt(host, true);
         }
         // The occupant's VM-exit path drains the backlog.
     }
@@ -1356,10 +1316,10 @@ impl Machine {
         let vid = self.orchestrator.vcpu_cpu_id(idx);
         self.with_kernel(|k, now, out| k.pause_cpu(vid, now, out));
         self.vsched.vcpu_mut(idx).begin_exit(reason, self.now);
-        self.vcpu_gen[idx] += 1; // invalidate any pending slice timer
-                                 // The invalidated slice timer can never match again: elide it.
-                                 // When this exit *is* the slice expiry, the token is already
-                                 // stale and the cancel records nothing.
+        // Invalidate any pending slice timer. It can never match again,
+        // so elide it; when this exit *is* the slice expiry, the token
+        // is already stale and the cancel records nothing.
+        self.vcpu_gen[idx] += 1;
         let old = self.vcpu_slice_tok[idx].take();
         self.skip_stale(old);
         // Full switch latency (VM-exit + pCPU context restore): the
@@ -1444,9 +1404,8 @@ impl Machine {
             }
         }
 
-        if self.dp_index(host).is_some() {
+        if let Some(si) = self.dp_index(host) {
             let now = self.now;
-            let si = self.dp_index(host).expect("checked");
             self.services[si].mark_polluted(now);
             self.services[si].restart_polling(now);
             self.start_processing(host);
@@ -1499,17 +1458,31 @@ impl Machine {
 
     fn on_probe_irq(&mut self, host: CpuId) {
         self.trace(host, TraceKind::ProbeIrq);
+        self.probe_preempt(host, false);
+    }
+
+    /// Hardware-probe preemption of `host`'s vCPU occupant: a Running
+    /// vCPU VM-exits now, an Entering one as soon as its entry
+    /// completes; with no occupant (stale: the vCPU already left) or
+    /// one already exiting, nothing happens. `recheck` traces
+    /// [`TraceKind::ProbeRecheck`] before the preemption, and only
+    /// when there is one.
+    fn probe_preempt(&mut self, host: CpuId, recheck: bool) {
         let Some(idx) = self.vsched.occupant(host) else {
-            return; // stale: the vCPU already left
+            return;
         };
-        match self.vsched.vcpu(idx).state() {
-            VcpuState::Running { .. } => {
-                self.begin_vcpu_exit(idx, VmExitReason::HwProbe);
-            }
-            VcpuState::Entering { .. } => {
-                self.pending_preempt[idx] = true;
-            }
-            _ => {}
+        let running = match self.vsched.vcpu(idx).state() {
+            VcpuState::Running { .. } => true,
+            VcpuState::Entering { .. } => false,
+            _ => return,
+        };
+        if recheck {
+            self.trace(host, TraceKind::ProbeRecheck);
+        }
+        if running {
+            self.begin_vcpu_exit(idx, VmExitReason::HwProbe);
+        } else {
+            self.pending_preempt[idx] = true;
         }
     }
 
@@ -1711,10 +1684,7 @@ impl Machine {
             } else {
                 CpTaskKind::DeviceManagement
             };
-            let p = factory.build(kind, &mut rng);
-            let p = self.maybe_transform(p);
-            let aff = self.cp_affinity;
-            self.with_kernel(|k, now, out| k.spawn(p, aff, now, out));
+            self.spawn_cp_now(factory.build(kind, &mut rng));
         }
         self.queue
             .schedule(self.now + plan.storm_period, Event::FaultStorm);
@@ -1757,13 +1727,7 @@ impl Machine {
     }
 
     fn on_vm_create(&mut self, request: VmCreateRequest, programs: Vec<Program>) {
-        let mut tids = Vec::with_capacity(programs.len());
-        for p in programs {
-            let p = self.maybe_transform(p);
-            let aff = self.cp_affinity;
-            let tid = self.with_kernel(|k, now, out| k.spawn(p, aff, now, out));
-            tids.push(tid);
-        }
+        let tids: Vec<ThreadId> = programs.into_iter().map(|p| self.spawn_cp_now(p)).collect();
         let tracker_idx = self.trackers.len();
         for &tid in &tids {
             self.tid_to_tracker.insert(tid, tracker_idx);
@@ -1899,7 +1863,7 @@ impl Machine {
             .sum()
     }
 
-    /// The fault injector, when the (env-overlaid) plan is active.
+    /// The fault injector, when `MachineConfig::faults` is active.
     pub fn fault(&self) -> Option<&FaultInjector> {
         self.fault.as_ref()
     }

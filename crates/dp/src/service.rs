@@ -344,19 +344,11 @@ impl DpService {
         &self.tagged
     }
 
-    /// Takes the accumulated latency records, leaving an empty
-    /// recorder behind. Epoch-oriented drivers (the fleet layer) drain
-    /// each machine per epoch and fold the delta into a streaming
-    /// aggregate, so no service retains its full history; counters
-    /// (`processed`, `dropped`) stay cumulative.
-    pub fn take_recorder(&mut self) -> LatencyRecorder {
-        std::mem::take(&mut self.recorder)
-    }
-
     /// Merges the accumulated latency records into `dest` and clears
-    /// them in place — the allocation-free sibling of
-    /// [`DpService::take_recorder`] for epoch-oriented drivers that
-    /// drain every machine every epoch. Counters stay cumulative.
+    /// them in place, without allocating. Epoch-oriented drivers (the
+    /// fleet layer) drain each machine per epoch and fold the delta
+    /// into a streaming aggregate, so no service retains its full
+    /// history; counters (`processed`, `dropped`) stay cumulative.
     pub fn drain_recorder_into(&mut self, dest: &mut LatencyRecorder) {
         self.recorder.drain_into(dest);
     }
@@ -366,21 +358,10 @@ impl DpService {
         &self.tenant_recorders
     }
 
-    /// Takes the per-tenant recorders, leaving empty ones behind (the
-    /// per-tenant sibling of [`DpService::take_recorder`]). Counters
-    /// stay cumulative.
-    pub fn take_tenant_recorders(&mut self) -> Vec<LatencyRecorder> {
-        let n = self.tenant_recorders.len();
-        std::mem::replace(
-            &mut self.tenant_recorders,
-            (0..n).map(|_| LatencyRecorder::new()).collect(),
-        )
-    }
-
     /// Merges each tenant's records into `dest[t]` (growing `dest` to
     /// the tenant count if needed) and clears them in place — the
-    /// allocation-free sibling of
-    /// [`DpService::take_tenant_recorders`]. Counters stay cumulative.
+    /// per-tenant sibling of [`DpService::drain_recorder_into`].
+    /// Counters stay cumulative.
     pub fn drain_tenant_recorders_into(&mut self, dest: &mut Vec<LatencyRecorder>) {
         if dest.len() < self.tenant_recorders.len() {
             dest.resize_with(self.tenant_recorders.len(), LatencyRecorder::new);
@@ -428,12 +409,6 @@ impl DpService {
     /// Deepest rx-ring occupancy ever observed.
     pub fn ring_high_watermark(&self) -> usize {
         self.queue.high_watermark()
-    }
-
-    /// Releases rx-ring backing storage beyond the current occupancy
-    /// (the capacity bound is untouched; observably inert).
-    pub fn compact(&mut self) {
-        self.queue.compact();
     }
 
     /// Resident bytes of the rx ring's backing storage.
@@ -735,8 +710,11 @@ mod tests {
         assert_eq!(s.tenant_recorders()[1].packets(), 3);
         // The merged recorder still sees everything.
         assert_eq!(s.recorder().packets(), 6);
-        let drained = s.take_tenant_recorders();
+        let mut drained = Vec::new();
+        s.drain_tenant_recorders_into(&mut drained);
         assert_eq!(drained.len(), 2);
+        assert_eq!(drained[0].packets(), 3);
+        assert_eq!(drained[1].packets(), 3);
         assert_eq!(s.tenant_recorders()[0].packets(), 0);
     }
 

@@ -431,7 +431,6 @@ impl MachineSlot {
     fn run_epoch_into(
         &mut self,
         cfg: &FleetConfig,
-        epoch: usize,
         end: SimTime,
         plan: &EpochPlan,
         out: &mut WorkerDelta,
@@ -490,14 +489,6 @@ impl MachineSlot {
         self.last_dropped = dropped;
         self.last_events = events;
 
-        // One epoch after the storm the creation burst has drained:
-        // release the slab/ring/overflow capacity it forced. Both
-        // drivers fire this at the same epoch; compaction touches only
-        // backing storage, never observable state, so the identity
-        // matrix pins that it changes no output byte.
-        if cfg.storm_epoch.map(|s| s + 1) == Some(epoch) {
-            self.machine.compact();
-        }
         let (slab, ring) = self.machine.memory_high_watermarks();
         out.slab_hwm = out.slab_hwm.max(slab);
         out.ring_hwm = out.ring_hwm.max(ring);
@@ -653,7 +644,7 @@ impl RackAccum {
         self.epoch_injected = 0;
         self.epoch_vm_creates = 0;
         // The run-level figure is the *latest* epoch-boundary sample:
-        // resident memory after the final epoch, post any compaction.
+        // resident memory after the final epoch.
         self.resident_bytes = self.epoch_resident;
         self.epoch_resident = 0;
         self.rows.push(row);
@@ -955,7 +946,7 @@ fn run_sequential(cfg: &FleetConfig) -> FleetResult {
         fill_plans(cfg, e, acc.congested(), &mut plans, None);
         let end = cfg.epoch_start(e + 1);
         for slot in &mut slots {
-            slot.run_epoch_into(cfg, e, end, &plans[slot.index], &mut scratch);
+            slot.run_epoch_into(cfg, end, &plans[slot.index], &mut scratch);
         }
         acc.fold_worker(&mut scratch);
         acc.close_epoch(cfg, e);
@@ -1009,13 +1000,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                         Some((w, workers)),
                     );
                     for slot in &mut slots {
-                        slot.run_epoch_into(
-                            &cfg,
-                            cmd.epoch,
-                            cmd.end,
-                            &plans[slot.index],
-                            &mut delta,
-                        );
+                        slot.run_epoch_into(&cfg, cmd.end, &plans[slot.index], &mut delta);
                     }
                     if delta_tx.send(delta).is_err() {
                         return;
@@ -1123,8 +1108,9 @@ mod tests {
 
     #[test]
     fn footprint_profiles_share_one_fingerprint() {
-        // No storm: the post-storm compact would converge both
-        // profiles' backing storage and mask the reservation gap.
+        // No storm, so the comparison isolates the up-front
+        // reservations: a storm peak grows the fleet profile's slab and
+        // rings (which never shrink) toward the hot profile's.
         let profile = |footprint| {
             let mut cfg = FleetConfig {
                 storm_epoch: None,

@@ -34,9 +34,9 @@ fn config(epochs: usize) -> FleetConfig {
         machines: MACHINES,
         epochs,
         churn_per_epoch: 2.0,
-        // No storm: the storm's rack-wide VM creation burst and the
-        // post-storm compact() are deliberate, bounded allocation
-        // spikes; the budget here pins the steady state.
+        // No storm: the storm's rack-wide VM creation burst is a
+        // deliberate, bounded allocation spike; the budget here pins
+        // the steady state.
         storm_epoch: None,
         ..FleetConfig::default()
     }

@@ -377,16 +377,6 @@ impl Accelerator {
         })
     }
 
-    /// Releases each tenant staging ring's backing storage beyond its
-    /// current occupancy (capacity bounds untouched; observably inert).
-    pub fn compact_tenant_rings(&mut self) {
-        if let Some(a) = &mut self.arbiter {
-            for q in &mut a.rings {
-                q.compact();
-            }
-        }
-    }
-
     /// Resident bytes across the tenant staging rings' backing stores.
     pub fn tenant_ring_resident_bytes(&self) -> usize {
         self.arbiter

@@ -173,14 +173,6 @@ impl RxQueue {
         self.high_watermark
     }
 
-    /// Releases backing storage beyond the current occupancy. The
-    /// logical capacity bound (and with it every future drop/reject
-    /// decision) is untouched, so the call is observably inert — fleet
-    /// drivers use it to shed a storm peak's retained ring memory.
-    pub fn compact(&mut self) {
-        self.ring.shrink_to_fit();
-    }
-
     /// Resident bytes of the ring's backing storage.
     pub fn resident_bytes(&self) -> usize {
         self.ring.capacity() * std::mem::size_of::<Packet>()

@@ -17,8 +17,8 @@ pub struct ArenaStats {
     pub live: usize,
     /// Slots waiting on the free list.
     pub free: usize,
-    /// Slots allocated: the arena's high-water mark (until
-    /// [`Arena::compact`] drops a free tail).
+    /// Slots allocated: the arena's high-water mark (the slab never
+    /// shrinks).
     pub slots: usize,
 }
 
@@ -86,18 +86,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Drops the free tail of the slab and releases spare capacity.
-    /// Live handles keep their slots, so parked values are untouched.
-    pub fn compact(&mut self) {
-        while matches!(self.slots.last(), Some(None)) {
-            self.slots.pop();
-        }
-        let len = self.slots.len();
-        self.free.retain(|&h| (h as usize) < len);
-        self.slots.shrink_to_fit();
-        self.free.shrink_to_fit();
-    }
-
     /// Resident bytes of the slab and free list (allocations owned by
     /// the parked values themselves are not counted).
     pub fn resident_bytes(&self) -> usize {
@@ -132,15 +120,20 @@ mod tests {
 
     #[test]
     fn compact_keeps_live_values() {
+        // (Name kept from the slab-compaction era; the arena now never
+        // shrinks.) Live values survive churn around them.
         let mut a = Arena::default();
         let hs: Vec<u32> = (0..100).map(|i| a.park(i)).collect();
         for &h in &hs[1..] {
             a.unpark(h);
         }
-        a.compact();
-        assert_eq!(a.stats().slots, 1, "free tail dropped");
+        for i in 0..50 {
+            let h = a.park(1000 + i);
+            assert_ne!(h, hs[0], "a live slot is never handed out");
+            assert_eq!(a.unpark(h), 1000 + i);
+        }
+        assert_eq!(a.stats().slots, 100, "the slab keeps its peak");
         assert_eq!(a.unpark(hs[0]), 0);
-        assert_eq!(a.park(7), 0);
     }
 
     #[test]

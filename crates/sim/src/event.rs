@@ -266,16 +266,6 @@ impl<const WORDS: usize> HeadTable<WORDS> {
         }
     }
 
-    /// Releases chunks whose occupancy-bitmap word is zero (every head
-    /// in them is provably [`NIL`]).
-    fn release_empty(&mut self, mask: &[u64; WORDS]) {
-        for (chunk, &word) in self.chunks.iter_mut().zip(mask.iter()) {
-            if word == 0 {
-                *chunk = None;
-            }
-        }
-    }
-
     /// Resident bytes held by materialized chunks.
     fn resident_bytes(&self) -> usize {
         self.chunks.iter().flatten().count() * std::mem::size_of::<[u32; 64]>()
@@ -445,14 +435,6 @@ pub struct EventQueue<E> {
     /// heap).
     cancelled: usize,
     now: SimTime,
-    /// Generation stamp for slots created by slab growth. Zero until
-    /// [`EventQueue::compact`] truncates the slab: freshly regrown
-    /// slots must start *above* every generation the truncated slots
-    /// ever issued, or a stale token from before the compaction could
-    /// alias a new occupant of the same index and cancel a live event.
-    gen_floor: u64,
-    /// Largest slab length ever reached, surviving compaction.
-    slab_hwm: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -508,8 +490,6 @@ impl<E> EventQueue<E> {
             live: 0,
             cancelled: 0,
             now: SimTime::ZERO,
-            gen_floor: 0,
-            slab_hwm: 0,
         }
     }
 
@@ -566,8 +546,10 @@ impl<E> EventQueue<E> {
                 s
             }
             None => {
+                // The slab never shrinks, so a new index has never been
+                // issued: generation 0 cannot alias any outstanding token.
                 self.slots.push(Slot {
-                    generation: self.gen_floor,
+                    generation: 0,
                     cancelled: false,
                     loc: LOC_NONE,
                     time,
@@ -925,54 +907,11 @@ impl<E> EventQueue<E> {
         Some((entry.time, event.expect("live slot owns its payload")))
     }
 
-    /// Releases memory retained past the current working set: trailing
-    /// free slab slots (and their spare capacity), the overflow heap's
-    /// spare capacity, and bucket-head chunks whose buckets
-    /// are all empty. Bounded by the structures' current sizes and
-    /// observably inert — pop order, cancel results, and `peek_time`
-    /// are identical with or without the call — so fleet drivers can
-    /// invoke it after a storm peak without disturbing byte-identity.
-    /// Stale tokens referencing truncated slots stay dead: out-of-range
-    /// slots report the usual recorded-nothing `false`, and regrown
-    /// slots start above every truncated generation (`gen_floor`).
-    pub fn compact(&mut self) {
-        self.slab_hwm = self.slab_hwm.max(self.slots.len());
-        let wheel = &mut *self.wheel;
-        wheel.overflow.shrink_to_fit();
-        wheel.l0_head.release_empty(&wheel.l0_mask);
-        wheel.l1_head.release_empty(&wheel.l1_mask);
-        // Drop the free tail of the slab: slots at the end that hold no
-        // queued entry can go, and the free list forgets them. Interior
-        // free slots stay (their indices are linked into live bucket
-        // lists' numbering); in practice post-storm slabs are a dense
-        // live prefix plus a long free tail.
-        let mut is_free = vec![false; self.slots.len()];
-        for &f in &self.free {
-            is_free[f as usize] = true;
-        }
-        let mut new_len = self.slots.len();
-        while new_len > 0 && is_free[new_len - 1] {
-            new_len -= 1;
-        }
-        if new_len < self.slots.len() {
-            let floor = self.slots[new_len..]
-                .iter()
-                .map(|s| s.generation + 1)
-                .max()
-                .unwrap_or(0);
-            self.gen_floor = self.gen_floor.max(floor);
-            self.slots.truncate(new_len);
-            self.free.retain(|&f| (f as usize) < new_len);
-        }
-        self.slots.shrink_to_fit();
-        self.free.shrink_to_fit();
-    }
-
-    /// Largest slab length ever reached (slots, not bytes), surviving
-    /// [`EventQueue::compact`] truncation — the storm-peak watermark
-    /// fleet stats report.
+    /// Largest slab length ever reached (slots, not bytes) — the
+    /// storm-peak watermark fleet stats report. The slab never shrinks,
+    /// so this is its current length.
     pub fn slab_high_watermark(&self) -> usize {
-        self.slab_hwm.max(self.slots.len())
+        self.slots.len()
     }
 
     /// Approximate resident bytes held by the queue's own structures
@@ -1435,10 +1374,10 @@ mod tests {
 
     #[test]
     fn compact_releases_storm_peak_and_keeps_tokens_dead() {
-        // A burst inflates the slab; compact() must shed the free tail,
-        // keep the high-water mark visible, and never let a
-        // pre-compaction token cancel a post-compaction occupant of a
-        // recycled slot index.
+        // (Name kept from the slab-compaction era; the slab now never
+        // shrinks.) A burst inflates the slab, the high-water mark stays
+        // visible after it drains, and no pre-storm token ever cancels a
+        // later occupant of a recycled slot index.
         for be in BACKENDS {
             let mut q = EventQueue::with_backend_and_slots(be, 4);
             let stale: Vec<_> = (0..4000u64)
@@ -1447,13 +1386,12 @@ mod tests {
             while q.pop().is_some() {}
             let peak = q.slab_high_watermark();
             assert!(peak >= 1000, "{be:?}: storm should inflate the slab");
-            q.compact();
-            assert!(q.slots.is_empty(), "{be:?}: free tail dropped");
-            assert_eq!(q.slab_high_watermark(), peak, "{be:?}: HWM survives");
-            // Regrow over the same indices; every stale token is dead.
+            // Refill over the same (recycled) indices; every stale token
+            // is dead and the watermark does not move.
             let fresh: Vec<_> = (0..4000u64)
                 .map(|i| q.schedule(SimTime::from_nanos(10_000 + i), i))
                 .collect();
+            assert_eq!(q.slab_high_watermark(), peak, "{be:?}: HWM stays visible");
             for t in stale {
                 assert!(!q.cancel(t), "{be:?}: stale token aliased a live slot");
             }
@@ -1468,10 +1406,11 @@ mod tests {
 
     #[test]
     fn compact_with_live_entries_is_inert() {
+        // (Name kept from the slab-compaction era.) Cancel churn leaves
+        // free slots behind; entries on all three levels still pop in
+        // order.
         for be in BACKENDS {
             let mut q = EventQueue::with_backend_and_slots(be, 4);
-            // Live entries across all wheel levels, plus churn to leave
-            // free slots behind them.
             for i in 0..500u64 {
                 let t = q.schedule(SimTime::from_nanos(i + 1), i);
                 q.cancel(t);
@@ -1479,7 +1418,6 @@ mod tests {
             q.schedule(SimTime::from_nanos(40), 1u64);
             q.schedule(SimTime::from_micros(200), 2);
             q.schedule(SimTime::from_secs(2), 3);
-            q.compact();
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(order, vec![1, 2, 3], "{be:?}");
         }

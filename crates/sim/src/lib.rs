@@ -7,8 +7,9 @@
 //! - [`time`]: a nanosecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]).
 //! - [`event`]: a deterministic event queue with FIFO tie-breaking and
-//!   cancellation tokens, backed by a hierarchical timing wheel (or the
-//!   binary-heap reference backend, chosen by value).
+//!   cancellation tokens, backed by a hierarchical timing wheel (test
+//!   builds and the dev-only `oracle` feature add a heap-only reference
+//!   mode).
 //! - [`arena`]: a handle-addressed side table that keeps large event
 //!   payloads out of the queue.
 //! - [`inline_vec`]: an allocation-free small vector for hot-path

@@ -370,12 +370,8 @@ fn overflow_cancel_storm_retires_every_slot() {
 /// - sparse occupancy — event clusters separated by whole 64-bucket
 ///   chunk ranges, so most chunks stay absent while level hops cross
 ///   them;
-/// - repeated [`EventQueue::compact`] calls at arbitrary moments
-///   (live entries pending, sometimes mid-cluster), which release
-///   empty chunks and truncate the slab: the generation floor must
-///   keep every pre-compaction token dead, and regrowth must not
-///   perturb ordering;
-/// - stale-token cancels across compactions on all three queues.
+/// - stale-token cancels on all three queues, reaching arbitrarily far
+///   back across slot reuse.
 #[test]
 fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
     let mut rng = Rng::new(0xC01D_57A7);
@@ -411,9 +407,9 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
                 ));
             }
             4 if !tokens.is_empty() => {
-                // Cancels reach arbitrarily far back: post-compaction
-                // tokens from truncated slots must report dead on the
-                // small queue exactly when they do on the others.
+                // Cancels reach arbitrarily far back: tokens whose
+                // slots were recycled must report dead on the small
+                // queue exactly when they do on the others.
                 let i = rng.next_below(tokens.len() as u64) as usize;
                 let (st, wt, ht) = tokens[i];
                 let a = small.cancel(st);
@@ -421,16 +417,6 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
                 let c = heap.cancel(ht);
                 assert_eq!(a, b, "small/warm cancel diverged at step {step}");
                 assert_eq!(a, c, "small/heap cancel diverged at step {step}");
-            }
-            5 => {
-                // Compact the small queue mid-run (the fleet's
-                // post-storm trigger fires with live entries pending);
-                // occasionally compact the heap reference too — both
-                // are observable no-ops.
-                small.compact();
-                if rng.next_below(4) == 0 {
-                    heap.compact();
-                }
             }
             _ => {
                 let a = small.pop();
@@ -449,7 +435,7 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
         );
     }
 
-    // Full drain, then one more cold restart on the compacted queue.
+    // Full drain, then one more restart over the recycled slots.
     loop {
         let a = small.pop();
         let b = warm.pop();
@@ -462,10 +448,8 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
         pops += 1;
     }
     assert!(pops > 5_000, "differential exercised too few pops: {pops}");
-    small.compact();
-    heap.compact();
-    // Post-drain compaction truncates the whole slab; scheduling again
-    // regrows from empty with the generation floor raised.
+    // Scheduling again reuses the drained slots under bumped
+    // generations.
     for i in 0..100u64 {
         let t = small.now() + SimDuration::from_nanos(1 + i * 7);
         tokens.push((
