@@ -8,9 +8,13 @@
 //! resident bytes — and those counts are exact for a seed. A change
 //! that alters any of them fails here with a per-key diff. An
 //! intended change updates the pin in the same commit and says why.
+//!
+//! The harvest-shaped config also pins the Tai Chi policy's decision
+//! counts, and runs once more in each mode that never harvests
+//! (Baseline, Type2), whose output no other pin covers.
 
 use taichi_core::machine::{Machine, Mode};
-use taichi_core::{MachineConfig, TenantConfig};
+use taichi_core::{MachineConfig, RunReport, TenantConfig};
 use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_fleet::{run, FleetConfig, FleetDriver};
@@ -56,17 +60,33 @@ fn machine_pins(m: &Machine) -> Vec<(&'static str, u64)> {
     ]
 }
 
-#[test]
-fn harvest_shaped_machine() {
-    // Bursty traffic on every DP CPU while a synth_cp batch and two VM
-    // creations harvest their idle time.
+/// The Tai Chi policy's decision counts: yields, lock reschedules and
+/// their CP fallbacks, VM-exits by cause, and orchestrator wake-ups.
+fn decision_pins(m: &Machine) -> Vec<(&'static str, u64)> {
+    let r = RunReport::collect(m);
+    let vs = m.vsched();
+    vec![
+        ("yields", vs.total_yields()),
+        ("lock_reschedules", vs.total_lock_reschedules()),
+        ("lock_fallbacks", vs.total_lock_fallbacks()),
+        ("hw_probe_exits", r.hw_probe_exits),
+        ("slice_exits", r.slice_exits),
+        ("halt_exits", r.halt_exits),
+        ("woken", m.orchestrator().woken_count()),
+    ]
+}
+
+/// Runs the harvest-shaped workload in `mode`: bursty traffic on every
+/// DP CPU while a synth_cp batch and two VM creations harvest their
+/// idle time (in the Tai Chi modes).
+fn harvest_shaped(mode: Mode) -> Machine {
     let seed = 0x4A27;
     let mut m = Machine::new(
         MachineConfig {
             seed,
             ..MachineConfig::default()
         },
-        Mode::TaiChi,
+        mode,
     );
     m.add_traffic(TrafficGen::new(
         ArrivalPattern::OnOff {
@@ -86,9 +106,17 @@ fn harvest_shaped_machine() {
         m.schedule_vm_create(VmCreateRequest::at_density(v, 2, at), &factory);
     }
     m.run_until(SimTime::from_millis(20));
+    m
+}
+
+#[test]
+fn harvest_shaped_machine() {
+    let m = harvest_shaped(Mode::TaiChi);
+    let mut actual = machine_pins(&m);
+    actual.extend(decision_pins(&m));
     check(
         "harvest",
-        &machine_pins(&m),
+        &actual,
         &[
             ("events_processed", 86568),
             ("events_dispatched", 81994),
@@ -97,8 +125,55 @@ fn harvest_shaped_machine() {
             ("slab_high_watermark", 54),
             ("ring_high_watermark", 27),
             ("resident_bytes", 886208),
+            ("yields", 1322),
+            ("lock_reschedules", 688),
+            ("lock_fallbacks", 175),
+            ("hw_probe_exits", 382),
+            ("slice_exits", 935),
+            ("halt_exits", 2),
+            ("woken", 10),
         ],
     );
+}
+
+#[test]
+fn harvest_shaped_machine_without_harvesting() {
+    // The same workload in the two modes that never harvest: the
+    // kernel's native scheduling runs alone.
+    let cases: [(Mode, &Pins); 2] = [
+        (
+            Mode::Baseline,
+            &[
+                ("events_processed", 76645),
+                ("events_dispatched", 76484),
+                ("events_skipped", 161),
+                ("events_fast_forwarded", 944826),
+                ("slab_high_watermark", 46),
+                ("ring_high_watermark", 26),
+                ("resident_bytes", 886208),
+                ("cp_finished", 5),
+            ],
+        ),
+        (
+            Mode::Type2,
+            &[
+                ("events_processed", 67449),
+                ("events_dispatched", 67298),
+                ("events_skipped", 151),
+                ("events_fast_forwarded", 722803),
+                ("slab_high_watermark", 46),
+                ("ring_high_watermark", 51),
+                ("resident_bytes", 796096),
+                ("cp_finished", 5),
+            ],
+        ),
+    ];
+    for (mode, expected) in cases {
+        let m = harvest_shaped(mode);
+        let mut actual = machine_pins(&m);
+        actual.push(("cp_finished", RunReport::collect(&m).cp_finished));
+        check(&format!("harvest/{mode}"), &actual, expected);
+    }
 }
 
 #[test]
