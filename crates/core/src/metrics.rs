@@ -114,15 +114,6 @@ impl RunReport {
         self.cp_turnaround.mean() / 1e6
     }
 
-    /// Mean VM startup time in milliseconds (0 when none completed).
-    pub fn mean_vm_startup_ms(&self) -> f64 {
-        if self.vm_startups.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.vm_startups.iter().map(|d| d.as_nanos()).sum();
-        sum as f64 / self.vm_startups.len() as f64 / 1e6
-    }
-
     /// DP packets per second over the run.
     pub fn dp_pps(&self) -> f64 {
         self.dp.pps(self.duration)

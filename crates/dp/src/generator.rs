@@ -186,12 +186,6 @@ impl TrafficGen {
         self
     }
 
-    /// Fixes the generator's clock origin (arrivals are generated
-    /// forward from here).
-    pub fn start_at(&mut self, t: SimTime) {
-        self.clock = t;
-    }
-
     /// Current generator clock (submission time of the next packet is
     /// strictly after this).
     pub fn clock(&self) -> SimTime {

@@ -106,16 +106,6 @@ impl SoftirqState {
             .unwrap_or(false)
     }
 
-    /// Raw pending bitmap for `cpu` (bit `kind as u8` set when that
-    /// softirq is pending; `0` for unknown CPUs). The scheduling
-    /// policies' [`KernelCtx`] view exposes runqueue state through
-    /// this without borrowing the mutable interface.
-    ///
-    /// [`KernelCtx`]: ../taichi_core/sched/struct.KernelCtx.html
-    pub fn pending_mask(&self, cpu: CpuId) -> u8 {
-        self.pending.get(cpu.index()).copied().unwrap_or(0)
-    }
-
     /// True when any softirq is pending on `cpu`.
     pub fn any_pending(&self, cpu: CpuId) -> bool {
         self.pending

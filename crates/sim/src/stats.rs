@@ -181,11 +181,6 @@ impl UtilizationMeter {
         }
     }
 
-    /// True when currently marked busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
     /// Returns the utilization of the window since the last sample and
     /// starts a new window.
     ///
