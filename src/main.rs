@@ -111,6 +111,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.density = v
                     .parse()
                     .map_err(|_| format!("--density: '{v}' is not a number"))?;
+                if o.density == 0 {
+                    return Err("--density must be positive".into());
+                }
             }
             "--vms" => {
                 let v = val("--vms")?;
@@ -406,6 +409,7 @@ mod tests {
         assert!(parse(&["--util", "9"]).is_err());
         assert!(parse(&["--until", "0"]).is_err());
         assert!(parse(&["--vms", "0"]).is_err());
+        assert!(parse(&["--density", "0"]).is_err());
         assert!(parse(&["--seed", "xyz"]).is_err());
         assert!(parse(&["--mode", "nope"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
