@@ -169,36 +169,14 @@ pub fn usage_error(usage: &str, msg: &str) -> ! {
 }
 
 /// Dumps a machine's scheduler trace as `<name>.trace.tsv` under the
-/// results directory (no-op when the machine was built without
-/// tracing). The machine's `trace.dump` path overrides the
-/// destination; when several machines export to the same explicit path
-/// in one process, later exports are written to `<path>.<n>` (with a
-/// warning) instead of clobbering the earlier rings' schedules.
+/// results directory, or to the machine's `trace.dump` path (see
+/// [`Machine::export_trace`](taichi_core::machine::Machine::export_trace)),
+/// and prints where it landed. No-op when the machine was built
+/// without tracing.
 pub fn emit_trace(name: &str, machine: &taichi_core::machine::Machine) {
-    let Some(tsv) = machine.trace_tsv() else {
-        return;
-    };
-    let path = match &machine.config().trace.dump {
-        Some(p) => {
-            let (path, clash) = taichi_sim::trace::claim_export_path(p);
-            if let Some(w) = clash {
-                eprintln!("warning: {name}: {w}");
-            }
-            path
-        }
-        None => results_dir().join(format!("{name}.trace.tsv")),
-    };
-    if let Err(e) = fs::write(&path, tsv) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
+    let default = results_dir().join(format!("{name}.trace.tsv"));
+    if let Some(path) = machine.export_trace(&default) {
         println!("[trace] {}", path.display());
-        // A silently truncated trace reads as a complete schedule;
-        // surface ring evictions so nobody diffs a partial TSV
-        // believing it whole. The warning is this machine's ring
-        // accounting, never another export's.
-        if let Some(w) = machine.tracer().and_then(|t| t.eviction_warning()) {
-            eprintln!("warning: {}: {w}", path.display());
-        }
     }
 }
 

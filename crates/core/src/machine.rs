@@ -30,7 +30,7 @@
 use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
 use crate::probe_sw::AdaptiveYield;
-use crate::sched::{make_scheduler, KernelCtx, Scheduler};
+use crate::sched::TaiChiPolicy;
 use crate::vcpu_sched::VcpuScheduler;
 
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
@@ -49,6 +49,7 @@ use taichi_virt::{VcpuState, VmExitReason};
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// CPU number used for fault/degrade trace events that are not tied to
@@ -220,10 +221,9 @@ pub struct Machine {
     kernel: Kernel,
     orchestrator: IpiOrchestrator,
     vsched: VcpuScheduler,
-    /// The scheduling policy: every decision point below dispatches
-    /// through this trait object over a [`KernelCtx`] view, so
-    /// swapping policies never touches the mechanism.
-    policy: Box<dyn Scheduler>,
+    /// The scheduling policy, consulted at every vCPU decision point
+    /// below (reached only in the Tai Chi modes, which build vCPUs).
+    policy: TaiChiPolicy,
 
     services: Vec<DpService>,
     dp_cpu_ids: Vec<CpuId>,
@@ -259,10 +259,6 @@ pub struct Machine {
     /// them.
     #[cfg(feature = "oracle")]
     skip: bool,
-    /// Cached `policy.uses_vcpus()` — the policy never changes after
-    /// construction, and the flag gates every idle-arm and CP-fill
-    /// pass, so the virtual call is hoisted out of the hot loop.
-    uses_vcpus: bool,
     /// Outstanding timer tokens for the skip layer (the most recent
     /// DpIdle per service / slice expiry per vCPU / decision tick per
     /// CPU), each paired with its deadline. A stale entry is harmless:
@@ -286,7 +282,6 @@ pub struct Machine {
     pending_preempt: Vec<bool>,
     yield_armed: Vec<bool>,
     grant_host: Vec<Option<CpuId>>,
-    cp_host_suspended: Vec<bool>,
 
     trackers: Vec<VmStartupTracker>,
     tid_to_tracker: HashMap<ThreadId, usize>,
@@ -350,27 +345,11 @@ fn exit_reason_name(reason: VmExitReason) -> &'static str {
     }
 }
 
-/// Builds the policy's [`KernelCtx`] view inline from disjoint machine
-/// fields, so `self.policy.method(&sched_ctx!(self), ..)` borrow-checks
-/// (`policy` mutably, the viewed subsystems immutably).
-macro_rules! sched_ctx {
-    ($m:expr) => {
-        KernelCtx {
-            kernel: &$m.kernel,
-            vsched: &$m.vsched,
-            orchestrator: &$m.orchestrator,
-            probe: &$m.hw_probe,
-            health: &$m.health,
-            now: $m.now,
-        }
-    };
-}
-
 impl Machine {
     /// Builds a machine in the given mode. `cfg` and `mode` are the
     /// whole truth about the run: nothing here reads the environment.
     pub fn new(cfg: MachineConfig, mode: Mode) -> Self {
-        let policy = make_scheduler(mode, &cfg);
+        let policy = TaiChiPolicy::new(&cfg);
         // Borrowed, not cloned: thousands of short-lived machines go
         // through here under `par::sweep_with`, and the spec is only read
         // during construction.
@@ -386,7 +365,7 @@ impl Machine {
 
         let mut kernel = Kernel::new(cfg.kernel.clone(), &cp_cpu_ids);
         let mut orchestrator = IpiOrchestrator::new(spec.num_cpus);
-        let num_vcpus = if policy.uses_vcpus() {
+        let num_vcpus = if mode.has_taichi() {
             cfg.taichi.num_vcpus
         } else {
             0
@@ -439,7 +418,7 @@ impl Machine {
         }
 
         let mut hw_probe = HwWorkloadProbe::new(spec.num_cpus);
-        if !policy.hw_probe_enabled() {
+        if !matches!(mode, Mode::TaiChi | Mode::TaiChiVdp) {
             hw_probe.set_enabled(false);
         }
 
@@ -485,7 +464,6 @@ impl Machine {
         }
 
         let n_v = vcpu_ids.len();
-        let uses_vcpus = policy.uses_vcpus();
         Machine {
             accel,
             hw_probe,
@@ -508,7 +486,6 @@ impl Machine {
             events_skipped: 0,
             #[cfg(feature = "oracle")]
             skip: cfg.skip == crate::config::SkipMode::On,
-            uses_vcpus,
             dp_idle_tok: vec![None; dp_count as usize],
             vcpu_slice_tok: vec![None; n_v],
             kernel_tok: Vec::new(),
@@ -525,7 +502,6 @@ impl Machine {
             pending_preempt: vec![false; n_v],
             yield_armed: vec![false; dp_count as usize],
             grant_host: vec![None; n_v],
-            cp_host_suspended: vec![false; num_cpus as usize],
             trackers: Vec::new(),
             tid_to_tracker: HashMap::new(),
             vm_startup_times: Vec::new(),
@@ -835,7 +811,7 @@ impl Machine {
         for cpu in self.kernel.known_cpus() {
             self.rearm_kernel(cpu);
         }
-        if self.uses_vcpus {
+        if self.mode.has_taichi() {
             for i in 0..self.services.len() {
                 let host = self.dp_cpu_ids[i];
                 self.arm_dp_idle(host);
@@ -940,18 +916,18 @@ impl Machine {
     /// task off a CPU, exactly like Linux). This is the same placement
     /// machinery §4.1 uses for the lock-safety CP-pCPU fallback.
     fn fill_idle_cp_hosts(&mut self) {
-        if !self.uses_vcpus {
+        if !self.mode.has_taichi() {
             return;
         }
         for i in 0..self.cp_cpu_ids.len() {
             let cp = self.cp_cpu_ids[i];
-            if self.cp_host_suspended[cp.index()]
-                || !self.vsched.host_free(cp)
-                || self.kernel.cpu_load(cp) > 0
-            {
+            if !self.vsched.host_free(cp) || self.kernel.cpu_load(cp) > 0 {
                 continue;
             }
-            let Some(idx) = self.policy.pick_vcpu(&sched_ctx!(self)) else {
+            let Some(idx) = self
+                .policy
+                .pick_vcpu(&self.vsched, &self.kernel, &self.orchestrator)
+            else {
                 break;
             };
             self.place_vcpu(idx, cp);
@@ -1109,7 +1085,7 @@ impl Machine {
     // ---------------------------------------------------------------
 
     fn arm_dp_idle(&mut self, host: CpuId) {
-        if !self.uses_vcpus {
+        if !self.mode.has_taichi() {
             return;
         }
         let Some(si) = self.dp_index(host) else {
@@ -1118,7 +1094,7 @@ impl Machine {
         if !self.vsched.host_free(host) {
             return;
         }
-        let threshold = self.policy.yield_threshold(&sched_ctx!(self), host);
+        let threshold = self.policy.yield_threshold(host);
         let Some(t) = self.services[si].idle_notify_time(threshold) else {
             return;
         };
@@ -1159,7 +1135,9 @@ impl Machine {
             );
             return;
         }
-        let pick = self.policy.pick_vcpu(&sched_ctx!(self));
+        let pick = self
+            .policy
+            .pick_vcpu(&self.vsched, &self.kernel, &self.orchestrator);
         match pick {
             Some(idx) => self.place_vcpu(idx, host),
             None => {
@@ -1184,7 +1162,6 @@ impl Machine {
         } else {
             // Hosting on a CP pCPU (lock-safety fallback): suspend the
             // native kernel context for the duration of the grant.
-            self.cp_host_suspended[host.index()] = true;
             self.with_kernel(|k, now, out| k.pause_cpu(host, now, out));
         }
         self.vsched.vcpu_mut(idx).place(host, self.now);
@@ -1243,7 +1220,6 @@ impl Machine {
                 self.services[si].restart_polling(now);
                 self.start_processing(host);
             } else {
-                self.cp_host_suspended[host.index()] = false;
                 self.with_kernel(|k, now, out| k.resume_cpu(host, now, out));
             }
             return;
@@ -1261,7 +1237,7 @@ impl Machine {
             )
         });
         self.trace(host, TraceKind::VmEnter { vcpu: idx as u32 });
-        let slice = self.policy.grant_slice(&sched_ctx!(self), host);
+        let slice = self.policy.grant_slice(host);
         let slice_end = self.now + slice;
         self.vsched
             .vcpu_mut(idx)
@@ -1352,10 +1328,10 @@ impl Machine {
         } else {
             reason
         };
-        let slice_before = self.policy.grant_slice(&sched_ctx!(self), host);
-        let threshold_before = self.policy.yield_threshold(&sched_ctx!(self), host);
-        self.policy.on_vm_exit(&sched_ctx!(self), host, effective);
-        let slice_after = self.policy.grant_slice(&sched_ctx!(self), host);
+        let slice_before = self.policy.grant_slice(host);
+        let threshold_before = self.policy.yield_threshold(host);
+        self.policy.on_vm_exit(host, effective);
+        let slice_after = self.policy.grant_slice(host);
         if slice_after != slice_before {
             self.trace(
                 host,
@@ -1364,7 +1340,7 @@ impl Machine {
                 },
             );
         }
-        let threshold_after = self.policy.yield_threshold(&sched_ctx!(self), host);
+        let threshold_after = self.policy.yield_threshold(host);
         if threshold_after != threshold_before {
             self.trace(
                 host,
@@ -1410,7 +1386,6 @@ impl Machine {
             self.services[si].restart_polling(now);
             self.start_processing(host);
         } else {
-            self.cp_host_suspended[host.index()] = false;
             self.with_kernel(|k, now, out| k.resume_cpu(host, now, out));
         }
 
@@ -1430,18 +1405,17 @@ impl Machine {
                 }
             }
             for &c in &self.cp_cpu_ids {
-                if !self.cp_host_suspended[c.index()] {
+                if self.vsched.host_free(c) {
                     cp_hosts.push(c);
                 }
             }
-            // The attempt is counted before the pick (a policy that
+            // The attempt is counted before the pick (a pick that
             // finds nowhere to place still attempted), the fallback
-            // when the pick says so — preserving the pre-trait counter
-            // semantics exactly.
+            // when the pick says so.
             self.vsched.note_lock_reschedule();
             let pick = self
                 .policy
-                .pick_reschedule_host(&sched_ctx!(self), &idle_dp, &cp_hosts);
+                .pick_reschedule_host(&self.vsched, &idle_dp, &cp_hosts);
             if let Some(p) = pick {
                 if p.fallback {
                     self.vsched.note_lock_fallback();
@@ -1772,6 +1746,42 @@ impl Machine {
             .map(|t| FailureDump::new(t, dest, label))
     }
 
+    /// Writes the scheduler trace TSV and returns where it landed, or
+    /// `None` when tracing is disabled or the write failed. The
+    /// destination is the configured
+    /// [`TraceConfig::dump`](taichi_sim::TraceConfig::dump) path,
+    /// claimed per export so a later machine exporting to the same
+    /// path lands at `<path>.<n>` instead of clobbering it; without
+    /// one it is `default`, whose directory is created. A clash, a
+    /// failed write, and ring evictions (a silently truncated trace
+    /// reads as a complete schedule) are warned about on stderr.
+    pub fn export_trace(&self, default: &Path) -> Option<PathBuf> {
+        let tracer = self.tracer.as_ref()?;
+        let path = match &self.cfg.trace.dump {
+            Some(p) => {
+                let (path, clash) = taichi_sim::trace::claim_export_path(p);
+                if let Some(w) = clash {
+                    eprintln!("warning: {w}");
+                }
+                path
+            }
+            None => {
+                if let Some(dir) = default.parent() {
+                    let _ = std::fs::create_dir_all(dir);
+                }
+                default.to_path_buf()
+            }
+        };
+        if let Err(e) = std::fs::write(&path, tracer.to_tsv()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+            return None;
+        }
+        if let Some(w) = tracer.eviction_warning() {
+            eprintln!("warning: {}: {w}", path.display());
+        }
+        Some(path)
+    }
+
     /// The DP services (one per DP CPU).
     pub fn services(&self) -> &[DpService] {
         &self.services
@@ -1802,7 +1812,7 @@ impl Machine {
         &self.hw_probe
     }
 
-    /// The adaptive yield controller (the active policy's view).
+    /// The adaptive yield controller (the policy's view).
     pub fn yield_ctl(&self) -> &AdaptiveYield {
         self.policy.yield_view()
     }

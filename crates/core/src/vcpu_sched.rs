@@ -3,7 +3,7 @@
 //! Owns the vCPU pool, the host-CPU occupancy map, and the scheduling
 //! counters. The *decisions* — which runnable vCPU an idle DP CPU is
 //! granted to, and where a lock-holding vCPU is re-placed — live in
-//! the policy layer ([`crate::sched::Scheduler`]); the event-driven
+//! the policy ([`crate::sched::TaiChiPolicy`]); the event-driven
 //! plumbing (softirq raising, VM-enter/exit timing) lives in
 //! [`crate::machine`]. This module keeps the pure state so both stay
 //! unit-testable.

@@ -93,10 +93,9 @@ fn invariants_hold_across_random_fault_matrix() {
     });
 }
 
-/// Every pluggable `Scheduler` implementation — selected by the mode
-/// that runs it, through the trait-dispatched construction path —
-/// preserves the machine-wide invariants across a graded fault
-/// matrix. The checker's violation list covers stranded
+/// Every scheduling regime — the harvesting Tai Chi policy and the
+/// two modes that never consult it — preserves the machine-wide
+/// invariants across a graded fault matrix. The checker's violation list covers stranded
 /// sleepers (dropped wakeups never re-armed) and leaked vCPU grants
 /// (a raise rolled back without conserving the vCPU), so a policy
 /// that mishandles a degradation path fails here by name.

@@ -6,6 +6,8 @@
 //! Tai Chi's scheduling machinery to be exercised *during* data-plane
 //! benchmarks), runs it, and extracts the measured distribution.
 
+use std::path::Path;
+
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::{CpTaskKind, TaskFactory};
@@ -185,31 +187,9 @@ pub fn measure_probed(
 /// mode — enough to replay the schedule behind the numbers a benchmark
 /// just printed.
 fn maybe_dump_trace(m: &Machine) {
-    let Some(tsv) = m.trace_tsv() else { return };
-    let path = match &m.config().trace.dump {
-        Some(p) => {
-            // Per-export destination claim: a process that measures
-            // several machines must not clobber earlier rings' TSVs
-            // (later exports land at `<path>.<n>`).
-            let (path, clash) = taichi_sim::trace::claim_export_path(p);
-            if let Some(w) = clash {
-                eprintln!("warning: {w}");
-            }
-            path
-        }
-        None => {
-            let dir = std::path::PathBuf::from("target/experiments");
-            let _ = std::fs::create_dir_all(&dir);
-            dir.join(format!("{}.trace.tsv", m.mode()))
-        }
-    };
-    if let Err(e) = std::fs::write(&path, tsv) {
-        eprintln!("warning: could not write trace {}: {e}", path.display());
-    } else {
+    let default = Path::new("target/experiments").join(format!("{}.trace.tsv", m.mode()));
+    if let Some(path) = m.export_trace(&default) {
         eprintln!("[trace] {}", path.display());
-        if let Some(w) = m.tracer().and_then(|t| t.eviction_warning()) {
-            eprintln!("warning: {}: {w}", path.display());
-        }
     }
 }
 
