@@ -64,7 +64,8 @@ fn cp_turnaround(cfg: MachineConfig, mode: Mode) -> f64 {
         );
         t += SimDuration::from_millis(20);
     }
-    m.run_until(SimTime::from_secs(3));
+    // The mean turnaround is final once the last CP batch has finished.
+    m.run_until_or(SimTime::from_secs(3), Machine::cp_quiescent);
     emit_trace(&format!("disc8_cp_{mode}"), &m);
     let k = m.kernel();
     let mut sum = 0.0;

@@ -9,7 +9,6 @@
 
 use taichi_bench::{emit, emit_trace, sweep_with, Knobs};
 use taichi_core::machine::{Machine, Mode};
-use taichi_core::metrics::RunReport;
 use taichi_core::MachineConfig;
 use taichi_cp::{CpTaskKind, SynthCp, TaskFactory};
 use taichi_dp::{ArrivalPattern, TrafficGen};
@@ -52,20 +51,15 @@ fn run(cfg: &MachineConfig, mode: Mode, concurrency: u32) -> f64 {
     let synth = SynthCp::default();
     let mut rng = Rng::new(cfg.seed ^ 0x11);
     let batch = m.schedule_cp_batch(synth.workload(concurrency, &mut rng), SimTime::ZERO);
-    let mut horizon = SimTime::from_secs(1);
-    loop {
-        m.run_until(horizon);
+    // The figure's mean is final once every synth task has finished.
+    m.run_until_or(SimTime::from_secs(30), |m| {
         let done = m
             .batch_threads(batch)
             .iter()
             .filter(|&&tid| m.kernel().thread_info(tid).turnaround().is_some())
             .count();
-        if done >= concurrency as usize || horizon >= SimTime::from_secs(30) {
-            break;
-        }
-        horizon += SimDuration::from_secs(1);
-    }
-    let _ = RunReport::collect(&m);
+        done >= concurrency as usize
+    });
     emit_trace(&format!("fig11_{mode}_c{concurrency}"), &m);
     let k = m.kernel();
     let mut sum = 0.0;

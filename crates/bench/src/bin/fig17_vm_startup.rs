@@ -45,11 +45,10 @@ fn run(cfg: &MachineConfig, mode: Mode, density: u32) -> f64 {
         req.qemu_boot = SimDuration::from_millis(10);
         m.schedule_vm_create(req, &factory);
     }
-    let mut horizon = SimTime::from_secs(2);
-    while (m.vm_startup_times().len() as u32) < vms && horizon < SimTime::from_secs(60) {
-        m.run_until(horizon);
-        horizon += SimDuration::from_secs(2);
-    }
+    // Startup times are final once the last VM is up.
+    m.run_until_or(SimTime::from_secs(58), |m| {
+        m.vm_startup_times().len() as u32 >= vms
+    });
     emit_trace(&format!("fig17_{mode}_d{density}"), &m);
     let s = m.vm_startup_times();
     assert_eq!(s.len() as u32, vms, "all VMs must start ({mode})");

@@ -42,9 +42,12 @@ fn run_density(cfg: &MachineConfig, density: u32) -> (f64, f64) {
         req.qemu_boot = SimDuration::from_millis(10);
         m.schedule_vm_create(req, &factory);
     }
+    // Both columns are final once no CP thread can spawn or finish.
     let mut horizon = SimTime::from_secs(2);
     while (m.vm_startup_times().len() as u32) < vms && horizon < SimTime::from_secs(60) {
-        m.run_until(horizon);
+        if m.run_until_or(horizon, Machine::cp_quiescent) {
+            break;
+        }
         horizon += SimDuration::from_secs(2);
     }
 

@@ -39,7 +39,9 @@ use taichi_hw::{
     Accelerator, ApicFabric, CpuExecState, CpuId, HwWorkloadProbe, IoKind, IrqVector, Packet,
     PacketId,
 };
-use taichi_os::{ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId};
+use taichi_os::{
+    ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId, ThreadState,
+};
 use taichi_sim::trace::FailureDump;
 use taichi_sim::{
     Arena, ArenaStats, EventQueue, EventToken, FaultInjector, IpiFate, Rng, SimDuration, SimTime,
@@ -55,6 +57,10 @@ use std::sync::Arc;
 /// CPU number used for fault/degrade trace events that are not tied to
 /// any particular CPU (wakeup timers, storm bursts).
 const NO_CPU: u32 = u32::MAX;
+
+/// Simulated time between two checks of [`Machine::run_until_or`]'s
+/// stop condition.
+const DONE_POLL: SimDuration = SimDuration::from_millis(1);
 
 /// Scheduling regime under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -795,6 +801,43 @@ impl Machine {
         }
         self.now = t.max(self.now);
         self.settle_skipped();
+    }
+
+    /// Runs like [`Machine::run_until`]`(limit)`, but checks `done`
+    /// every millisecond of simulated time and stops as soon as it
+    /// holds; returns whether it did. Events pop in the same `(time,
+    /// seq)` order whatever the chunking, so a run stopped here matches
+    /// the first part of the full run event for event. When `done`
+    /// never holds the run ends at `limit`, exactly as `run_until`.
+    pub fn run_until_or(&mut self, limit: SimTime, mut done: impl FnMut(&Machine) -> bool) -> bool {
+        loop {
+            if done(self) {
+                return true;
+            }
+            if self.now >= limit {
+                return false;
+            }
+            self.run_until((self.now + DONE_POLL).min(limit));
+        }
+    }
+
+    /// True when no CP work is running or can still arrive: no VM
+    /// creation or CP batch is parked, no fault storm is armed, and
+    /// every kernel thread has finished. From here on no CP thread
+    /// spawns or finishes, so CP turnarounds and VM startup times are
+    /// final.
+    pub fn cp_quiescent(&self) -> bool {
+        let storm_armed = self
+            .fault
+            .as_ref()
+            .is_some_and(|f| !f.plan().storm_period.is_zero());
+        !storm_armed
+            && self.vm_jobs.stats().live == 0
+            && self.spawn_jobs.stats().live == 0
+            && self
+                .kernel
+                .all_threads()
+                .all(|tid| self.kernel.thread_info(tid).state == ThreadState::Finished)
     }
 
     fn bootstrap(&mut self) {

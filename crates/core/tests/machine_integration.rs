@@ -4,10 +4,10 @@
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
 use taichi_core::MachineConfig;
-use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
+use taichi_cp::{CpTaskKind, SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::IoKind;
-use taichi_sim::{Dist, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, FaultPlan, Rng, SimDuration, SimTime};
 
 /// Open-loop Poisson traffic at roughly the requested per-CPU DP
 /// utilization (packet cost ≈ 1.5 µs at the default service config).
@@ -404,4 +404,216 @@ fn payload_arenas_drain_at_quiescence() {
             assert_eq!(a.free, a.slots, "{label}: free list short: {a:?}");
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Early stop: `run_until_or` and `cp_quiescent`.
+// ---------------------------------------------------------------
+
+fn seeded(seed: u64) -> MachineConfig {
+    MachineConfig {
+        seed,
+        ..MachineConfig::default()
+    }
+}
+
+/// The production CP stack the figure runs keep underneath: device
+/// management and monitoring every 3 ms for the first `until`.
+fn background_cp(m: &mut Machine, seed: u64, until: SimTime) {
+    let factory = TaskFactory::default();
+    let mut rng = Rng::new(seed ^ 0xB6);
+    let mut t = SimTime::from_millis(1);
+    while t < until {
+        m.schedule_cp_batch(
+            vec![
+                factory.build(CpTaskKind::DeviceManagement, &mut rng),
+                factory.build(CpTaskKind::Monitoring, &mut rng),
+            ],
+            t,
+        );
+        t += SimDuration::from_millis(3);
+    }
+}
+
+fn vm_storm(m: &mut Machine, density: u32) {
+    let factory = TaskFactory::default();
+    for i in 0..4 {
+        let mut req = VmCreateRequest::at_density(i, density, SimTime::from_millis(i * 5));
+        req.qemu_boot = SimDuration::from_millis(10);
+        m.schedule_vm_create(req, &factory);
+    }
+}
+
+/// Fig. 17's shape: bursty DP traffic, the background CP stack, and a
+/// four-VM creation storm.
+fn fig17_shaped(cfg: MachineConfig, mode: Mode) -> Machine {
+    let seed = cfg.seed;
+    let mut m = Machine::new(cfg, mode);
+    m.add_traffic(bursty_traffic(8));
+    background_cp(&mut m, seed, SimTime::from_millis(300));
+    vm_storm(&mut m, 2);
+    m
+}
+
+/// Fig. 11's shape: an 8-task synth_cp batch at t = 0 (batch handle
+/// 0) on top of the background CP stack.
+fn fig11_shaped(cfg: MachineConfig, mode: Mode) -> Machine {
+    let seed = cfg.seed;
+    let mut m = Machine::new(cfg, mode);
+    m.add_traffic(bursty_traffic(8));
+    let mut rng = Rng::new(seed ^ 0x11);
+    m.schedule_cp_batch(SynthCp::default().workload(8, &mut rng), SimTime::ZERO);
+    background_cp(&mut m, seed, SimTime::from_millis(300));
+    m
+}
+
+/// The shape of Fig. 2 and the §8 CP check: a VM creation storm plus
+/// device-init batches every 20 ms for the first 100 ms, and no other
+/// CP work, so the machine goes CP-quiescent well before the horizon.
+fn fig2_shaped(cfg: MachineConfig, mode: Mode) -> Machine {
+    let seed = cfg.seed;
+    let mut m = Machine::new(cfg, mode);
+    m.add_traffic(bursty_traffic(8));
+    vm_storm(&mut m, 2);
+    let factory = TaskFactory::default();
+    let mut rng = Rng::new(seed ^ 0x8);
+    let mut t = SimTime::from_millis(1);
+    while t < SimTime::from_millis(100) {
+        let program = factory.device_init(taichi_cp::task::locks::NIC_DRIVER, 2, &mut rng);
+        m.schedule_cp_batch(vec![program], t);
+        t += SimDuration::from_millis(20);
+    }
+    m
+}
+
+/// Runs `build` twice per mode and seed, once stopped early by `done`
+/// and once to the full `limit`, and requires the same `measure`.
+fn early_stop_matches_full_run<T: PartialEq + std::fmt::Debug>(
+    build: fn(MachineConfig, Mode) -> Machine,
+    limit: SimTime,
+    done: impl Fn(&Machine) -> bool,
+    measure: impl Fn(&Machine) -> T,
+) {
+    for mode in [Mode::Baseline, Mode::TaiChi] {
+        for seed in [1, 2] {
+            let mut early = build(seeded(seed), mode);
+            assert!(
+                early.run_until_or(limit, &done),
+                "{mode} seed {seed}: never done"
+            );
+            assert!(early.now() < limit, "{mode} seed {seed}: no early stop");
+            let mut full = build(seeded(seed), mode);
+            full.run_until(limit);
+            assert_eq!(measure(&early), measure(&full), "{mode} seed {seed}");
+        }
+    }
+}
+
+/// Count and summed nanoseconds of every finished thread's turnaround.
+fn finished_turnarounds(m: &Machine) -> (usize, u64) {
+    let k = m.kernel();
+    let done: Vec<_> = k
+        .all_threads()
+        .filter_map(|tid| k.thread_info(tid).turnaround())
+        .collect();
+    (done.len(), done.iter().map(|d| d.as_nanos()).sum())
+}
+
+#[test]
+fn early_stop_keeps_vm_startup_times() {
+    early_stop_matches_full_run(
+        fig17_shaped,
+        SimTime::from_millis(400),
+        |m| m.vm_startup_times().len() >= 4,
+        |m| m.vm_startup_times().to_vec(),
+    );
+}
+
+#[test]
+fn early_stop_keeps_batch_turnarounds() {
+    early_stop_matches_full_run(
+        fig11_shaped,
+        SimTime::from_millis(400),
+        |m| {
+            let k = m.kernel();
+            let tids = m.batch_threads(0);
+            tids.len() == 8
+                && tids
+                    .iter()
+                    .all(|&t| k.thread_info(t).turnaround().is_some())
+        },
+        |m| {
+            let tids = m.batch_threads(0);
+            assert_eq!(tids.len(), 8);
+            tids.iter()
+                .map(|&tid| m.kernel().thread_info(tid).turnaround())
+                .collect::<Vec<_>>()
+        },
+    );
+}
+
+#[test]
+fn early_stop_at_cp_quiescence_keeps_finished_turnarounds() {
+    early_stop_matches_full_run(
+        fig2_shaped,
+        SimTime::from_millis(600),
+        Machine::cp_quiescent,
+        |m| (finished_turnarounds(m), m.vm_startup_times().to_vec()),
+    );
+}
+
+#[test]
+fn cp_quiescent_waits_for_parked_jobs_and_unfinished_threads() {
+    let mut m = machine(Mode::Baseline);
+    assert!(m.cp_quiescent(), "an idle machine has no CP work");
+
+    let factory = TaskFactory::default();
+    let mut rng = Rng::new(4);
+    let batch = m.schedule_cp_batch(
+        vec![factory.build(CpTaskKind::DeviceManagement, &mut rng)],
+        SimTime::from_millis(10),
+    );
+    m.run_until(SimTime::from_millis(5));
+    assert!(!m.cp_quiescent(), "CP batch still parked");
+    m.run_until(SimTime::from_millis(10));
+    let tid = m.batch_threads(batch)[0];
+    assert!(m.kernel().thread_info(tid).turnaround().is_none());
+    assert!(!m.cp_quiescent(), "CP thread still running");
+    assert!(m.run_until_or(SimTime::from_secs(2), Machine::cp_quiescent));
+    assert!(m.kernel().thread_info(tid).turnaround().is_some());
+
+    let at = m.now() + SimDuration::from_millis(5);
+    m.schedule_vm_create(VmCreateRequest::at_density(0, 1, at), &factory);
+    assert!(!m.cp_quiescent(), "VM creation still parked");
+    m.run_until(at);
+    assert!(!m.cp_quiescent(), "device init still running");
+    assert!(m.run_until_or(SimTime::from_secs(4), Machine::cp_quiescent));
+    assert_eq!(m.vm_startup_times().len(), 1);
+}
+
+#[test]
+fn cp_quiescent_never_holds_under_a_fault_storm() {
+    let cfg = MachineConfig {
+        faults: FaultPlan {
+            storm_period: SimDuration::from_millis(5),
+            ..FaultPlan::default()
+        },
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(cfg, Mode::TaiChi);
+    let limit = SimTime::from_millis(200);
+    assert!(!m.run_until_or(limit, Machine::cp_quiescent));
+    assert_eq!(m.now(), limit);
+}
+
+#[test]
+fn run_until_or_without_done_is_run_until() {
+    let limit = SimTime::from_micros(50_500);
+    let mut full = fig11_shaped(MachineConfig::default(), Mode::TaiChi);
+    full.run_until(limit);
+    let mut polled = fig11_shaped(MachineConfig::default(), Mode::TaiChi);
+    assert!(!polled.run_until_or(limit, |_| false));
+    assert_eq!(polled.now(), limit);
+    assert_eq!(polled.events_processed(), full.events_processed());
+    assert_eq!(finished_turnarounds(&polled), finished_turnarounds(&full));
 }

@@ -42,11 +42,9 @@ fn run(mode: Mode, density: u32, vms: u32) -> Vec<f64> {
         machine.schedule_vm_create(req, &factory);
     }
 
-    let mut horizon = SimTime::from_secs(2);
-    while (machine.vm_startup_times().len() as u32) < vms && horizon < SimTime::from_secs(60) {
-        machine.run_until(horizon);
-        horizon += SimDuration::from_secs(2);
-    }
+    machine.run_until_or(SimTime::from_secs(58), |m| {
+        m.vm_startup_times().len() as u32 >= vms
+    });
     if let Some(tsv) = machine.trace_tsv() {
         let path = format!("vm_startup_storm_{mode}.trace.tsv");
         match std::fs::write(&path, tsv) {

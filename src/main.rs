@@ -261,11 +261,9 @@ fn cmd_vmstorm(o: &Opts) -> ExitCode {
         req.qemu_boot = SimDuration::from_millis(10);
         m.schedule_vm_create(req, &factory);
     }
-    let mut horizon = SimTime::from_secs(2);
-    while (m.vm_startup_times().len() as u32) < o.vms && horizon < SimTime::from_secs(120) {
-        m.run_until(horizon);
-        horizon += SimDuration::from_secs(2);
-    }
+    m.run_until_or(SimTime::from_secs(120), |m| {
+        m.vm_startup_times().len() as u32 >= o.vms
+    });
     let times = m.vm_startup_times();
     if (times.len() as u32) < o.vms {
         eprintln!(
