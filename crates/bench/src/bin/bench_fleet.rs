@@ -1,4 +1,4 @@
-//! Fleet-scale throughput and footprint benchmark: machine-epochs/sec,
+//! Fleet-scale throughput and memory benchmark: machine-epochs/sec,
 //! wall time, allocation traffic, and resident memory per machine for
 //! a 1024-machine rack run under the pooled epoch-parallel driver.
 //!
@@ -8,7 +8,8 @@
 //!
 //! - the `"baseline"` block is the frozen before-numbers — the
 //!   pre-pooling sequential driver (one channel message per
-//!   machine-epoch, hot footprint profile, per-epoch plan allocation)
+//!   machine-epoch, worst-case up-front storage reservations on every
+//!   machine, per-epoch plan allocation)
 //!   at 1024 machines x 8 epochs — and the `"gate"` block is the
 //!   frozen `--check` threshold; both are **preserved verbatim** when
 //!   the file already exists, so re-runs never move them;
@@ -36,7 +37,7 @@
 //! per-machine backing storage (event slab, wheel chunks, rings) at
 //! the final epoch boundary. Peak RSS is read from `/proc/self/status`
 //! where available. None of these memory numbers are identity-compared
-//! — they vary by footprint profile and run.
+//! — they vary by queue backend and run.
 
 use std::fmt::Write as _;
 

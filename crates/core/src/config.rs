@@ -7,7 +7,7 @@ use taichi_os::KernelConfig;
 use taichi_sim::trace::TraceConfig;
 #[cfg(feature = "oracle")]
 use taichi_sim::QueueBackend;
-use taichi_sim::{FaultPlan, FootprintProfile, SimDuration};
+use taichi_sim::{FaultPlan, SimDuration};
 use taichi_virt::{Type2Model, VirtCosts};
 
 /// Idle-time skipping for the machine driver (`MachineConfig::skip`),
@@ -208,14 +208,6 @@ pub struct MachineConfig {
     /// reference the skip layer must match byte for byte.
     #[cfg(feature = "oracle")]
     pub skip: SkipMode,
-    /// Memory-footprint profile: `Hot` (the default) makes every
-    /// worst-case reservation at construction so the steady-state loop
-    /// never allocates; `Fleet` starts the event slab, skip heap, and
-    /// rx rings small and grows them to the machine's actual working
-    /// set — what a driver standing up thousands of mostly-idle
-    /// machines wants. Byte-identical observables either way (the
-    /// fleet identity matrix pins this).
-    pub footprint: FootprintProfile,
 }
 
 impl Default for MachineConfig {
@@ -236,7 +228,6 @@ impl Default for MachineConfig {
             queue: QueueBackend::default(),
             #[cfg(feature = "oracle")]
             skip: SkipMode::default(),
-            footprint: FootprintProfile::default(),
         }
     }
 }

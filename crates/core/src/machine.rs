@@ -62,6 +62,14 @@ const NO_CPU: u32 = u32::MAX;
 /// stop condition.
 const DONE_POLL: SimDuration = SimDuration::from_millis(1);
 
+/// Initial in-flight packet arena reservation. Like the event slab and
+/// the rx rings, it grows on demand to the machine's working set, so a
+/// rack of mostly idle machines never pays for worst-case storage.
+const PACKET_SLOTS: usize = 32;
+
+/// Initial skipped-deadline heap reservation (grows on demand).
+const SKIPPED_DEADLINE_SLOTS: usize = 16;
+
 /// Scheduling regime under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Mode {
@@ -393,11 +401,6 @@ impl Machine {
             // §9: cache/TLB partitioning removes grant pollution.
             dp_cfg.pollution_tax = 1.0;
         }
-        // Fleet footprint: defer the rx rings' backing reservation (the
-        // single largest per-machine block — 8 services x 1024
-        // descriptors). The capacity bound is unchanged, so drops are
-        // identical.
-        dp_cfg.eager_ring = cfg.footprint.eager_rings();
         let dp_cfg = Arc::new(dp_cfg);
         let mut services: Vec<DpService> = dp_cpu_ids
             .iter()
@@ -458,11 +461,10 @@ impl Machine {
         // zero tenant state and stays byte-identical to the pre-tenant
         // engine.
         if cfg.tenants.is_multi() {
-            accel.enable_tenants_with_eagerness(
+            accel.enable_tenants(
                 &cfg.tenants.effective_weights(),
                 cfg.tenants.quantum,
                 cfg.tenants.ring_capacity,
-                cfg.footprint.eager_rings(),
             );
             for s in &mut services {
                 s.set_tenants(cfg.tenants.count as usize);
@@ -495,11 +497,7 @@ impl Machine {
             dp_idle_tok: vec![None; dp_count as usize],
             vcpu_slice_tok: vec![None; n_v],
             kernel_tok: Vec::new(),
-            // Hot profile: sized for the worst observed steady state
-            // (pending not-yet-matured cancels across every timer
-            // class) so the hot loop stays allocation-free. Fleet
-            // profile: starts small and grows to the working set.
-            skipped_deadlines: BinaryHeap::with_capacity(cfg.footprint.skipped_deadline_capacity()),
+            skipped_deadlines: BinaryHeap::with_capacity(SKIPPED_DEADLINE_SLOTS),
             dp_idle_gen: vec![0; dp_count as usize],
             dp_busy: vec![false; dp_count as usize],
             dp_inflight: vec![0; dp_count as usize],
@@ -512,7 +510,7 @@ impl Machine {
             tid_to_tracker: HashMap::new(),
             vm_startup_times: Vec::new(),
             batches: Vec::new(),
-            packets: Arena::with_capacity(cfg.footprint.initial_event_slots()),
+            packets: Arena::with_capacity(PACKET_SLOTS),
             vm_jobs: Arena::default(),
             spawn_jobs: Arena::default(),
             dp_index_map,
@@ -529,20 +527,10 @@ impl Machine {
             health: FaultHealth::default(),
             probe_starve: vec![0; num_cpus as usize],
             now: SimTime::ZERO,
-            queue: {
-                let slots = cfg.footprint.initial_event_slots();
-                #[cfg(not(feature = "oracle"))]
-                let mut q = EventQueue::with_slots(slots);
-                #[cfg(feature = "oracle")]
-                let mut q = EventQueue::with_backend_and_slots(cfg.queue, slots);
-                if cfg.footprint.eager_rings() {
-                    // Hot profile: materialize the wheel's bucket-head
-                    // chunks too, so the audited steady-state loop
-                    // never pays a mid-run chunk allocation.
-                    q.prewarm();
-                }
-                q
-            },
+            #[cfg(not(feature = "oracle"))]
+            queue: EventQueue::new(),
+            #[cfg(feature = "oracle")]
+            queue: EventQueue::with_backend(cfg.queue),
             rng,
             bootstrapped: false,
             cfg,

@@ -46,11 +46,6 @@ pub struct DpServiceConfig {
     pub pollution_window: SimDuration,
     /// Multiplicative processing surcharge inside the window.
     pub pollution_tax: f64,
-    /// Whether the rx ring reserves `ring_capacity` descriptors up
-    /// front (the hot-machine default) or lets the backing store grow
-    /// to the observed occupancy (fleet footprint profiles). The drop
-    /// bound is `ring_capacity` either way.
-    pub eager_ring: bool,
 }
 
 impl Default for DpServiceConfig {
@@ -65,7 +60,6 @@ impl Default for DpServiceConfig {
             ring_capacity: 1024,
             pollution_window: SimDuration::from_micros(8),
             pollution_tax: 1.18,
-            eager_ring: true,
         }
     }
 }
@@ -119,7 +113,7 @@ impl DpService {
     /// bulk-construction path: one `Arc` clone per service instead of
     /// a deep config clone).
     pub fn with_shared_config(cpu: CpuId, config: Arc<DpServiceConfig>) -> Self {
-        let ring = RxQueue::with_eagerness(config.ring_capacity, config.eager_ring);
+        let ring = RxQueue::new(config.ring_capacity);
         let proc_cost = config.proc_cost_ns.prepared();
         DpService {
             cpu,

@@ -50,7 +50,7 @@ use taichi_cp::{TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, LatencyRecorder, TrafficGen};
 use taichi_hw::{CpuId, IoKind, TenantId};
 use taichi_sim::report::Table;
-use taichi_sim::{Dist, FootprintProfile, Histogram, OnlineStats, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, Histogram, OnlineStats, Rng, SimDuration, SimTime};
 
 /// Salt for the east-west flow-plan RNG streams.
 const EW_SALT: u64 = 0xEA57_F10C;
@@ -109,12 +109,9 @@ pub struct FleetConfig {
     /// `tenants` shape the fleet's traffic too: the default (one
     /// tenant) keeps the fleet on the pre-tenant code path byte for
     /// byte — no extra generators, no extra RNG draws, no tenant
-    /// columns in any export. The default footprint is
-    /// [`FootprintProfile::Fleet`] (grow-on-demand backing storage),
-    /// because a rack holds thousands of mostly-idle machines; every
-    /// observable is byte-identical to [`FootprintProfile::Hot`], and
-    /// to every queue backend and skip mode the template can name —
-    /// the `fleet_identity` matrix pins that.
+    /// columns in any export. Every observable is byte-identical across
+    /// the queue backends and skip modes the template can name — the
+    /// `fleet_identity` matrix pins that.
     pub machine: MachineConfig,
 }
 
@@ -140,10 +137,7 @@ impl Default for FleetConfig {
             storm_vms_per_machine: 2,
             vm_density: 2,
             check_invariants: true,
-            machine: MachineConfig {
-                footprint: FootprintProfile::Fleet,
-                ..MachineConfig::default()
-            },
+            machine: MachineConfig::default(),
         }
     }
 }
@@ -701,7 +695,7 @@ pub struct FleetResult {
     pub ring_high_watermark: usize,
     /// Sum of per-machine resident backing bytes (event slab, wheel
     /// chunks, rings) sampled at the final epoch boundary. Diagnostic
-    /// only: depends on footprint profile and backend.
+    /// only: depends on the backend.
     pub resident_bytes: u64,
 }
 
@@ -856,7 +850,7 @@ impl FleetResult {
 
     /// Whole-run rack summary table (a single row). Every column here
     /// is part of the identity contract (byte-identical across
-    /// backends, drivers, worker counts, and footprint profiles) —
+    /// backends, skip modes, drivers, and worker counts) —
     /// memory diagnostics live in
     /// [`FleetResult::summary_table_with_mem`] instead.
     pub fn summary_table(&self) -> Table {
@@ -868,9 +862,9 @@ impl FleetResult {
     /// The summary row extended with memory diagnostics: slab/ring
     /// high-water marks, resident bytes per machine, and (when the
     /// caller measured one) the process peak RSS. These extra columns
-    /// are *not* identity-compared — slab fill differs between queue
-    /// backends, resident bytes between footprint profiles, and RSS
-    /// between runs — so nothing here may feed
+    /// are *not* identity-compared — slab fill and resident bytes
+    /// differ between queue backends, and RSS between runs — so
+    /// nothing here may feed
     /// [`FleetResult::fingerprint`].
     pub fn summary_table_with_mem(&self, peak_rss_kb: Option<u64>) -> Table {
         let mut header: Vec<&str> = Self::SUMMARY_HEADER.to_vec();
@@ -1104,35 +1098,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn footprint_profiles_share_one_fingerprint() {
-        // No storm, so the comparison isolates the up-front
-        // reservations: a storm peak grows the fleet profile's slab and
-        // rings (which never shrink) toward the hot profile's.
-        let profile = |footprint| {
-            let mut cfg = FleetConfig {
-                storm_epoch: None,
-                ..tiny()
-            };
-            cfg.machine.footprint = footprint;
-            cfg
-        };
-        let hot = profile(FootprintProfile::Hot);
-        let fleet = profile(FootprintProfile::Fleet);
-        let a = run(&hot, FleetDriver::Sequential);
-        let b = run(&fleet, FleetDriver::Sequential);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.epoch_table().to_csv(), b.epoch_table().to_csv());
-        // The footprint profile *does* change resident memory — that
-        // is its whole point — just never an observable.
-        assert!(
-            b.resident_bytes < a.resident_bytes,
-            "fleet profile must shrink backing storage ({} vs {})",
-            b.resident_bytes,
-            a.resident_bytes
-        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Fleet determinism matrix: the rack-level CSV and aggregate
 //! fingerprint must be **byte-identical** across
 //! `{wheel, heap}` queue backends × `{skip on, skip off}` ×
-//! `{sequential, epoch-parallel}` drivers × `{1, 4}` workers ×
-//! `{hot, fleet}` footprint profiles.
+//! `{sequential, epoch-parallel}` drivers × `{1, 4}` workers.
 //!
 //! This is the fleet analogue of the machine-level `identity` harness
 //! in `taichi-bench`: machine-level identity says one NIC's exports
@@ -17,7 +16,7 @@
 
 use taichi_core::SkipMode;
 use taichi_fleet::{run, FleetConfig, FleetDriver};
-use taichi_sim::{FootprintProfile, QueueBackend, SimDuration};
+use taichi_sim::{QueueBackend, SimDuration};
 
 fn config() -> FleetConfig {
     FleetConfig {
@@ -39,21 +38,15 @@ struct Artifacts {
     summary_csv: String,
 }
 
-fn collect(
-    queue: QueueBackend,
-    skip: SkipMode,
-    driver: FleetDriver,
-    footprint: FootprintProfile,
-) -> Artifacts {
+fn collect(queue: QueueBackend, skip: SkipMode, driver: FleetDriver) -> Artifacts {
     let mut cfg = config();
     cfg.machine.queue = queue;
     cfg.machine.skip = skip;
-    cfg.machine.footprint = footprint;
     let result = run(&cfg, driver);
     assert_eq!(
         result.violation_count, 0,
         "invariants must hold on every machine at every epoch boundary \
-         ({queue:?}/{skip:?}/{driver:?}/{footprint:?}): {:?}",
+         ({queue:?}/{skip:?}/{driver:?}): {:?}",
         result.violations
     );
     Artifacts {
@@ -77,10 +70,8 @@ fn rack_artifacts_are_byte_identical_across_the_matrix() {
         (QueueBackend::Heap, SkipMode::Off),
     ];
 
-    let profiles = [FootprintProfile::Fleet, FootprintProfile::Hot];
-
     // Reference: the production cell under the reference driver.
-    let baseline = collect(cells[0].0, cells[0].1, drivers[0], profiles[0]);
+    let baseline = collect(cells[0].0, cells[0].1, drivers[0]);
     assert!(
         baseline.epoch_csv.lines().count() == config().epochs + 1,
         "one CSV row per epoch plus the header"
@@ -91,22 +82,20 @@ fn rack_artifacts_are_byte_identical_across_the_matrix() {
 
     for &(queue, skip) in &cells {
         for &driver in &drivers {
-            for &footprint in &profiles {
-                let other = collect(queue, skip, driver, footprint);
-                let cell = format!("{queue:?}/{skip:?}/{driver:?}/{footprint:?}");
-                assert_eq!(
-                    baseline.fingerprint, other.fingerprint,
-                    "aggregate fingerprint differs: Wheel/On/Sequential/Fleet vs {cell}"
-                );
-                assert_eq!(
-                    baseline.epoch_csv, other.epoch_csv,
-                    "rack CSV differs: Wheel/On/Sequential/Fleet vs {cell}"
-                );
-                assert_eq!(
-                    baseline.summary_csv, other.summary_csv,
-                    "summary CSV differs: Wheel/On/Sequential/Fleet vs {cell}"
-                );
-            }
+            let other = collect(queue, skip, driver);
+            let cell = format!("{queue:?}/{skip:?}/{driver:?}");
+            assert_eq!(
+                baseline.fingerprint, other.fingerprint,
+                "aggregate fingerprint differs: Wheel/On/Sequential vs {cell}"
+            );
+            assert_eq!(
+                baseline.epoch_csv, other.epoch_csv,
+                "rack CSV differs: Wheel/On/Sequential vs {cell}"
+            );
+            assert_eq!(
+                baseline.summary_csv, other.summary_csv,
+                "summary CSV differs: Wheel/On/Sequential vs {cell}"
+            );
         }
     }
 }

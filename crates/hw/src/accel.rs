@@ -107,7 +107,7 @@ struct DrrArbiter {
 }
 
 impl DrrArbiter {
-    fn new(weights: &[u64], quantum: u64, ring_capacity: usize, eager: bool) -> Self {
+    fn new(weights: &[u64], quantum: u64, ring_capacity: usize) -> Self {
         assert!(!weights.is_empty(), "arbiter needs at least one tenant");
         assert!(
             weights.iter().all(|&w| w > 0),
@@ -116,9 +116,7 @@ impl DrrArbiter {
         assert!(quantum > 0, "DRR quantum must be positive");
         let n = weights.len();
         DrrArbiter {
-            rings: (0..n)
-                .map(|_| RxQueue::with_eagerness(ring_capacity, eager))
-                .collect(),
+            rings: (0..n).map(|_| RxQueue::new(ring_capacity)).collect(),
             weights: weights.to_vec(),
             deficit: vec![0; n],
             quantum,
@@ -312,22 +310,7 @@ impl Accelerator {
     /// choice); `ring_capacity` bounds each tenant's staging ring
     /// (overflow packets are dropped and counted against that tenant).
     pub fn enable_tenants(&mut self, weights: &[u64], quantum: u64, ring_capacity: usize) {
-        self.enable_tenants_with_eagerness(weights, quantum, ring_capacity, true);
-    }
-
-    /// [`Accelerator::enable_tenants`] with control over whether each
-    /// staging ring reserves its full capacity up front (`eager =
-    /// true`, the default) or grows its backing store on demand (fleet
-    /// footprint profiles). The per-tenant drop bound is identical
-    /// either way.
-    pub fn enable_tenants_with_eagerness(
-        &mut self,
-        weights: &[u64],
-        quantum: u64,
-        ring_capacity: usize,
-        eager: bool,
-    ) {
-        self.arbiter = Some(DrrArbiter::new(weights, quantum, ring_capacity, eager));
+        self.arbiter = Some(DrrArbiter::new(weights, quantum, ring_capacity));
     }
 
     /// True when the multi-tenant ingress arbiter is active.

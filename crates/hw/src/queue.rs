@@ -27,34 +27,19 @@ pub struct RxQueue {
 impl RxQueue {
     /// Creates a ring with the given descriptor count.
     ///
+    /// The descriptor-count bound is `capacity`, but the backing store
+    /// grows on demand to the occupancy the workload actually reaches:
+    /// `push` checks the logical length, so drop/reject accounting
+    /// does not depend on the reservation, and a mostly-idle machine's
+    /// rings hold a handful of descriptors, not 1024.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        Self::with_eagerness(capacity, true)
-    }
-
-    /// Creates a ring with the given descriptor count, optionally
-    /// deferring the backing-store reservation.
-    ///
-    /// The descriptor-count *bound* is `capacity` either way — `push`
-    /// checks the logical length, so drop/reject accounting is
-    /// identical. A lazy ring (`eager = false`) just lets the backing
-    /// `VecDeque` grow to the occupancy the workload actually reaches,
-    /// which is what fleet footprint profiles want: a mostly-idle
-    /// machine's rings hold a handful of descriptors, not 1024.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_eagerness(capacity: usize, eager: bool) -> Self {
         assert!(capacity > 0, "rx ring needs at least one descriptor");
         RxQueue {
-            ring: if eager {
-                VecDeque::with_capacity(capacity)
-            } else {
-                VecDeque::new()
-            },
+            ring: VecDeque::new(),
             capacity,
             enqueued: Counter::new(),
             dequeued: Counter::new(),

@@ -165,11 +165,11 @@ const LOC_OVERFLOW: u32 = u32::MAX - 1;
 /// Intrusive-list terminator.
 const NIL: u32 = u32::MAX;
 
-/// Default slab capacity reserved at construction, sized so the
-/// in-flight high-water mark of a full machine (a few hundred events)
-/// never forces a mid-run doubling. Fleet footprint profiles override
-/// this via [`EventQueue::with_slots`].
-pub const INITIAL_SLOTS: usize = 1024;
+/// Slab capacity reserved at construction. The slab grows on demand
+/// to the in-flight high-water mark (a few dozen events on a full
+/// machine), so this only sets where growth starts: a rack of
+/// thousands of mostly idle machines never pays for worst-case slabs.
+const START_SLOTS: usize = 32;
 
 /// Per-slot bookkeeping. A slot is bound to exactly one queued entry at
 /// a time; the generation distinguishes successive occupants. The slot
@@ -253,16 +253,6 @@ impl<const WORDS: usize> HeadTable<WORDS> {
         match &mut self.chunks[b >> 6] {
             Some(c) => std::mem::replace(&mut c[b & 63], NIL),
             None => NIL,
-        }
-    }
-
-    /// Materializes every chunk up front (hot-profile prewarm): the
-    /// chunks hold only [`NIL`] heads, so nothing observable changes —
-    /// the steady-state loop just never pays a mid-run chunk
-    /// allocation.
-    fn materialize_all(&mut self) {
-        for chunk in &mut self.chunks {
-            chunk.get_or_insert_with(|| Box::new([NIL; 64]));
         }
     }
 
@@ -446,40 +436,18 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     ///
-    /// Reserves the full [`INITIAL_SLOTS`] slab: a realloc mid-run is
-    /// a steady-state allocation the hot loop is audited against (see
-    /// the zero_alloc test), and a transient burst that pushes the
-    /// in-flight high-water mark past the previous power of two would
-    /// reallocate long after warm-up. Reserving a generous slab up
-    /// front moves that first-touch growth to construction; full
-    /// machines peak at a few hundred in-flight events, so 1024 slots
-    /// leave ample headroom without meaningful memory cost — *for one
-    /// hot machine*. Fleet drivers standing up thousands of mostly-idle
-    /// machines use [`EventQueue::with_slots`] with a small reservation
-    /// instead and let the slab grow to each machine's actual working
-    /// set.
+    /// Storage starts small and grows on demand: the slab from a
+    /// 32-slot reservation, the wheel's bucket-head chunks one at a
+    /// time as events first link into them. Growth only moves where
+    /// memory is reserved, never pop order or cancel results, and a
+    /// machine's first-touch growth ends within its first tens of
+    /// simulated milliseconds (the zero_alloc test audits the steady
+    /// state after it).
     pub fn new() -> Self {
-        let mut q = Self::with_slots(INITIAL_SLOTS);
-        q.prewarm();
-        q
+        Self::with_capacity(START_SLOTS)
     }
 
-    /// Materializes every wheel bucket-head chunk up front so the
-    /// steady-state loop never allocates one mid-run — the hot-profile
-    /// companion to the eager [`INITIAL_SLOTS`] slab. Purely a storage
-    /// decision: the chunks hold only [`NIL`] heads, identical to
-    /// absent chunks.
-    pub fn prewarm(&mut self) {
-        self.wheel.l0_head.materialize_all();
-        self.wheel.l1_head.materialize_all();
-    }
-
-    /// Creates an empty queue at time zero with an explicit initial
-    /// slab reservation. The slab still grows on demand —
-    /// `initial_slots` only sets where growth starts, so every
-    /// observable (pop order, cancel results, `peek_time`) is identical
-    /// for any value.
-    pub fn with_slots(initial_slots: usize) -> Self {
+    fn with_capacity(initial_slots: usize) -> Self {
         EventQueue {
             wheel: Wheel::new(),
             #[cfg(any(test, feature = "oracle"))]
@@ -496,15 +464,16 @@ impl<E> EventQueue<E> {
     /// Oracle: [`EventQueue::new`] on an explicit backend.
     #[cfg(any(test, feature = "oracle"))]
     pub fn with_backend(backend: QueueBackend) -> Self {
-        let mut q = Self::with_backend_and_slots(backend, INITIAL_SLOTS);
-        q.prewarm();
-        q
+        Self::with_backend_and_slots(backend, START_SLOTS)
     }
 
-    /// Oracle: [`EventQueue::with_slots`] on an explicit backend.
+    /// Oracle: [`EventQueue::with_backend`] with an explicit initial
+    /// slab reservation (the small-slab growth tests). The slab still
+    /// grows on demand, so every observable is identical for any
+    /// value.
     #[cfg(any(test, feature = "oracle"))]
     pub fn with_backend_and_slots(backend: QueueBackend, initial_slots: usize) -> Self {
-        let mut q = Self::with_slots(initial_slots);
+        let mut q = Self::with_capacity(initial_slots);
         q.heap_only = backend == QueueBackend::Heap;
         q
     }

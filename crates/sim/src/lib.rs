@@ -43,7 +43,6 @@ pub mod check;
 pub mod dist;
 pub mod event;
 pub mod fault;
-pub mod footprint;
 pub mod hist;
 pub mod inline_vec;
 pub mod par;
@@ -60,7 +59,6 @@ pub use dist::{Dist, PreparedDist};
 pub use event::QueueBackend;
 pub use event::{EventQueue, EventToken};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
-pub use footprint::FootprintProfile;
 pub use hist::Histogram;
 pub use inline_vec::InlineVec;
 pub use rng::Rng;

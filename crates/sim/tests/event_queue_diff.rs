@@ -358,11 +358,10 @@ fn overflow_cancel_storm_retires_every_slot() {
     }
 }
 
-/// Cold-start and sparse-occupancy differential for the fleet
-/// footprint path: a wheel born with a 2-slot slab and *no*
-/// materialized bucket-head chunks (`with_backend_and_slots` — the
-/// fleet profile's constructor) must stay observably identical to a
-/// fully prewarmed wheel and to the heap reference through:
+/// Cold-start and sparse-occupancy differential for grow-on-demand
+/// storage: a wheel born with a 2-slot slab and *no* materialized
+/// bucket-head chunks must stay observably identical to the heap
+/// reference through:
 ///
 /// - cold-start scheduling straight into absent chunks (the first
 ///   link must materialize exactly the right chunk, not disturb pop
@@ -370,18 +369,16 @@ fn overflow_cancel_storm_retires_every_slot() {
 /// - sparse occupancy — event clusters separated by whole 64-bucket
 ///   chunk ranges, so most chunks stay absent while level hops cross
 ///   them;
-/// - stale-token cancels on all three queues, reaching arbitrarily far
+/// - stale-token cancels on both queues, reaching arbitrarily far
 ///   back across slot reuse.
 #[test]
 fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
     let mut rng = Rng::new(0xC01D_57A7);
-    // The fleet-profile wheel: tiny slab, lazy chunks.
+    // A tiny slab and lazy chunks: every link starts cold.
     let mut small: EventQueue<u64> = EventQueue::with_backend_and_slots(QueueBackend::Wheel, 2);
-    // The hot-profile wheel: full slab, every chunk materialized.
-    let mut warm: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel);
     // The ordering reference.
     let mut heap: EventQueue<u64> = EventQueue::with_backend_and_slots(QueueBackend::Heap, 2);
-    let mut tokens: Vec<(EventToken, EventToken, EventToken)> = Vec::new();
+    let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
     let mut next_payload = 0u64;
     let mut pops = 0usize;
 
@@ -400,29 +397,21 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
                 let t = small.now() + SimDuration::from_nanos(base + rng.next_below(1_000));
                 let payload = next_payload;
                 next_payload += 1;
-                tokens.push((
-                    small.schedule(t, payload),
-                    warm.schedule(t, payload),
-                    heap.schedule(t, payload),
-                ));
+                tokens.push((small.schedule(t, payload), heap.schedule(t, payload)));
             }
             4 if !tokens.is_empty() => {
                 // Cancels reach arbitrarily far back: tokens whose
                 // slots were recycled must report dead on the small
-                // queue exactly when they do on the others.
+                // queue exactly when they do on the heap.
                 let i = rng.next_below(tokens.len() as u64) as usize;
-                let (st, wt, ht) = tokens[i];
+                let (st, ht) = tokens[i];
                 let a = small.cancel(st);
-                let b = warm.cancel(wt);
                 let c = heap.cancel(ht);
-                assert_eq!(a, b, "small/warm cancel diverged at step {step}");
                 assert_eq!(a, c, "small/heap cancel diverged at step {step}");
             }
             _ => {
                 let a = small.pop();
-                let b = warm.pop();
                 let c = heap.pop();
-                assert_eq!(a, b, "small/warm pop diverged at step {step}");
                 assert_eq!(a, c, "small/heap pop diverged at step {step}");
                 pops += usize::from(a.is_some());
             }
@@ -438,9 +427,7 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
     // Full drain, then one more restart over the recycled slots.
     loop {
         let a = small.pop();
-        let b = warm.pop();
         let c = heap.pop();
-        assert_eq!(a, b, "small/warm pop diverged during drain");
         assert_eq!(a, c, "small/heap pop diverged during drain");
         if a.is_none() {
             break;
@@ -452,26 +439,19 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
     // generations.
     for i in 0..100u64 {
         let t = small.now() + SimDuration::from_nanos(1 + i * 7);
-        tokens.push((
-            small.schedule(t, i),
-            warm.schedule(t, i),
-            heap.schedule(t, i),
-        ));
+        tokens.push((small.schedule(t, i), heap.schedule(t, i)));
     }
     loop {
         let a = small.pop();
-        let b = warm.pop();
         let c = heap.pop();
-        assert_eq!(a, b, "regrown small/warm pop diverged");
         assert_eq!(a, c, "regrown small/heap pop diverged");
         if a.is_none() {
             break;
         }
     }
-    // Every token ever issued is now dead on all three queues.
-    for (st, wt, ht) in tokens {
+    // Every token ever issued is now dead on both queues.
+    for (st, ht) in tokens {
         assert!(!small.cancel(st), "stale token revived on small queue");
-        assert!(!warm.cancel(wt));
         assert!(!heap.cancel(ht));
     }
 }
