@@ -257,7 +257,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     }
 }
 
-/// Like [`bench`] but for coarse operations (whole-machine runs):
+/// Like [`bench()`] but for coarse operations (whole-machine runs):
 /// measures a fixed number of iterations and prints ms/iter.
 pub fn bench_coarse<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     std::hint::black_box(f()); // warmup
@@ -269,7 +269,7 @@ pub fn bench_coarse<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<32} {per:>12.2} ms/iter ({iters} iters)");
 }
 
-/// [`bench`]'s measurement loop without the printing: returns ns/iter
+/// [`bench()`]'s measurement loop without the printing: returns ns/iter
 /// (used by `bench_engine` to assemble its JSON report).
 pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     const WARMUP: u32 = 1_000;

@@ -162,7 +162,7 @@ impl TenantConfig {
     /// `count` entries (missing entries default to weight 1; zero
     /// weights are bumped to 1 — a starved tenant would deadlock the
     /// conservation audit, not model anything physical).
-    pub fn effective_weights(&self) -> Vec<u64> {
+    pub(crate) fn effective_weights(&self) -> Vec<u64> {
         (0..self.count as usize)
             .map(|i| self.weights.get(i).copied().unwrap_or(1).max(1))
             .collect()

@@ -322,9 +322,8 @@ pub struct Machine {
     util_samples: Vec<f64>,
     util_interval: Option<SimDuration>,
 
-    posted_interrupts: u64,
-    /// Packets delivered through [`Machine::inject_rx`]; doubles as
-    /// the sequence counter for their salted ID namespace.
+    /// Packets delivered through [`Machine::inject_rx_for_tenant`];
+    /// doubles as the sequence counter for their salted ID namespace.
     injected_rx: u64,
     /// True while an [`Event::ArbiterIssue`] is outstanding — at most
     /// one issue event is in flight, so the shared ingest port is
@@ -443,7 +442,7 @@ impl Machine {
         // actually fire, so inactive plans leave every subsystem on its
         // pre-fault fast path and runs byte-identical.
         let fault = FaultInjector::from_plan(&cfg.faults, cfg.seed);
-        let mut apic = ApicFabric::new(spec.num_cpus + num_vcpus, SimDuration::from_nanos(300));
+        let mut apic = ApicFabric::new(SimDuration::from_nanos(300));
         if let Some(f) = &fault {
             if let Some(t) = &tracer {
                 f.set_tracer(t.clone());
@@ -518,7 +517,6 @@ impl Machine {
             scratch_cp_hosts: Vec::new(),
             util_samples: Vec::new(),
             util_interval: None,
-            posted_interrupts: 0,
             injected_rx: 0,
             arbiter_armed: false,
             unrouted: 0,
@@ -583,20 +581,10 @@ impl Machine {
     /// delivery). Injection order is part of the deterministic
     /// schedule: identical injection sequences give bit-identical
     /// runs.
-    pub fn inject_rx(
-        &mut self,
-        at: SimTime,
-        kind: IoKind,
-        size_bytes: u32,
-        dest_cpu: CpuId,
-    ) -> PacketId {
-        self.inject_rx_for_tenant(at, kind, size_bytes, dest_cpu, taichi_hw::TenantId::HOST)
-    }
-
-    /// [`Machine::inject_rx`] with an explicit tenant tag — east-west
-    /// traffic belonging to a specific tenant in a multi-tenant fleet.
-    /// Tagging is pure relabelling: with one tenant the tag is ignored
-    /// by every downstream component.
+    ///
+    /// `tenant` tags the packet for a multi-tenant fleet. Tagging is
+    /// pure relabelling: with one tenant the tag is ignored by every
+    /// downstream component.
     pub fn inject_rx_for_tenant(
         &mut self,
         at: SimTime,
@@ -613,11 +601,6 @@ impl Machine {
         let packet = self.packets.park(packet);
         self.queue.schedule(at, Event::RxInject { packet });
         id
-    }
-
-    /// Packets delivered through [`Machine::inject_rx`] so far.
-    pub fn injected_rx(&self) -> u64 {
-        self.injected_rx
     }
 
     /// Drains every DP service's accumulated latency records into one
@@ -687,7 +670,7 @@ impl Machine {
     }
 
     /// Spawns one CP task now with the mode's default CP affinity.
-    pub fn spawn_cp_now(&mut self, program: Program) -> ThreadId {
+    pub(crate) fn spawn_cp_now(&mut self, program: Program) -> ThreadId {
         let program = self.maybe_transform(program);
         let aff = self.cp_affinity;
         self.with_kernel(|k, now, out| k.spawn(program, aff, now, out))
@@ -760,7 +743,7 @@ impl Machine {
     /// Runs the machine until simulated time `t`.
     ///
     /// Events pop one at a time in global `(time, seq)` order, each a
-    /// 16-byte `Copy` [`Event`] (packets and CP jobs stay parked in the
+    /// 16-byte `Copy` `Event` (packets and CP jobs stay parked in the
     /// machine's arenas). Handlers scheduling *at the current instant*
     /// get later sequence numbers, so they fire after every event
     /// already queued for that instant. A skip-layer cancel of a
@@ -1659,17 +1642,8 @@ impl Machine {
             RouteDecision::WakeAndInject { .. } => "wake",
         };
         self.trace(src, TraceKind::IpiRoute { dst: dst.0, route });
-        match decision {
-            RouteDecision::Direct => {
-                self.apic.deliver(dst, vector);
-                self.apic.ack(dst, vector);
-            }
-            RouteDecision::Posted { .. } => {
-                self.posted_interrupts += 1;
-            }
-            RouteDecision::WakeAndInject { vcpu } => {
-                self.try_kick_vcpu(vcpu);
-            }
+        if let RouteDecision::WakeAndInject { vcpu } = decision {
+            self.try_kick_vcpu(vcpu);
         }
     }
 
@@ -1861,7 +1835,7 @@ impl Machine {
 
     /// Posted interrupts injected without a VM-exit.
     pub fn posted_interrupts(&self) -> u64 {
-        self.posted_interrupts
+        self.orchestrator.posted_count()
     }
 
     /// Yields vetoed by the §9 pipeline-occupancy signal.
@@ -1918,7 +1892,7 @@ impl Machine {
     /// Current host of each vCPU (`None` when descheduled), indexed by
     /// vCPU pool index — the invariant checker cross-checks this
     /// against the occupancy map and the vCPU state machines.
-    pub fn grant_hosts(&self) -> &[Option<CpuId>] {
+    pub(crate) fn grant_hosts(&self) -> &[Option<CpuId>] {
         &self.grant_host
     }
 
@@ -1930,7 +1904,7 @@ impl Machine {
 
     /// Packets ingested for a CPU with no DP service behind it (only
     /// possible in Type-2 runs, where emulation removes DP CPUs).
-    pub fn unrouted_packets(&self) -> u64 {
+    pub(crate) fn unrouted_packets(&self) -> u64 {
         self.unrouted
     }
 

@@ -1,9 +1,9 @@
 //! Run-level metrics extraction.
 //!
 //! A [`RunReport`] snapshots everything the evaluation harness needs
-//! from a finished [`Machine`](crate::machine::Machine) run: data-plane
-//! latency distributions and throughput, control-plane turnaround
-//! statistics, Tai Chi scheduler counters, and VM startup times.
+//! from a finished [`Machine`] run: data-plane latency distributions
+//! and throughput, control-plane turnaround statistics, Tai Chi
+//! scheduler counters, and VM startup times.
 
 use crate::machine::Machine;
 use taichi_dp::LatencyRecorder;

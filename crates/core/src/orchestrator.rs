@@ -50,10 +50,8 @@ enum CpuClass {
 pub struct IpiOrchestrator {
     classes: Vec<CpuClass>,
     first_vcpu: u32,
-    direct: Counter,
     posted: Counter,
     woken: Counter,
-    reissued: Counter,
 }
 
 impl IpiOrchestrator {
@@ -63,10 +61,8 @@ impl IpiOrchestrator {
         IpiOrchestrator {
             classes: vec![CpuClass::Physical; num_physical as usize],
             first_vcpu: num_physical,
-            direct: Counter::new(),
             posted: Counter::new(),
             woken: Counter::new(),
-            reissued: Counter::new(),
         }
     }
 
@@ -95,42 +91,29 @@ impl IpiOrchestrator {
     }
 
     /// The kernel CPU ID of vCPU `index`.
-    pub fn vcpu_cpu_id(&self, index: usize) -> CpuId {
+    pub(crate) fn vcpu_cpu_id(&self, index: usize) -> CpuId {
         CpuId(self.first_vcpu + index as u32)
     }
 
     /// The vCPU index behind a kernel CPU ID, if it is a vCPU.
-    pub fn vcpu_index(&self, cpu: CpuId) -> Option<usize> {
+    pub(crate) fn vcpu_index(&self, cpu: CpuId) -> Option<usize> {
         match self.classes.get(cpu.index()) {
             Some(CpuClass::Vcpu(i)) => Some(*i),
             _ => None,
         }
     }
 
-    /// True when `cpu` is one of the physical CPUs.
-    pub fn is_physical(&self, cpu: CpuId) -> bool {
-        matches!(self.classes.get(cpu.index()), Some(CpuClass::Physical))
-    }
-
     /// Routes one IPI. `vcpu_running` reports, for a vCPU index,
-    /// whether that vCPU currently holds a physical core.
-    ///
-    /// The source phase is accounted here: a vCPU source means the
-    /// guest VM-exited to re-issue the IPI (counted in
-    /// [`IpiOrchestrator::reissued`]).
+    /// whether that vCPU currently holds a physical core. Only the
+    /// destination decides the route: a guest-issued IPI is re-issued
+    /// by the host and then routed like any other.
     pub fn route(
         &mut self,
         msg: IpiMessage,
         vcpu_running: impl Fn(usize) -> bool,
     ) -> RouteDecision {
-        if self.vcpu_index(msg.src).is_some() {
-            self.reissued.inc();
-        }
         match self.vcpu_index(msg.dst) {
-            None => {
-                self.direct.inc();
-                RouteDecision::Direct
-            }
+            None => RouteDecision::Direct,
             Some(i) if vcpu_running(i) => {
                 self.posted.inc();
                 RouteDecision::Posted { vcpu: i }
@@ -142,24 +125,14 @@ impl IpiOrchestrator {
         }
     }
 
-    /// IPIs delivered directly to pCPUs.
-    pub fn direct_count(&self) -> u64 {
-        self.direct.get()
-    }
-
     /// IPIs injected into running vCPUs via posted interrupts.
-    pub fn posted_count(&self) -> u64 {
+    pub(crate) fn posted_count(&self) -> u64 {
         self.posted.get()
     }
 
     /// IPIs that had to wake a descheduled vCPU.
     pub fn woken_count(&self) -> u64 {
         self.woken.get()
-    }
-
-    /// Guest-sourced IPIs re-issued by the host.
-    pub fn reissued_count(&self) -> u64 {
-        self.reissued.get()
     }
 }
 
@@ -186,8 +159,6 @@ mod tests {
         assert_eq!(o.vcpu_cpu_id(0), CpuId(12));
         assert_eq!(o.vcpu_index(CpuId(13)), Some(1));
         assert_eq!(o.vcpu_index(CpuId(5)), None);
-        assert!(o.is_physical(CpuId(5)));
-        assert!(!o.is_physical(CpuId(12)));
     }
 
     fn msg(src: u32, dst: u32) -> IpiMessage {
@@ -205,8 +176,6 @@ mod tests {
         o.register_vcpus(&mut k, 2, SimTime::ZERO);
         let d = o.route(msg(0, 9), |_| false);
         assert_eq!(d, RouteDecision::Direct);
-        assert_eq!(o.direct_count(), 1);
-        assert_eq!(o.reissued_count(), 0);
     }
 
     #[test]
@@ -230,17 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn vcpu_source_counts_reissue() {
+    fn vcpu_source_routes_by_destination() {
         let mut k = kernel_with_cp_cpus();
         let mut o = IpiOrchestrator::new(12);
         o.register_vcpus(&mut k, 2, SimTime::ZERO);
         let d = o.route(msg(12, 3), |_| true);
         assert_eq!(d, RouteDecision::Direct);
-        assert_eq!(o.reissued_count(), 1);
-        // vCPU to vCPU: reissue + posted.
         let d2 = o.route(msg(12, 13), |i| i == 1);
         assert_eq!(d2, RouteDecision::Posted { vcpu: 1 });
-        assert_eq!(o.reissued_count(), 2);
     }
 
     #[test]

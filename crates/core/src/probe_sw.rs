@@ -92,7 +92,7 @@ impl AdaptiveYield {
     /// each one costing a vCPU switch; when the probe signals repeated
     /// starvation the scheduler jumps to "effectively never yield" in
     /// one step. Returns `true` when the threshold actually changed.
-    pub fn clamp_to_max(&mut self, cpu: CpuId) -> bool {
+    pub(crate) fn clamp_to_max(&mut self, cpu: CpuId) -> bool {
         let max = self.max;
         let Some(n) = self.thresholds.get_mut(cpu.index()) else {
             return false;

@@ -71,13 +71,13 @@ impl TaiChiPolicy {
 
     /// Empty-poll count after which `host` is declared idle.
     #[inline]
-    pub fn yield_threshold(&self, host: CpuId) -> u32 {
+    pub(crate) fn yield_threshold(&self, host: CpuId) -> u32 {
         self.yield_ctl.threshold(host)
     }
 
     /// Grant duration for the next vCPU entered on `host`.
     #[inline]
-    pub fn grant_slice(&self, host: CpuId) -> SimDuration {
+    pub(crate) fn grant_slice(&self, host: CpuId) -> SimDuration {
         self.slice_ctl.slice(host)
     }
 
@@ -116,7 +116,7 @@ impl TaiChiPolicy {
     /// Chooses where to immediately re-place a vCPU preempted inside a
     /// lock context (§4.1): the first free host in `idle_dp`, else the
     /// next of `cp_hosts` round-robin. `None` only when both are empty.
-    pub fn pick_reschedule_host(
+    pub(crate) fn pick_reschedule_host(
         &mut self,
         vsched: &VcpuScheduler,
         idle_dp: &[CpuId],
@@ -142,13 +142,13 @@ impl TaiChiPolicy {
     /// Storm-starvation degradation: jump `host`'s yield threshold to
     /// its maximum in one step. Returns whether anything changed.
     #[inline]
-    pub fn clamp_yield_to_max(&mut self, host: CpuId) -> bool {
+    pub(crate) fn clamp_yield_to_max(&mut self, host: CpuId) -> bool {
         self.yield_ctl.clamp_to_max(host)
     }
 
     /// Diagnostic view of the per-CPU yield thresholds.
     #[inline]
-    pub fn yield_view(&self) -> &AdaptiveYield {
+    pub(crate) fn yield_view(&self) -> &AdaptiveYield {
         &self.yield_ctl
     }
 }

@@ -52,7 +52,7 @@ impl VcpuScheduler {
     }
 
     /// Mutable access to vCPU `idx`.
-    pub fn vcpu_mut(&mut self, idx: usize) -> &mut Vcpu {
+    pub(crate) fn vcpu_mut(&mut self, idx: usize) -> &mut Vcpu {
         &mut self.vcpus[idx]
     }
 
@@ -62,12 +62,12 @@ impl VcpuScheduler {
     }
 
     /// The vCPU currently occupying physical CPU `host`, if any.
-    pub fn occupant(&self, host: CpuId) -> Option<usize> {
+    pub(crate) fn occupant(&self, host: CpuId) -> Option<usize> {
         self.occupancy.get(host.index()).copied().flatten()
     }
 
     /// True when `host` has no vCPU on it.
-    pub fn host_free(&self, host: CpuId) -> bool {
+    pub(crate) fn host_free(&self, host: CpuId) -> bool {
         self.occupant(host).is_none()
     }
 
@@ -76,7 +76,7 @@ impl VcpuScheduler {
     /// # Panics
     ///
     /// Panics when the host is already occupied — one vCPU per core.
-    pub fn record_placement(&mut self, idx: usize, host: CpuId) {
+    pub(crate) fn record_placement(&mut self, idx: usize, host: CpuId) {
         let slot = self
             .occupancy
             .get_mut(host.index())
@@ -87,19 +87,19 @@ impl VcpuScheduler {
     }
 
     /// Clears the occupancy of `host` (after VM-exit completes).
-    pub fn clear_placement(&mut self, host: CpuId) -> Option<usize> {
+    pub(crate) fn clear_placement(&mut self, host: CpuId) -> Option<usize> {
         self.occupancy.get_mut(host.index()).and_then(|s| s.take())
     }
 
     /// Counts a lock-context reschedule attempt (§4.1). The machine
     /// calls this on every attempt, before the policy's pick, so the
     /// counter also covers attempts that found nowhere to place.
-    pub fn note_lock_reschedule(&mut self) {
+    pub(crate) fn note_lock_reschedule(&mut self) {
         self.lock_reschedules.inc();
     }
 
     /// Counts a lock-context reschedule that fell back to a CP pCPU.
-    pub fn note_lock_fallback(&mut self) {
+    pub(crate) fn note_lock_fallback(&mut self) {
         self.lock_fallbacks.inc();
     }
 

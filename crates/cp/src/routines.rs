@@ -10,9 +10,9 @@
 //!
 //! - [`fig5_routine_ms`]: only the long-tail (>1 ms) population, with
 //!   bucket weights matching the published Fig. 5 histogram shape.
-//! - [`mixed_routine_ms`]: the full population — mostly sub-millisecond
-//!   holds with a configurable long-tail fraction — used when
-//!   synthesising realistic CP task programs.
+//! - `mixed_routine_ms` (crate-internal): the full population — mostly
+//!   sub-millisecond holds with a configurable long-tail fraction —
+//!   used when synthesising realistic CP task programs.
 
 use taichi_sim::Dist;
 
@@ -38,7 +38,7 @@ pub fn fig5_routine_ms() -> Dist {
 /// `long_tail_fraction` of routines come from [`fig5_routine_ms`]; the
 /// rest are sub-millisecond holds (log-uniform-ish over 10 µs–1 ms,
 /// approximated piecewise).
-pub fn mixed_routine_ms(long_tail_fraction: f64) -> Dist {
+pub(crate) fn mixed_routine_ms(long_tail_fraction: f64) -> Dist {
     let short = Dist::Empirical {
         buckets: vec![(0.01, 0.05, 40.0), (0.05, 0.2, 35.0), (0.2, 1.0, 25.0)],
     };

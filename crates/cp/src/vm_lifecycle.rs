@@ -111,11 +111,6 @@ impl VmStartupTracker {
         self.outstanding.len()
     }
 
-    /// True once every device finished.
-    pub fn devices_ready(&self) -> bool {
-        self.devices_ready_at.is_some()
-    }
-
     /// The VM startup time: request issue → devices ready → QEMU boot.
     ///
     /// `None` until all devices are initialised.
@@ -167,7 +162,6 @@ mod tests {
             let last = tr.on_thread_finished(tid, now);
             assert_eq!(last, i == 4);
         }
-        assert!(tr.devices_ready());
         // issued at 10 ms, last device at 60 ms, qemu 120 ms → 170 ms.
         assert_eq!(tr.startup_time().unwrap(), SimDuration::from_millis(170));
     }

@@ -10,9 +10,9 @@
 //!   profile (e.g. a 24-point diurnal curve) — used to reproduce the
 //!   Fig. 3 production utilization CDF.
 //!
-//! A [`TrafficGen`] combines a pattern with a size distribution and a
-//! destination-CPU spraying policy (round-robin over the DP CPUs,
-//! matching RSS across queues).
+//! A [`TrafficGen`] combines a pattern with a size distribution and
+//! sprays each packet to a uniformly random target CPU, as hardware
+//! RSS hashing of many flows does.
 
 use taichi_hw::{CpuId, IoKind, Packet, PacketId, TenantId};
 use taichi_sim::{Dist, Rng, SimDuration, SimTime};
@@ -47,55 +47,17 @@ pub enum ArrivalPattern {
     },
 }
 
-/// How packets are distributed across destination CPUs.
-///
-/// Hardware RSS hashes flows, so per-CPU arrivals look Poisson
-/// ([`Spray::Random`], the default); [`Spray::RoundRobin`] produces
-/// unrealistically smooth per-CPU gaps (Erlang-k) and is kept for
-/// tests that need deterministic destinations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Spray {
-    /// Uniformly random destination per packet (RSS-like).
-    #[default]
-    Random,
-    /// Strict rotation over the target list.
-    RoundRobin,
-}
-
-/// Internal on/off phase tracking.
-#[derive(Clone, Debug)]
-struct OnOffState {
-    in_burst: bool,
-    phase_ends: SimTime,
-}
-
-/// How the generator decides the next packet.
-#[derive(Clone, Debug)]
-enum Source {
-    /// Synthetic arrivals from a pattern + size distribution.
-    Synthetic {
-        pattern: ArrivalPattern,
-        size_bytes: Dist,
-        targets: Vec<CpuId>,
-        spray: Spray,
-        next_target: usize,
-        onoff: Option<OnOffState>,
-    },
-    /// Replay of a captured trace, looping with a cumulative offset.
-    Replay {
-        records: Vec<crate::trace::TraceRecord>,
-        pos: usize,
-        /// Time offset added on each loop iteration.
-        offset_ns: u64,
-        /// Gap inserted between iterations (one mean inter-arrival).
-        wrap_gap_ns: u64,
-    },
-}
-
-/// A packet source.
+/// A packet source: synthetic arrivals from a pattern and a size
+/// distribution, each sprayed to a uniformly random target CPU
+/// (RSS-like, so per-CPU arrivals look Poisson).
 #[derive(Clone, Debug)]
 pub struct TrafficGen {
-    source: Source,
+    pattern: ArrivalPattern,
+    size_bytes: Dist,
+    targets: Vec<CpuId>,
+    /// End of the current [`ArrivalPattern::OnOff`] burst, set at the
+    /// first packet.
+    onoff: Option<SimTime>,
     kind: IoKind,
     queue: u32,
     tenant: TenantId,
@@ -104,7 +66,7 @@ pub struct TrafficGen {
 }
 
 impl TrafficGen {
-    /// Creates a generator spraying packets round-robin over `targets`.
+    /// Creates a generator spraying packets uniformly over `targets`.
     ///
     /// # Panics
     ///
@@ -117,55 +79,16 @@ impl TrafficGen {
     ) -> Self {
         assert!(!targets.is_empty(), "traffic generator needs target CPUs");
         TrafficGen {
-            source: Source::Synthetic {
-                pattern,
-                size_bytes,
-                targets,
-                spray: Spray::Random,
-                next_target: 0,
-                onoff: None,
-            },
+            pattern,
+            size_bytes,
+            targets,
+            onoff: None,
             kind,
             queue: 0,
             tenant: TenantId::HOST,
             next_id: 0,
             clock: SimTime::ZERO,
         }
-    }
-
-    /// Creates a generator replaying a captured trace (see
-    /// [`crate::trace::Trace::replayer`]). The replay loops with a
-    /// cumulative offset so it provides a continuous workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `records` is empty.
-    pub fn replay(records: Vec<crate::trace::TraceRecord>, kind: IoKind) -> Self {
-        assert!(!records.is_empty(), "cannot replay an empty trace");
-        let duration = records.last().expect("non-empty").at_ns;
-        let wrap_gap_ns = (duration / records.len() as u64).max(1);
-        TrafficGen {
-            source: Source::Replay {
-                records,
-                pos: 0,
-                offset_ns: 0,
-                wrap_gap_ns,
-            },
-            kind,
-            queue: 0,
-            tenant: TenantId::HOST,
-            next_id: 0,
-            clock: SimTime::ZERO,
-        }
-    }
-
-    /// Sets the destination spraying policy (default [`Spray::Random`]).
-    /// No effect on trace replay (destinations come from the trace).
-    pub fn with_spray(mut self, spray: Spray) -> Self {
-        if let Source::Synthetic { spray: s, .. } = &mut self.source {
-            *s = spray;
-        }
-        self
     }
 
     /// Tags generated packets with a destination queue index. Queue 0
@@ -194,53 +117,12 @@ impl TrafficGen {
 
     /// Generates the next packet, advancing the internal clock.
     pub fn next_packet(&mut self, rng: &mut Rng) -> Packet {
-        let (at, size, dest) = match &mut self.source {
-            Source::Replay {
-                records,
-                pos,
-                offset_ns,
-                wrap_gap_ns,
-            } => {
-                if *pos >= records.len() {
-                    // Loop: shift the whole trace past the last packet.
-                    let last = records.last().expect("non-empty").at_ns;
-                    *offset_ns += last + *wrap_gap_ns;
-                    *pos = 0;
-                }
-                let r = records[*pos];
-                *pos += 1;
-                (
-                    SimTime::from_nanos(r.at_ns + *offset_ns),
-                    r.size_bytes,
-                    CpuId(r.dest_cpu),
-                )
-            }
-            Source::Synthetic { .. } => {
-                let gap = self.next_gap(rng);
-                let at = self.clock + gap;
-                let Source::Synthetic {
-                    size_bytes,
-                    targets,
-                    spray,
-                    next_target,
-                    ..
-                } = &mut self.source
-                else {
-                    unreachable!("matched Synthetic above");
-                };
-                let size = size_bytes.sample(rng).round().max(1.0) as u32;
-                let dest = match spray {
-                    Spray::Random => targets[rng.next_below(targets.len() as u64) as usize],
-                    Spray::RoundRobin => {
-                        let d = targets[*next_target % targets.len()];
-                        *next_target += 1;
-                        d
-                    }
-                };
-                (at, size, dest)
-            }
-        };
-        self.clock = at;
+        // Draw order (gap, size, destination) is part of the output
+        // contract: every seeded run depends on it.
+        let gap = self.next_gap(rng);
+        self.clock += gap;
+        let size = self.size_bytes.sample(rng).round().max(1.0) as u32;
+        let dest = self.targets[rng.next_below(self.targets.len() as u64) as usize];
         let id = PacketId(self.next_id);
         self.next_id += 1;
         Packet::new(id, self.kind, size, dest, self.queue, self.clock).with_tenant(self.tenant)
@@ -248,10 +130,7 @@ impl TrafficGen {
 
     fn next_gap(&mut self, rng: &mut Rng) -> SimDuration {
         let clock = self.clock;
-        let Source::Synthetic { pattern, onoff, .. } = &mut self.source else {
-            return SimDuration::ZERO;
-        };
-        match &*pattern {
+        match &self.pattern {
             ArrivalPattern::OpenLoop { gap_us } => gap_us.sample_micros(rng),
             ArrivalPattern::OnOff {
                 on_us,
@@ -259,26 +138,20 @@ impl TrafficGen {
                 burst_gap_us,
             } => {
                 // Initialise the first burst lazily.
-                if onoff.is_none() {
-                    let on = on_us.sample_micros(rng);
-                    *onoff = Some(OnOffState {
-                        in_burst: true,
-                        phase_ends: clock + on,
-                    });
-                }
+                let burst_ends = self
+                    .onoff
+                    .get_or_insert_with(|| clock + on_us.sample_micros(rng));
                 let gap = burst_gap_us.sample_micros(rng);
-                let st = onoff.as_mut().expect("initialised above");
-                if clock + gap <= st.phase_ends {
+                if clock + gap <= *burst_ends {
                     gap
                 } else {
                     // Burst exhausted: jump over the off period and
                     // start a new burst.
                     let off = off_us.sample_micros(rng);
-                    let next_start = st.phase_ends + off;
+                    let next_start = *burst_ends + off;
                     let on = on_us.sample_micros(rng);
                     let silent = next_start.saturating_since(clock);
-                    st.in_burst = true;
-                    st.phase_ends = next_start + on;
+                    *burst_ends = next_start + on;
                     silent + burst_gap_us.sample_micros(rng)
                 }
             }
@@ -321,22 +194,6 @@ mod tests {
         // Mean gap 10 µs ⇒ 50k packets ≈ 500 ms.
         let elapsed_ms = g.clock().as_millis_f64();
         assert!((elapsed_ms - 500.0).abs() / 500.0 < 0.03, "{elapsed_ms} ms");
-    }
-
-    #[test]
-    fn round_robin_spraying() {
-        let mut g = TrafficGen::new(
-            ArrivalPattern::OpenLoop {
-                gap_us: Dist::constant(1.0),
-            },
-            Dist::constant(64.0),
-            IoKind::Network,
-            vec![CpuId(0), CpuId(1), CpuId(2)],
-        )
-        .with_spray(Spray::RoundRobin);
-        let mut rng = Rng::new(1);
-        let dests: Vec<u32> = (0..6).map(|_| g.next_packet(&mut rng).dest_cpu.0).collect();
-        assert_eq!(dests, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
@@ -444,95 +301,5 @@ mod tests {
             IoKind::Network,
             vec![],
         );
-    }
-}
-
-#[cfg(test)]
-mod replay_tests {
-    use super::*;
-    use crate::trace::{Trace, TraceRecord};
-
-    fn trace() -> Trace {
-        Trace::new(vec![
-            TraceRecord {
-                at_ns: 100,
-                dest_cpu: 2,
-                size_bytes: 64,
-            },
-            TraceRecord {
-                at_ns: 300,
-                dest_cpu: 5,
-                size_bytes: 1500,
-            },
-        ])
-    }
-
-    #[test]
-    fn replay_reproduces_records_exactly() {
-        let mut g = trace().replayer(IoKind::Storage);
-        let mut rng = Rng::new(123);
-        let p1 = g.next_packet(&mut rng);
-        let p2 = g.next_packet(&mut rng);
-        assert_eq!(p1.submitted_at.as_nanos(), 100);
-        assert_eq!(p1.dest_cpu, CpuId(2));
-        assert_eq!(p1.size_bytes, 64);
-        assert_eq!(p2.submitted_at.as_nanos(), 300);
-        assert_eq!(p2.dest_cpu, CpuId(5));
-        assert_eq!(p2.kind, IoKind::Storage);
-    }
-
-    #[test]
-    fn replay_loops_with_offset() {
-        let mut g = trace().replayer(IoKind::Network);
-        let mut rng = Rng::new(1);
-        let times: Vec<u64> = (0..6)
-            .map(|_| g.next_packet(&mut rng).submitted_at.as_nanos())
-            .collect();
-        // wrap gap = 300/2 = 150; second loop offset 450, third 900.
-        assert_eq!(times, vec![100, 300, 550, 750, 1000, 1200]);
-    }
-
-    #[test]
-    fn replay_ignores_rng_seed() {
-        let mut a = trace().replayer(IoKind::Network);
-        let mut b = trace().replayer(IoKind::Network);
-        let mut r1 = Rng::new(1);
-        let mut r2 = Rng::new(999);
-        for _ in 0..10 {
-            let pa = a.next_packet(&mut r1);
-            let pb = b.next_packet(&mut r2);
-            assert_eq!(pa.submitted_at, pb.submitted_at);
-            assert_eq!(pa.dest_cpu, pb.dest_cpu);
-            assert_eq!(pa.size_bytes, pb.size_bytes);
-        }
-    }
-
-    #[test]
-    fn captured_trace_replays_through_a_machine_shape() {
-        // Capture a synthetic trace, then verify the replayer emits the
-        // identical packet sequence the capture saw.
-        let mut synth = TrafficGen::new(
-            ArrivalPattern::OpenLoop {
-                gap_us: Dist::exponential(5.0),
-            },
-            Dist::uniform(64.0, 1500.0),
-            IoKind::Network,
-            (0..8).map(CpuId).collect(),
-        );
-        let mut rng = Rng::new(77);
-        let t = Trace::capture(
-            &mut synth,
-            &mut rng,
-            taichi_sim::SimDuration::from_millis(1),
-        );
-        assert!(t.len() > 100);
-        let mut replay = t.replayer(IoKind::Network);
-        let mut dummy = Rng::new(0);
-        for r in t.records() {
-            let p = replay.next_packet(&mut dummy);
-            assert_eq!(p.submitted_at.as_nanos(), r.at_ns);
-            assert_eq!(p.dest_cpu.0, r.dest_cpu);
-            assert_eq!(p.size_bytes, r.size_bytes);
-        }
     }
 }

@@ -8,7 +8,6 @@ use taichi_sim::{Histogram, SimDuration, SimTime};
 #[derive(Clone, Debug, Default)]
 pub struct LatencyRecorder {
     total: Histogram,
-    hardware: Histogram,
     software: Histogram,
     packets: u64,
     bytes: u64,
@@ -28,9 +27,6 @@ impl LatencyRecorder {
             return;
         };
         self.total.record(total.as_nanos());
-        if let Some(hw) = packet.hardware_latency() {
-            self.hardware.record(hw.as_nanos());
-        }
         if let Some(sw) = packet.software_latency() {
             self.software.record(sw.as_nanos());
         }
@@ -48,7 +44,6 @@ impl LatencyRecorder {
     /// Merges another recorder into this one.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         self.total.merge(&other.total);
-        self.hardware.merge(&other.hardware);
         self.software.merge(&other.software);
         self.packets += other.packets;
         self.bytes += other.bytes;
@@ -67,7 +62,6 @@ impl LatencyRecorder {
     /// of the allocation-free epoch drain ([`LatencyRecorder::drain_into`]).
     pub fn reset(&mut self) {
         self.total.reset();
-        self.hardware.reset();
         self.software.reset();
         self.packets = 0;
         self.bytes = 0;
@@ -88,11 +82,6 @@ impl LatencyRecorder {
     /// End-to-end latency histogram.
     pub fn total_latency(&self) -> &Histogram {
         &self.total
-    }
-
-    /// Hardware-stage latency histogram.
-    pub fn hardware_latency(&self) -> &Histogram {
-        &self.hardware
     }
 
     /// Software-stage (queue wait + processing) latency histogram.
@@ -154,7 +143,6 @@ mod tests {
         assert_eq!(r.packets(), 1);
         assert_eq!(r.bytes(), 1000);
         assert_eq!(r.total_latency().mean(), 10_000.0);
-        assert_eq!(r.hardware_latency().mean(), 3_000.0);
         assert_eq!(r.software_latency().mean(), 7_000.0);
     }
 

@@ -18,9 +18,7 @@
 pub mod generator;
 pub mod latency;
 pub mod service;
-pub mod trace;
 
-pub use generator::{ArrivalPattern, Spray, TrafficGen};
+pub use generator::{ArrivalPattern, TrafficGen};
 pub use latency::LatencyRecorder;
 pub use service::{DpService, DpServiceConfig};
-pub use trace::{Trace, TraceRecord};

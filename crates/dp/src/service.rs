@@ -275,7 +275,7 @@ impl DpService {
     }
 
     /// Consecutive empty polls accumulated by `now` (analytic).
-    pub fn empty_polls(&self, now: SimTime) -> u64 {
+    pub(crate) fn empty_polls(&self, now: SimTime) -> u64 {
         match self.empty_since {
             Some(since) if self.queue.is_empty() && now > since => {
                 now.saturating_since(since).as_nanos()

@@ -32,7 +32,7 @@
 //! accumulation is deterministic too.
 //!
 //! Each epoch-parallel worker owns a *pool* of machines and reports
-//! one batched [`WorkerDelta`] per epoch (not one message per
+//! one batched `WorkerDelta` per epoch (not one message per
 //! machine); the main thread drains the delta into the rack fold and
 //! recycles its backing storage back to the worker inside the next
 //! epoch command. Plans are never shipped at all — they are a pure
@@ -385,10 +385,11 @@ impl MachineSlot {
         };
         let mut machine = Machine::new(mcfg, cfg.mode);
         // Baseline local (intra-NIC) load; east-west traffic rides on
-        // top of this via `inject_rx`. In a multi-tenant fleet each
-        // tenant originates its own share of the same aggregate load
-        // (one generator — and one RNG stream — per tenant); with one
-        // tenant the single pre-tenant generator is reproduced exactly.
+        // top of this via `inject_rx_for_tenant`. In a multi-tenant
+        // fleet each tenant originates its own share of the same
+        // aggregate load (one generator — and one RNG stream — per
+        // tenant); with one tenant the single pre-tenant generator is
+        // reproduced exactly.
         let dp = machine.services().len() as u32;
         let tenants = cfg.machine.tenants.count.max(1);
         for t in 0..tenants {
@@ -755,26 +756,6 @@ impl FleetResult {
             fp.push(rec.total_latency().percentile(99.0));
         }
         fp
-    }
-
-    /// Per-tenant rack summary (one row per tenant; empty table rows
-    /// for a single-tenant fleet).
-    pub fn tenant_table(&self) -> Table {
-        let mut t = Table::new(
-            "fleet rack per-tenant aggregates",
-            &["tenant", "packets", "p50 (ns)", "p99 (ns)", "p999 (ns)"],
-        );
-        for (i, rec) in self.tenant_rack.iter().enumerate() {
-            let lat = rec.total_latency();
-            t.row(&[
-                i.to_string(),
-                rec.packets().to_string(),
-                lat.percentile(50.0).to_string(),
-                lat.percentile(99.0).to_string(),
-                lat.percentile(99.9).to_string(),
-            ]);
-        }
-        t
     }
 
     /// Per-epoch rack table (one row per epoch) — the rack CSV.
@@ -1151,11 +1132,8 @@ mod tests {
         // Worker-count invariance holds for tenant aggregates too.
         let p = run(&cfg, FleetDriver::EpochParallel { workers: 3 });
         assert_eq!(p.fingerprint(), r.fingerprint());
-        // The tenant table renders one row per tenant.
-        assert_eq!(r.tenant_table().to_csv().lines().count(), 3);
         // Single-tenant fleets export no tenant entries at all.
         let single = run(&tiny(), FleetDriver::Sequential);
         assert!(single.tenant_rack.is_empty());
-        assert_eq!(single.tenant_table().to_csv().lines().count(), 1);
     }
 }

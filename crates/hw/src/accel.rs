@@ -180,7 +180,6 @@ pub struct Accelerator {
     /// Per-channel earliest next issue time.
     channel_free: Vec<SimTime>,
     ingested: Counter,
-    bytes: Counter,
     tracer: Option<Tracer>,
     fault: Option<FaultInjector>,
     /// Multi-tenant ingress arbiter; `None` in the single-tenant
@@ -211,7 +210,6 @@ impl Accelerator {
             config,
             channel_free: vec![SimTime::ZERO; channels],
             ingested: Counter::new(),
-            bytes: Counter::new(),
             tracer: None,
             fault: None,
             arbiter: None,
@@ -277,7 +275,6 @@ impl Accelerator {
         packet.delivered_at = Some(delivered_at);
 
         self.ingested.inc();
-        self.bytes.add(packet.size_bytes as u64);
 
         if let Some(t) = &self.tracer {
             let cpu = packet.dest_cpu.0;
@@ -431,11 +428,6 @@ impl Accelerator {
     pub fn packets_ingested(&self) -> u64 {
         self.ingested.get()
     }
-
-    /// Total payload bytes ingested.
-    pub fn bytes_ingested(&self) -> u64 {
-        self.bytes.get()
-    }
 }
 
 #[cfg(test)]
@@ -537,7 +529,6 @@ mod tests {
             acc.ingest(&mut p, SimTime::from_micros(1), &mut probe);
         }
         assert_eq!(acc.packets_ingested(), 5);
-        assert_eq!(acc.bytes_ingested(), 500);
     }
 
     #[test]

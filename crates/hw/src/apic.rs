@@ -1,18 +1,15 @@
 //! The interrupt fabric: IPIs and IRQ lines.
 //!
-//! Models a local-APIC-like interrupt controller shared by all SmartNIC
-//! CPUs: inter-processor interrupts carry `(source, destination,
-//! vector)` and are delivered after a fixed fabric latency; each CPU has
-//! a pending-vector set and a global mask bit (interrupts disabled while
-//! in a non-preemptible kernel section).
+//! Models the interrupt fabric shared by all SmartNIC CPUs:
+//! inter-processor interrupts carry `(source, destination, vector)` and
+//! device IRQs reach their CPU after a fixed fabric latency, which an
+//! attached fault injector may stretch or turn into a loss.
 //!
 //! Tai Chi's unified IPI orchestrator (in `taichi-core`) hooks the send
 //! path *above* this fabric — this module is plain hardware.
 
 use crate::cpu::CpuId;
-use taichi_sim::{Counter, FaultInjector, IpiFate, SimDuration, SimTime};
-
-use std::collections::BTreeSet;
+use taichi_sim::{FaultInjector, IpiFate, SimDuration};
 
 /// Interrupt vector number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,14 +20,6 @@ impl IrqVector {
     pub const RESCHEDULE: IrqVector = IrqVector(0xFD);
     /// Generic function-call IPI vector.
     pub const CALL_FUNCTION: IrqVector = IrqVector(0xFB);
-    /// The dedicated Tai Chi vCPU-scheduling softirq kick.
-    pub const TAICHI_KICK: IrqVector = IrqVector(0xF0);
-    /// The hardware workload probe's preempt IRQ.
-    pub const HW_PROBE: IrqVector = IrqVector(0xF1);
-    /// CPU-hotplug INIT (vCPU registration boot sequence).
-    pub const INIT: IrqVector = IrqVector(0x00);
-    /// CPU-hotplug startup (SIPI).
-    pub const SIPI: IrqVector = IrqVector(0x01);
 }
 
 /// One inter-processor interrupt message.
@@ -44,32 +33,19 @@ pub struct IpiMessage {
     pub vector: IrqVector,
 }
 
-/// Per-CPU interrupt state.
-#[derive(Clone, Debug, Default)]
-struct LocalApic {
-    pending: BTreeSet<u8>,
-    masked: bool,
-}
-
 /// The interrupt fabric for all CPUs (physical and registered virtual).
 #[derive(Clone, Debug)]
 pub struct ApicFabric {
-    lapics: Vec<LocalApic>,
     latency: SimDuration,
-    sent: Counter,
-    delivered: Counter,
     fault: Option<FaultInjector>,
 }
 
 impl ApicFabric {
-    /// Creates a fabric covering `num_cpus` CPUs with the given
-    /// delivery latency (typical x2APIC IPI: several hundred ns).
-    pub fn new(num_cpus: u32, latency: SimDuration) -> Self {
+    /// Creates a fabric with the given delivery latency (typical x2APIC
+    /// IPI: several hundred ns).
+    pub fn new(latency: SimDuration) -> Self {
         ApicFabric {
-            lapics: vec![LocalApic::default(); num_cpus as usize],
             latency,
-            sent: Counter::new(),
-            delivered: Counter::new(),
             fault: None,
         }
     }
@@ -79,27 +55,10 @@ impl ApicFabric {
         self.fault = Some(fault);
     }
 
-    /// Grows the fabric to cover newly registered (virtual) CPUs.
-    pub fn ensure_cpus(&mut self, num_cpus: u32) {
-        if num_cpus as usize > self.lapics.len() {
-            self.lapics.resize(num_cpus as usize, LocalApic::default());
-        }
-    }
-
-    /// Number of CPUs with local APIC state.
-    pub fn num_cpus(&self) -> u32 {
-        self.lapics.len() as u32
-    }
-
-    /// Fabric delivery latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
-    }
-
     /// Fault-aware delivery latency for a device IRQ headed to `cpu`:
     /// `None` when the message is lost in the fabric, otherwise the
     /// base latency plus any injected congestion delay. Without an
-    /// injector this is always `Some(latency())`, so the happy path is
+    /// injector this is always the base latency, so the happy path is
     /// byte-identical to the pre-fault fabric.
     pub fn irq_latency(&self, cpu: CpuId) -> Option<SimDuration> {
         let Some(f) = &self.fault else {
@@ -111,171 +70,15 @@ impl ApicFabric {
             IpiFate::Deliver => Some(self.latency),
         }
     }
-
-    /// Initiates an IPI send at `now`; returns the delivery time.
-    ///
-    /// The caller (the OS IPI dispatch, or Tai Chi's orchestrator) is
-    /// responsible for acting at the returned time via its event queue.
-    pub fn send(&mut self, _msg: IpiMessage, now: SimTime) -> SimTime {
-        self.sent.inc();
-        now + self.latency
-    }
-
-    /// Marks a vector pending on `cpu` (called at delivery time).
-    ///
-    /// Returns `true` when the interrupt is immediately serviceable
-    /// (the CPU is not masked); `false` when it stays pending behind a
-    /// mask.
-    pub fn deliver(&mut self, cpu: CpuId, vector: IrqVector) -> bool {
-        let lapic = match self.lapics.get_mut(cpu.index()) {
-            Some(l) => l,
-            // Nothing was delivered: an out-of-range destination must
-            // not inflate `total_delivered`.
-            None => return false,
-        };
-        self.delivered.inc();
-        lapic.pending.insert(vector.0);
-        !lapic.masked
-    }
-
-    /// Disables interrupt servicing on `cpu` (IRQ-off section).
-    pub fn mask(&mut self, cpu: CpuId) {
-        if let Some(l) = self.lapics.get_mut(cpu.index()) {
-            l.masked = true;
-        }
-    }
-
-    /// Re-enables interrupt servicing on `cpu`; returns the vectors that
-    /// were pending (now serviceable), lowest vector first.
-    pub fn unmask(&mut self, cpu: CpuId) -> Vec<IrqVector> {
-        match self.lapics.get_mut(cpu.index()) {
-            Some(l) => {
-                l.masked = false;
-                l.pending.iter().map(|&v| IrqVector(v)).collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// True when `cpu` is masked.
-    pub fn is_masked(&self, cpu: CpuId) -> bool {
-        self.lapics
-            .get(cpu.index())
-            .map(|l| l.masked)
-            .unwrap_or(false)
-    }
-
-    /// Acknowledges (clears) a pending vector on `cpu`; returns whether
-    /// it was pending.
-    pub fn ack(&mut self, cpu: CpuId, vector: IrqVector) -> bool {
-        self.lapics
-            .get_mut(cpu.index())
-            .map(|l| l.pending.remove(&vector.0))
-            .unwrap_or(false)
-    }
-
-    /// Pending vectors on `cpu`, lowest first.
-    pub fn pending(&self, cpu: CpuId) -> Vec<IrqVector> {
-        self.lapics
-            .get(cpu.index())
-            .map(|l| l.pending.iter().map(|&v| IrqVector(v)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Total IPIs initiated.
-    pub fn total_sent(&self) -> u64 {
-        self.sent.get()
-    }
-
-    /// Total interrupts delivered to a local APIC.
-    pub fn total_delivered(&self) -> u64 {
-        self.delivered.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fabric() -> ApicFabric {
-        ApicFabric::new(12, SimDuration::from_nanos(300))
-    }
-
     #[test]
     fn send_returns_delivery_time() {
-        let mut f = fabric();
-        let msg = IpiMessage {
-            src: CpuId(0),
-            dst: CpuId(3),
-            vector: IrqVector::RESCHEDULE,
-        };
-        let at = f.send(msg, SimTime::from_micros(1));
-        assert_eq!(at.as_nanos(), 1_000 + 300);
-        assert_eq!(f.total_sent(), 1);
-    }
-
-    #[test]
-    fn deliver_and_ack() {
-        let mut f = fabric();
-        assert!(f.deliver(CpuId(2), IrqVector::TAICHI_KICK));
-        assert_eq!(f.pending(CpuId(2)), vec![IrqVector::TAICHI_KICK]);
-        assert!(f.ack(CpuId(2), IrqVector::TAICHI_KICK));
-        assert!(!f.ack(CpuId(2), IrqVector::TAICHI_KICK));
-        assert!(f.pending(CpuId(2)).is_empty());
-    }
-
-    #[test]
-    fn masked_delivery_stays_pending() {
-        let mut f = fabric();
-        f.mask(CpuId(1));
-        assert!(f.is_masked(CpuId(1)));
-        assert!(!f.deliver(CpuId(1), IrqVector::HW_PROBE));
-        let released = f.unmask(CpuId(1));
-        assert_eq!(released, vec![IrqVector::HW_PROBE]);
-        assert!(!f.is_masked(CpuId(1)));
-    }
-
-    #[test]
-    fn unmask_orders_by_vector() {
-        let mut f = fabric();
-        f.mask(CpuId(0));
-        f.deliver(CpuId(0), IrqVector::RESCHEDULE);
-        f.deliver(CpuId(0), IrqVector::TAICHI_KICK);
-        let released = f.unmask(CpuId(0));
-        assert_eq!(
-            released,
-            vec![IrqVector::TAICHI_KICK, IrqVector::RESCHEDULE]
-        );
-    }
-
-    #[test]
-    fn ensure_cpus_grows_for_vcpus() {
-        let mut f = fabric();
-        assert_eq!(f.num_cpus(), 12);
-        f.ensure_cpus(20);
-        assert_eq!(f.num_cpus(), 20);
-        assert!(f.deliver(CpuId(19), IrqVector::INIT));
-        // Shrinking is a no-op.
-        f.ensure_cpus(5);
-        assert_eq!(f.num_cpus(), 20);
-    }
-
-    #[test]
-    fn out_of_range_cpu_is_harmless() {
-        let mut f = fabric();
-        assert!(!f.deliver(CpuId(99), IrqVector::SIPI));
-        assert_eq!(f.total_delivered(), 0, "nothing reached a local APIC");
-        assert!(f.pending(CpuId(99)).is_empty());
-        assert!(!f.is_masked(CpuId(99)));
-        assert!(f.unmask(CpuId(99)).is_empty());
-    }
-
-    #[test]
-    fn duplicate_vector_collapses() {
-        let mut f = fabric();
-        f.deliver(CpuId(0), IrqVector::HW_PROBE);
-        f.deliver(CpuId(0), IrqVector::HW_PROBE);
-        assert_eq!(f.pending(CpuId(0)).len(), 1);
-        assert_eq!(f.total_delivered(), 2);
+        let f = ApicFabric::new(SimDuration::from_nanos(300));
+        assert_eq!(f.irq_latency(CpuId(3)), Some(SimDuration::from_nanos(300)));
     }
 }

@@ -28,31 +28,16 @@ impl fmt::Display for CpuId {
     }
 }
 
-/// Static role assigned to a physical CPU by the production partitioning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CpuRole {
-    /// Reserved for data-plane poll-mode services.
-    DataPlane,
-    /// Reserved for control-plane tasks.
-    ControlPlane,
-}
-
 /// Description of the SmartNIC SoC.
 ///
 /// Defaults follow the paper's evaluation platform (Table 4): 12 CPUs
-/// split 8 data-plane / 4 control-plane, PCIe Gen3 x8, 200 Gb/s.
+/// split 8 data-plane / 4 control-plane.
 #[derive(Clone, Debug)]
 pub struct SmartNicSpec {
     /// Number of physical CPUs on the SoC.
     pub num_cpus: u32,
     /// Number of those CPUs statically reserved for the data plane.
     pub dp_cpus: u32,
-    /// Nominal CPU frequency in GHz (used only for cost-model scaling).
-    pub cpu_ghz: f64,
-    /// Physical network bandwidth in Gb/s.
-    pub network_gbps: f64,
-    /// PCIe lanes to the host.
-    pub pcie_lanes: u32,
 }
 
 impl Default for SmartNicSpec {
@@ -60,9 +45,6 @@ impl Default for SmartNicSpec {
         SmartNicSpec {
             num_cpus: 12,
             dp_cpus: 8,
-            cpu_ghz: 2.0,
-            network_gbps: 200.0,
-            pcie_lanes: 8,
         }
     }
 }
@@ -79,16 +61,7 @@ impl SmartNicSpec {
             dp_cpus > 0 && dp_cpus < num_cpus,
             "need at least one DP and one CP CPU (got {dp_cpus}/{num_cpus})"
         );
-        SmartNicSpec {
-            num_cpus,
-            dp_cpus,
-            ..SmartNicSpec::default()
-        }
-    }
-
-    /// Number of CPUs reserved for the control plane.
-    pub fn cp_cpus(&self) -> u32 {
-        self.num_cpus - self.dp_cpus
+        SmartNicSpec { num_cpus, dp_cpus }
     }
 
     /// IDs of the data-plane CPUs (the low range, matching production
@@ -101,29 +74,6 @@ impl SmartNicSpec {
     pub fn cp_cpu_ids(&self) -> Vec<CpuId> {
         (self.dp_cpus..self.num_cpus).map(CpuId).collect()
     }
-
-    /// IDs of every physical CPU.
-    pub fn all_cpu_ids(&self) -> Vec<CpuId> {
-        (0..self.num_cpus).map(CpuId).collect()
-    }
-
-    /// Role of a given physical CPU.
-    ///
-    /// Returns `None` for IDs beyond the physical range (e.g. vCPU IDs).
-    pub fn role_of(&self, cpu: CpuId) -> Option<CpuRole> {
-        if cpu.0 < self.dp_cpus {
-            Some(CpuRole::DataPlane)
-        } else if cpu.0 < self.num_cpus {
-            Some(CpuRole::ControlPlane)
-        } else {
-            None
-        }
-    }
-
-    /// The first CPU ID available for registering vCPUs.
-    pub fn first_vcpu_id(&self) -> CpuId {
-        CpuId(self.num_cpus)
-    }
 }
 
 #[cfg(test)]
@@ -135,9 +85,6 @@ mod tests {
         let s = SmartNicSpec::default();
         assert_eq!(s.num_cpus, 12);
         assert_eq!(s.dp_cpus, 8);
-        assert_eq!(s.cp_cpus(), 4);
-        assert_eq!(s.pcie_lanes, 8);
-        assert_eq!(s.network_gbps, 200.0);
     }
 
     #[test]
@@ -145,26 +92,20 @@ mod tests {
         let s = SmartNicSpec::default();
         assert_eq!(s.dp_cpu_ids(), (0..8).map(CpuId).collect::<Vec<_>>());
         assert_eq!(s.cp_cpu_ids(), (8..12).map(CpuId).collect::<Vec<_>>());
-        assert_eq!(s.all_cpu_ids().len(), 12);
-        assert_eq!(s.first_vcpu_id(), CpuId(12));
     }
 
     #[test]
     fn roles() {
-        let s = SmartNicSpec::default();
-        assert_eq!(s.role_of(CpuId(0)), Some(CpuRole::DataPlane));
-        assert_eq!(s.role_of(CpuId(7)), Some(CpuRole::DataPlane));
-        assert_eq!(s.role_of(CpuId(8)), Some(CpuRole::ControlPlane));
-        assert_eq!(s.role_of(CpuId(11)), Some(CpuRole::ControlPlane));
-        assert_eq!(s.role_of(CpuId(12)), None);
+        // Data-plane CPUs take the low IDs, control-plane CPUs the rest.
+        let s = SmartNicSpec::with_split(16, 10);
+        assert_eq!(s.dp_cpu_ids(), (0..10).map(CpuId).collect::<Vec<_>>());
+        assert_eq!(s.cp_cpu_ids(), (10..16).map(CpuId).collect::<Vec<_>>());
     }
 
     #[test]
     fn custom_split() {
         let s = SmartNicSpec::with_split(16, 10);
-        assert_eq!(s.cp_cpus(), 6);
-        assert_eq!(s.role_of(CpuId(9)), Some(CpuRole::DataPlane));
-        assert_eq!(s.role_of(CpuId(10)), Some(CpuRole::ControlPlane));
+        assert_eq!((s.num_cpus, s.dp_cpus), (16, 10));
     }
 
     #[test]

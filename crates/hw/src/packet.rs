@@ -105,11 +105,6 @@ impl Packet {
         self.completed_at.map(|c| c - self.submitted_at)
     }
 
-    /// Hardware time (submission → shared-memory delivery), if delivered.
-    pub fn hardware_latency(&self) -> Option<SimDuration> {
-        self.delivered_at.map(|d| d - self.submitted_at)
-    }
-
     /// Software time (delivery → completion), if completed.
     ///
     /// This includes any wait for the DP CPU to become available — the
@@ -141,7 +136,6 @@ mod tests {
     fn latencies_none_until_stages_complete() {
         let p = pkt();
         assert!(p.total_latency().is_none());
-        assert!(p.hardware_latency().is_none());
         assert!(p.software_latency().is_none());
     }
 
@@ -151,10 +145,6 @@ mod tests {
         p.preprocessed_at = Some(SimTime::from_nanos(12_700));
         p.delivered_at = Some(SimTime::from_nanos(13_200));
         p.completed_at = Some(SimTime::from_nanos(15_200));
-        assert_eq!(
-            p.hardware_latency().unwrap(),
-            SimDuration::from_nanos(3_200)
-        );
         assert_eq!(
             p.software_latency().unwrap(),
             SimDuration::from_nanos(2_000)

@@ -34,8 +34,6 @@ pub struct HwWorkloadProbe {
     states: Vec<CpuExecState>,
     enabled: bool,
     checks: Counter,
-    irqs_raised: Counter,
-    suppressed: Counter,
 }
 
 impl HwWorkloadProbe {
@@ -46,8 +44,6 @@ impl HwWorkloadProbe {
             states: vec![CpuExecState::PState; num_cpus as usize],
             enabled: true,
             checks: Counter::new(),
-            irqs_raised: Counter::new(),
-            suppressed: Counter::new(),
         }
     }
 
@@ -87,35 +83,12 @@ impl HwWorkloadProbe {
     /// (i.e. the CPU is in V-state and the probe is enabled).
     pub fn check_on_packet(&mut self, dest_cpu: CpuId) -> bool {
         self.checks.inc();
-        if !self.enabled {
-            self.suppressed.inc();
-            return false;
-        }
-        match self.state(dest_cpu) {
-            CpuExecState::VState => {
-                self.irqs_raised.inc();
-                true
-            }
-            CpuExecState::PState => {
-                self.suppressed.inc();
-                false
-            }
-        }
+        self.enabled && self.state(dest_cpu) == CpuExecState::VState
     }
 
     /// Total packet-arrival checks performed.
     pub fn checks(&self) -> u64 {
         self.checks.get()
-    }
-
-    /// Total probe IRQs raised.
-    pub fn irqs_raised(&self) -> u64 {
-        self.irqs_raised.get()
-    }
-
-    /// Checks that did not raise an IRQ (P-state or probe disabled).
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed.get()
     }
 }
 
@@ -130,8 +103,7 @@ mod tests {
             assert_eq!(p.state(CpuId(i)), CpuExecState::PState);
             assert!(!p.check_on_packet(CpuId(i)));
         }
-        assert_eq!(p.irqs_raised(), 0);
-        assert_eq!(p.suppressed(), 12);
+        assert_eq!(p.checks(), 12);
     }
 
     #[test]
@@ -140,7 +112,6 @@ mod tests {
         p.set_state(CpuId(3), CpuExecState::VState);
         assert!(p.check_on_packet(CpuId(3)));
         assert!(!p.check_on_packet(CpuId(4)));
-        assert_eq!(p.irqs_raised(), 1);
         assert_eq!(p.checks(), 2);
     }
 
@@ -161,7 +132,6 @@ mod tests {
         p.set_enabled(false);
         assert!(!p.is_enabled());
         assert!(!p.check_on_packet(CpuId(0)));
-        assert_eq!(p.irqs_raised(), 0);
     }
 
     #[test]

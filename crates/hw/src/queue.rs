@@ -106,7 +106,7 @@ impl RxQueue {
     /// what a deficit-round-robin arbiter needs to decide whether the
     /// tenant's credit covers its next packet without popping it.
     #[inline]
-    pub fn head_size(&self) -> Option<u32> {
+    pub(crate) fn head_size(&self) -> Option<u32> {
         self.ring.front().map(|p| p.size_bytes)
     }
 

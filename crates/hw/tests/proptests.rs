@@ -2,11 +2,11 @@
 //! in-repo deterministic harness ([`taichi_sim::check`]).
 
 use taichi_hw::{
-    Accelerator, AcceleratorConfig, ApicFabric, CpuExecState, CpuId, HwWorkloadProbe, IoKind,
-    IrqVector, Packet, PacketId, RxQueue,
+    Accelerator, AcceleratorConfig, CpuExecState, CpuId, HwWorkloadProbe, IoKind, Packet, PacketId,
+    RxQueue,
 };
 use taichi_sim::check::run_cases;
-use taichi_sim::{SimDuration, SimTime};
+use taichi_sim::SimTime;
 
 /// The rx ring behaves exactly like a bounded VecDeque: FIFO order,
 /// drops only when full, conservation of packets.
@@ -123,28 +123,5 @@ fn probe_is_a_pure_state_table() {
             let want = enabled && model[cpu as usize] == CpuExecState::VState;
             assert_eq!(probe.check_on_packet(CpuId(cpu)), want);
         }
-    });
-}
-
-/// The APIC fabric never loses a masked interrupt: mask, deliver
-/// arbitrarily, unmask — everything pending is released once.
-#[test]
-fn apic_mask_conserves_interrupts() {
-    run_cases("apic_mask_conserves_interrupts", 128, |_, rng| {
-        let n = rng.gen_range(1, 30);
-        let vectors: Vec<u8> = (0..n).map(|_| rng.next_below(255) as u8).collect();
-        let mut f = ApicFabric::new(4, SimDuration::from_nanos(300));
-        f.mask(CpuId(1));
-        let unique: std::collections::BTreeSet<u8> = vectors.iter().copied().collect();
-        for &v in &vectors {
-            assert!(!f.deliver(CpuId(1), IrqVector(v)), "masked delivery");
-        }
-        let released = f.unmask(CpuId(1));
-        assert_eq!(released.len(), unique.len());
-        for v in released {
-            assert!(unique.contains(&v.0));
-            assert!(f.ack(CpuId(1), v));
-        }
-        assert!(f.pending(CpuId(1)).is_empty());
     });
 }

@@ -68,16 +68,6 @@ impl CpuSet {
         self.0 == 0
     }
 
-    /// Set union.
-    pub fn union(&self, other: &CpuSet) -> CpuSet {
-        CpuSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersection(&self, other: &CpuSet) -> CpuSet {
-        CpuSet(self.0 & other.0)
-    }
-
     /// Iterates the member CPUs in ascending ID order.
     pub fn iter(&self) -> impl Iterator<Item = CpuId> + '_ {
         (0..=Self::MAX_CPU)
@@ -136,15 +126,6 @@ mod tests {
         let ids: Vec<u32> = s.iter().map(|c| c.0).collect();
         assert_eq!(ids, vec![8, 9, 10, 11]);
         assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn union_intersection() {
-        let a = CpuSet::range(0, 8);
-        let b = CpuSet::range(6, 10);
-        assert_eq!(a.union(&b).len(), 10);
-        let i = a.intersection(&b);
-        assert_eq!(i.iter().map(|c| c.0).collect::<Vec<_>>(), vec![6, 7]);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl Kernel {
     }
 
     /// True when `cpu` is paused.
-    pub fn is_paused(&self, cpu: CpuId) -> bool {
+    pub(crate) fn is_paused(&self, cpu: CpuId) -> bool {
         self.cpu(cpu).map(|c| c.paused).unwrap_or(false)
     }
 

@@ -33,7 +33,6 @@ struct LockSlot {
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
     slots: HashMap<LockId, LockSlot>,
-    acquisitions: Counter,
     contentions: Counter,
 }
 
@@ -47,11 +46,10 @@ impl LockTable {
     ///
     /// Returns `true` on success; on failure the thread is queued as a
     /// spinning waiter (FIFO) and `false` is returned.
-    pub fn acquire(&mut self, lock: LockId, tid: ThreadId) -> bool {
+    pub(crate) fn acquire(&mut self, lock: LockId, tid: ThreadId) -> bool {
         let slot = self.slots.entry(lock).or_default();
         if slot.holder.is_none() {
             slot.holder = Some(tid);
-            self.acquisitions.inc();
             true
         } else {
             debug_assert_ne!(slot.holder, Some(tid), "recursive spinlock acquire");
@@ -83,32 +81,12 @@ impl LockTable {
         );
         let next = slot.waiters.pop_front();
         slot.holder = next;
-        if next.is_some() {
-            self.acquisitions.inc();
-        }
         next
     }
 
     /// Current holder of `lock`.
     pub fn holder(&self, lock: LockId) -> Option<ThreadId> {
         self.slots.get(&lock).and_then(|s| s.holder)
-    }
-
-    /// Number of spinning waiters on `lock`.
-    pub fn waiter_count(&self, lock: LockId) -> usize {
-        self.slots.get(&lock).map(|s| s.waiters.len()).unwrap_or(0)
-    }
-
-    /// Removes `tid` from a lock's waiter queue (e.g. thread killed).
-    pub fn cancel_wait(&mut self, lock: LockId, tid: ThreadId) {
-        if let Some(slot) = self.slots.get_mut(&lock) {
-            slot.waiters.retain(|&w| w != tid);
-        }
-    }
-
-    /// Total successful acquisitions (immediate + handed over).
-    pub fn total_acquisitions(&self) -> u64 {
-        self.acquisitions.get()
     }
 
     /// Total contended acquire attempts.
@@ -128,7 +106,6 @@ mod tests {
         assert_eq!(t.holder(LockId(1)), Some(ThreadId(10)));
         assert_eq!(t.release(LockId(1), ThreadId(10)), None);
         assert_eq!(t.holder(LockId(1)), None);
-        assert_eq!(t.total_acquisitions(), 1);
         assert_eq!(t.total_contentions(), 0);
     }
 
@@ -138,13 +115,11 @@ mod tests {
         assert!(t.acquire(LockId(1), ThreadId(1)));
         assert!(!t.acquire(LockId(1), ThreadId(2)));
         assert!(!t.acquire(LockId(1), ThreadId(3)));
-        assert_eq!(t.waiter_count(LockId(1)), 2);
         assert_eq!(t.release(LockId(1), ThreadId(1)), Some(ThreadId(2)));
         assert_eq!(t.holder(LockId(1)), Some(ThreadId(2)));
         assert_eq!(t.release(LockId(1), ThreadId(2)), Some(ThreadId(3)));
         assert_eq!(t.release(LockId(1), ThreadId(3)), None);
         assert_eq!(t.total_contentions(), 2);
-        assert_eq!(t.total_acquisitions(), 3);
     }
 
     #[test]
@@ -153,17 +128,9 @@ mod tests {
         t.acquire(LockId(1), ThreadId(1));
         t.acquire(LockId(1), ThreadId(2));
         t.acquire(LockId(1), ThreadId(2));
-        assert_eq!(t.waiter_count(LockId(1)), 1);
-    }
-
-    #[test]
-    fn cancel_wait_removes() {
-        let mut t = LockTable::new();
-        t.acquire(LockId(1), ThreadId(1));
-        t.acquire(LockId(1), ThreadId(2));
-        t.cancel_wait(LockId(1), ThreadId(2));
-        assert_eq!(t.waiter_count(LockId(1)), 0);
-        assert_eq!(t.release(LockId(1), ThreadId(1)), None);
+        // One handover to thread 2, then the queue is empty.
+        assert_eq!(t.release(LockId(1), ThreadId(1)), Some(ThreadId(2)));
+        assert_eq!(t.release(LockId(1), ThreadId(2)), None);
     }
 
     #[test]

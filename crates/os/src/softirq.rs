@@ -65,7 +65,7 @@ impl SoftirqState {
     }
 
     /// Grows to cover newly registered CPUs.
-    pub fn ensure_cpus(&mut self, num_cpus: u32) {
+    pub(crate) fn ensure_cpus(&mut self, num_cpus: u32) {
         if num_cpus as usize > self.pending.len() {
             self.pending.resize(num_cpus as usize, 0);
         }
@@ -107,7 +107,7 @@ impl SoftirqState {
     }
 
     /// True when any softirq is pending on `cpu`.
-    pub fn any_pending(&self, cpu: CpuId) -> bool {
+    pub(crate) fn any_pending(&self, cpu: CpuId) -> bool {
         self.pending
             .get(cpu.index())
             .map(|&p| p != 0)

@@ -214,7 +214,7 @@ impl Thread {
     }
 
     /// The current segment, if the program is not complete.
-    pub fn current_segment(&self) -> Option<&Segment> {
+    pub(crate) fn current_segment(&self) -> Option<&Segment> {
         self.program.segments().get(self.pc)
     }
 
@@ -224,7 +224,7 @@ impl Thread {
     /// current thread is in a critical section must be re-placed
     /// immediately or every sibling spinning on the same lock wastes
     /// its slice (the `P^N` argument).
-    pub fn in_critical_section(&self) -> bool {
+    pub(crate) fn in_critical_section(&self) -> bool {
         self.holding.is_some()
             || matches!(self.current_segment(), Some(s) if s.is_non_preemptible())
     }

@@ -153,11 +153,6 @@ impl Dist {
         }
     }
 
-    /// Draws one sample interpreted as nanoseconds.
-    pub fn sample_nanos(&self, rng: &mut Rng) -> SimDuration {
-        SimDuration::from_nanos(self.sample(rng).round().max(0.0) as u64)
-    }
-
     /// Draws one sample interpreted as microseconds.
     pub fn sample_micros(&self, rng: &mut Rng) -> SimDuration {
         SimDuration::from_nanos((self.sample(rng) * 1_000.0).round().max(0.0) as u64)
@@ -445,7 +440,6 @@ mod tests {
         let mut rng = Rng::new(13);
         assert_eq!(d.sample_micros(&mut rng).as_nanos(), 2_500);
         assert_eq!(d.sample_millis(&mut rng).as_nanos(), 2_500_000);
-        assert_eq!(d.sample_nanos(&mut rng).as_nanos(), 3); // 2.5 rounds to 3
     }
 
     #[test]

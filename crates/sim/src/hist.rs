@@ -57,24 +57,6 @@ impl Histogram {
         self.sum_sq += v * v;
     }
 
-    /// Records `n` occurrences of the same sample.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = Self::bucket_index(value);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] = self.buckets[idx].saturating_add(n);
-        self.count = self.count.saturating_add(n);
-        self.sum = self.sum.saturating_add(value as u128 * n as u128);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        let v = value as f64;
-        self.sum_sq += v * v * n as f64;
-    }
-
     /// Merges another histogram into this one.
     ///
     /// Everything the fleet fold exports — bucket counts, `count`,
@@ -194,47 +176,6 @@ impl Histogram {
         self.quantile(p / 100.0)
     }
 
-    /// Returns the empirical CDF as `(upper_bound, cumulative_fraction)`
-    /// pairs, one per non-empty bucket.
-    pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        if self.count == 0 {
-            return out;
-        }
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            let (_, hi) = Self::bucket_bounds(idx);
-            out.push((hi, seen as f64 / self.count as f64));
-        }
-        out
-    }
-
-    /// Fraction of samples strictly below `threshold`.
-    pub fn fraction_below(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut below = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (lo, hi) = Self::bucket_bounds(idx);
-            if hi <= threshold {
-                below += c;
-            } else if lo < threshold {
-                // Linear interpolation within the straddling bucket.
-                let frac = (threshold - lo) as f64 / (hi - lo).max(1) as f64;
-                below += (c as f64 * frac) as u64;
-            }
-        }
-        below as f64 / self.count as f64
-    }
-
     /// Counts samples in `[lo, hi)` by whole-bucket attribution.
     pub fn count_between(&self, lo: u64, hi: u64) -> u64 {
         let mut total = 0u64;
@@ -310,7 +251,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
-        assert!(h.cdf().is_empty());
     }
 
     #[test]
@@ -321,7 +261,6 @@ mod tests {
         assert_eq!(h.percentile(100.0), 0);
         assert_eq!(h.quantile(-1.0), 0);
         assert_eq!(h.quantile(2.0), 0);
-        assert_eq!(h.fraction_below(u64::MAX), 0.0);
         assert_eq!(h.stddev(), 0.0);
     }
 
@@ -441,16 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below_matches_uniform() {
-        let mut h = Histogram::new();
-        for i in 0..1000u64 {
-            h.record(i);
-        }
-        let f = h.fraction_below(500);
-        assert!((f - 0.5).abs() < 0.02, "fraction {f}");
-    }
-
-    #[test]
     fn merge_equals_combined_recording() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
@@ -485,9 +414,6 @@ mod tests {
         // Mid-bucket interpolation stays clamped to the observed range.
         let p50 = h.quantile(0.5);
         assert!(p50 >= h.min() && p50 <= h.max());
-        // CDF and fraction_below walk the same bounds.
-        assert!(!h.cdf().is_empty());
-        assert!(h.fraction_below(u64::MAX) <= 1.0);
         let idx = Histogram::bucket_index(u64::MAX);
         let (lo, hi) = Histogram::bucket_bounds(idx);
         assert_eq!(hi, u64::MAX, "top bucket saturates instead of overflowing");
@@ -528,13 +454,14 @@ mod tests {
 
     #[test]
     fn counts_saturate_instead_of_wrapping() {
+        // Each self-merge doubles the count; 64 doublings of one sample
+        // would wrap to zero without saturation.
         let mut a = Histogram::new();
-        a.record_n(100, u64::MAX);
-        a.record_n(100, 5); // would wrap without saturation
-        assert_eq!(a.count(), u64::MAX);
-        let mut b = Histogram::new();
-        b.record_n(200, u64::MAX - 1);
-        a.merge(&b);
+        a.record(100);
+        for _ in 0..64 {
+            let copy = a.clone();
+            a.merge(&copy);
+        }
         assert_eq!(a.count(), u64::MAX);
         // Quantiles stay well-defined on a saturated histogram.
         let q = a.quantile(0.5);
@@ -612,19 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equals_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(12345, 10);
-        for _ in 0..10 {
-            b.record(12345);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.percentile(50.0), b.percentile(50.0));
-    }
-
-    #[test]
     fn stddev_of_constant_is_zero() {
         let mut h = Histogram::new();
         for _ in 0..100 {
@@ -646,21 +560,5 @@ mod tests {
         h.record(9);
         // Classic example: population stddev = 2.
         assert!((h.stddev() - 2.0).abs() < 1e-9, "{}", h.stddev());
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let mut h = Histogram::new();
-        for i in 0..10_000u64 {
-            h.record(i * i % 100_000);
-        }
-        let cdf = h.cdf();
-        assert!(!cdf.is_empty());
-        let mut prev = 0.0;
-        for &(_, f) in &cdf {
-            assert!(f >= prev);
-            prev = f;
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 }

@@ -23,7 +23,7 @@
 //!   Pareto, empirical, ...) used to model workloads and routine
 //!   durations.
 //! - [`hist`]: an HDR-style log-linear histogram for latency recording
-//!   with percentile and CDF extraction.
+//!   with percentile extraction.
 //! - [`stats`]: online summary statistics, counters, and time-weighted
 //!   utilization meters.
 //! - [`fault`]: a seeded, deterministic fault-injection plan the
@@ -48,7 +48,6 @@ pub mod inline_vec;
 pub mod par;
 pub mod report;
 pub mod rng;
-pub mod series;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -62,7 +61,6 @@ pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
 pub use hist::Histogram;
 pub use inline_vec::InlineVec;
 pub use rng::Rng;
-pub use series::TimeSeries;
 pub use stats::{Counter, OnlineStats, UtilizationMeter};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceConfig, TraceEvent, TraceKind, TraceTag, Tracer};

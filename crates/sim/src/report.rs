@@ -35,11 +35,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Appends one row of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -179,15 +174,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"has,comma\""));
         assert!(csv.contains("\"has\"\"quote\""));
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("", &["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.to_csv().contains("1.5,2.25"));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! crates whose stream definitions may change between versions.
 //!
 //! The generator is xoshiro256** (Blackman & Vigna), seeded through
-//! SplitMix64 as its authors recommend. Child streams for independent
-//! components are derived with [`Rng::fork`], which applies the
-//! xoshiro256** `jump`-equivalent re-seeding via SplitMix64 over a fork
+//! SplitMix64 as its authors recommend. Independent components get
+//! their own stream from [`Rng::stream`]; inside this crate, `fork`
+//! derives child streams by re-seeding through SplitMix64 over a fork
 //! counter so sibling streams are decorrelated.
 
 /// A deterministic, forkable pseudo-random number generator.
@@ -75,7 +75,7 @@ impl Rng {
     /// Returns a uniform `f64` in `(0, 1]`, never zero.
     ///
     /// Useful as input to inverse-transform samplers that take `ln(u)`.
-    pub fn next_f64_open(&mut self) -> f64 {
+    pub(crate) fn next_f64_open(&mut self) -> f64 {
         ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -137,20 +137,12 @@ impl Rng {
         }
     }
 
-    /// Shuffles `items` in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Derives an independent child generator.
     ///
     /// Each call returns a different stream; forking is itself
     /// deterministic, so the k-th fork of a given parent is always the
     /// same stream.
-    pub fn fork(&mut self) -> Rng {
+    pub(crate) fn fork(&mut self) -> Rng {
         self.forks += 1;
         // Mix the parent state with the fork index through SplitMix64 so
         // that child streams are decorrelated from both the parent and
@@ -262,16 +254,6 @@ mod tests {
         // Sibling forks differ.
         let mut c1a2 = Rng::new(5).fork();
         assert_ne!(c1b.next_u64(), c1a2.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(21);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl UtilizationMeter {
 
     /// Total accumulated busy time up to `now`, including any open span
     /// and excluding busy time folded beyond `now`.
-    pub fn total_busy(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn total_busy(&self, now: SimTime) -> SimDuration {
         let mut busy = self.total_busy.as_nanos();
         if let Some(since) = self.busy_since {
             busy += now.saturating_since(since).as_nanos();

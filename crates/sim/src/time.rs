@@ -112,21 +112,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the
-    /// nearest nanosecond and clamping negatives to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if !s.is_finite() || s <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((s * 1e9).round().min(u64::MAX as f64) as u64)
-    }
-
-    /// Creates a duration from fractional microseconds, clamping
-    /// negatives to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -150,13 +135,6 @@ impl SimDuration {
     /// Returns `self - other`, or zero if `other` is larger.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Returns `self - other`, or `None` if `other` is larger. The
-    /// checked sibling of [`saturating_sub`](Self::saturating_sub) for
-    /// call sites where underflow indicates a bug.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Returns `self * k` clamped at [`SimDuration::MAX`].
@@ -322,14 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_constructors() {
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-    }
-
-    #[test]
     fn duration_min_max() {
         let a = SimDuration::from_nanos(3);
         let b = SimDuration::from_nanos(9);
@@ -357,9 +327,5 @@ mod tests {
         let late = SimTime::from_nanos(9);
         assert_eq!(late.checked_since(early), Some(SimDuration::from_nanos(4)));
         assert_eq!(early.checked_since(late), None);
-        let a = SimDuration::from_nanos(3);
-        let b = SimDuration::from_nanos(9);
-        assert_eq!(b.checked_sub(a), Some(SimDuration::from_nanos(6)));
-        assert_eq!(a.checked_sub(b), None);
     }
 }

@@ -16,10 +16,10 @@
 //! - [`Tracer::to_tsv`] renders a stable, byte-identical-for-identical-
 //!   seeds TSV (events in emission order, then counters) — the
 //!   determinism tests fingerprint it.
-//! - The query API ([`Tracer::events_on`], [`Tracer::matching`],
-//!   [`Tracer::causal_pairs`]) lets tests assert *causal* scheduler
-//!   invariants ("every hw-probe VM-exit was preceded by a probe IRQ
-//!   on that CPU") instead of aggregate ones.
+//! - The query API ([`Tracer::matching`], [`Tracer::causal_pairs`])
+//!   lets tests assert *causal* scheduler invariants ("every hw-probe
+//!   VM-exit was preceded by a probe IRQ on that CPU") instead of
+//!   aggregate ones.
 //!
 //! Event ordering is by emission sequence number. Timestamps are the
 //! emitter's best-known simulation time and are *not* guaranteed to be
@@ -442,17 +442,6 @@ impl Tracer {
         self.inner.borrow().ring.iter().copied().collect()
     }
 
-    /// Buffered events that concern `cpu`, in emission order.
-    pub fn events_on(&self, cpu: u32) -> Vec<TraceEvent> {
-        self.inner
-            .borrow()
-            .ring
-            .iter()
-            .filter(|e| e.cpu == cpu)
-            .copied()
-            .collect()
-    }
-
     /// Buffered events whose kind matches `tag`, in emission order.
     pub fn matching(&self, tag: TraceTag) -> Vec<TraceEvent> {
         self.inner
@@ -462,16 +451,6 @@ impl Tracer {
             .filter(|e| e.kind.tag() == tag)
             .copied()
             .collect()
-    }
-
-    /// Per-CPU timelines: every buffered event grouped by CPU, each
-    /// group in emission order.
-    pub fn per_cpu_timelines(&self) -> BTreeMap<u32, Vec<TraceEvent>> {
-        let mut map: BTreeMap<u32, Vec<TraceEvent>> = BTreeMap::new();
-        for e in self.inner.borrow().ring.iter() {
-            map.entry(e.cpu).or_default().push(*e);
-        }
-        map
     }
 
     /// For every buffered event whose tag is in `effects`, pairs it
@@ -673,13 +652,8 @@ mod tests {
                 reason: "hw_probe",
             },
         );
-        assert_eq!(t.events_on(0).len(), 2);
-        assert_eq!(t.events_on(1).len(), 1);
         assert_eq!(t.matching(TraceTag::VmEnter).len(), 1);
         assert_eq!(t.matching(TraceTag::SoftirqRaise).len(), 0);
-        let tl = t.per_cpu_timelines();
-        assert_eq!(tl[&0].len(), 2);
-        assert_eq!(tl[&1].len(), 1);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl VirtCosts {
     pub fn switch_latency(&self) -> SimDuration {
         self.vm_exit + self.vm_enter
     }
-
-    /// Scales a native execution duration by the guest tax.
-    pub fn guest_time(&self, native: SimDuration) -> SimDuration {
-        SimDuration::from_nanos((native.as_nanos() as f64 * self.guest_exec_tax).round() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -64,24 +59,6 @@ mod tests {
     fn default_switch_is_2us() {
         let c = VirtCosts::default();
         assert_eq!(c.switch_latency(), SimDuration::from_micros(2));
-    }
-
-    #[test]
-    fn guest_tax_scales_execution() {
-        let c = VirtCosts::default();
-        let native = SimDuration::from_micros(100);
-        let guest = c.guest_time(native);
-        assert_eq!(guest.as_nanos(), 107_000);
-    }
-
-    #[test]
-    fn unit_tax_is_identity() {
-        let c = VirtCosts {
-            guest_exec_tax: 1.0,
-            ..VirtCosts::default()
-        };
-        let d = SimDuration::from_nanos(12_345);
-        assert_eq!(c.guest_time(d), d);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! slice (§4.1) and the adaptive yield threshold (§4.3) both branch on
 //! *why* the last VM-exit happened.
 
-use crate::cost::VirtCosts;
 use taichi_hw::CpuId;
-use taichi_sim::{SimDuration, SimTime};
+use taichi_sim::SimTime;
 
 /// Why a vCPU exited guest mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -104,9 +103,6 @@ pub struct Vcpu {
     state: VcpuState,
     entries: u64,
     exits: ExitCounts,
-    run_time: SimDuration,
-    run_started: Option<SimTime>,
-    last_exit_reason: Option<VmExitReason>,
 }
 
 impl Vcpu {
@@ -117,9 +113,6 @@ impl Vcpu {
             state: VcpuState::Descheduled,
             entries: 0,
             exits: ExitCounts::default(),
-            run_time: SimDuration::ZERO,
-            run_started: None,
-            last_exit_reason: None,
         }
     }
 
@@ -144,7 +137,7 @@ impl Vcpu {
     }
 
     /// Begins placement on `host`; VM-enter completes after
-    /// [`VirtCosts::vm_enter`].
+    /// [`VirtCosts::vm_enter`](crate::VirtCosts::vm_enter).
     ///
     /// # Panics
     ///
@@ -177,26 +170,22 @@ impl Vcpu {
 
     /// VM-enter finished; the guest executes until `slice_end` unless
     /// exited earlier.
-    pub fn enter_complete(&mut self, now: SimTime, slice_end: SimTime) {
+    pub fn enter_complete(&mut self, _now: SimTime, slice_end: SimTime) {
         let host = match self.state {
             VcpuState::Entering { host } => host,
             ref s => panic!("enter_complete in state {s:?}"),
         };
         self.state = VcpuState::Running { host, slice_end };
         self.entries += 1;
-        self.run_started = Some(now);
     }
 
     /// Initiates a VM-exit for `reason`; completes after
-    /// [`VirtCosts::vm_exit`].
-    pub fn begin_exit(&mut self, reason: VmExitReason, now: SimTime) {
+    /// [`VirtCosts::vm_exit`](crate::VirtCosts::vm_exit).
+    pub fn begin_exit(&mut self, reason: VmExitReason, _now: SimTime) {
         let host = match self.state {
             VcpuState::Running { host, .. } => host,
             ref s => panic!("begin_exit in state {s:?}"),
         };
-        if let Some(start) = self.run_started.take() {
-            self.run_time += now.saturating_since(start);
-        }
         self.state = VcpuState::Exiting { host, reason };
     }
 
@@ -207,17 +196,8 @@ impl Vcpu {
             ref s => panic!("exit_complete in state {s:?}"),
         };
         self.exits.bump(reason);
-        self.last_exit_reason = Some(reason);
         self.state = VcpuState::Descheduled;
         reason
-    }
-
-    /// Convenience: full switch timing for a placement at `now` with a
-    /// slice of `slice`, under `costs`. Returns `(guest_start,
-    /// slice_end)`.
-    pub fn grant_window(costs: &VirtCosts, now: SimTime, slice: SimDuration) -> (SimTime, SimTime) {
-        let start = now + costs.vm_enter;
-        (start, start + slice)
     }
 
     /// Total VM-entries.
@@ -228,16 +208,6 @@ impl Vcpu {
     /// Exit counters.
     pub fn exits(&self) -> ExitCounts {
         self.exits
-    }
-
-    /// Total guest run time.
-    pub fn run_time(&self) -> SimDuration {
-        self.run_time
-    }
-
-    /// Reason for the most recent completed exit.
-    pub fn last_exit_reason(&self) -> Option<VmExitReason> {
-        self.last_exit_reason
     }
 }
 
@@ -260,25 +230,6 @@ mod tests {
         assert_eq!(v.entries(), 1);
         assert_eq!(v.exits().slice_expired, 1);
         assert_eq!(v.exits().total(), 1);
-        assert_eq!(v.run_time(), SimDuration::from_micros(50));
-        assert_eq!(v.last_exit_reason(), Some(VmExitReason::SliceExpired));
-    }
-
-    #[test]
-    fn run_time_accumulates_over_grants() {
-        let mut v = Vcpu::new(CpuId(12));
-        for i in 0..3u64 {
-            let t0 = SimTime::from_micros(i * 100);
-            v.place(CpuId(0), t0);
-            v.enter_complete(
-                t0 + SimDuration::from_micros(1),
-                t0 + SimDuration::from_micros(51),
-            );
-            v.begin_exit(VmExitReason::HwProbe, t0 + SimDuration::from_micros(21));
-            v.exit_complete(t0 + SimDuration::from_micros(22));
-        }
-        assert_eq!(v.run_time(), SimDuration::from_micros(60));
-        assert_eq!(v.exits().hw_probe, 3);
     }
 
     #[test]
@@ -294,18 +245,6 @@ mod tests {
     fn exit_without_running_panics() {
         let mut v = Vcpu::new(CpuId(12));
         v.begin_exit(VmExitReason::Forced, SimTime::ZERO);
-    }
-
-    #[test]
-    fn grant_window_accounts_for_enter_cost() {
-        let costs = VirtCosts::default();
-        let (start, end) = Vcpu::grant_window(
-            &costs,
-            SimTime::from_micros(10),
-            SimDuration::from_micros(50),
-        );
-        assert_eq!(start.as_nanos(), 10_000 + 800);
-        assert_eq!(end.as_nanos(), 10_800 + 50_000);
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub mod ping;
 pub mod runner;
 pub mod sockperf;
 
-pub use runner::{measure, measure_probed, BenchTraffic, MeasuredDp};
+pub use runner::{measure, BenchTraffic, MeasuredDp};

@@ -62,7 +62,7 @@ impl BenchTraffic {
     }
 
     /// Overrides the within-burst intensity.
-    pub fn with_burst_intensity(mut self, intensity: f64) -> Self {
+    pub(crate) fn with_burst_intensity(mut self, intensity: f64) -> Self {
         self.burst_intensity = intensity.clamp(0.05, 1.0);
         self
     }
@@ -154,7 +154,7 @@ pub fn measure(
 /// uniformly in time — the measurement model of `ping` and
 /// `sockperf`'s latency mode. Returns `(background, probe)` where the
 /// probe's latency fields describe only the tagged packets.
-pub fn measure_probed(
+pub(crate) fn measure_probed(
     cfg: &MachineConfig,
     mode: Mode,
     traffic: &BenchTraffic,

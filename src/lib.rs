@@ -33,7 +33,7 @@
 //! - [`core`]: the paper's contribution — scheduler, orchestrator,
 //!   probes, machine composition, run reports.
 //! - [`sim`]: deterministic discrete-event substrate.
-//! - [`hw`]: SmartNIC hardware model (accelerator, rings, APIC, PCIe).
+//! - [`hw`]: SmartNIC hardware model (accelerator, rings, APIC, probe).
 //! - [`os`]: kernel model (threads, fair scheduling, non-preemptible
 //!   routines, spinlocks, hotplug).
 //! - [`virt`]: vCPU contexts and virtualization cost models.
