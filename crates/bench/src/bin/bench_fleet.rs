@@ -25,8 +25,10 @@
 //!   CI smoke job — machine-epochs/sec is per-machine-normalized, so
 //!   the regression gate is meaningful at either scale;
 //! - `--check`: exit non-zero when machine-epochs/sec falls below the
-//!   gate block's `threshold`, which was set from the spread of
-//!   repeated `--quick` runs of this driver;
+//!   gate block's `threshold`, or peak RSS per machine rises above its
+//!   `rss_kb_per_machine_max`; both were set from repeated `--quick`
+//!   runs of this driver. Without `/proc/self/status` there is no peak
+//!   RSS, and the memory half reports itself skipped;
 //! - `--sequential`: measure the sequential reference driver instead.
 //!
 //! The allocation figures come from the counting global allocator
@@ -34,10 +36,14 @@
 //! `alloc_bytes_per_machine` is cumulative allocator traffic over the
 //! whole run divided by the machine count, and
 //! `resident_bytes_per_machine` is the simulator's own accounting of
-//! per-machine backing storage (event slab, wheel chunks, rings) at
-//! the final epoch boundary. Peak RSS is read from `/proc/self/status`
-//! where available. None of these memory numbers are identity-compared
-//! — they vary by queue backend and run.
+//! per-machine backing storage (event slab, wheel chunks, rings,
+//! latency-recorder buckets) at the final epoch boundary. Fleet
+//! machines hold no recorder buckets there: each worker lends its one
+//! recorder set to a machine only for that machine's run, so the
+//! workers' sets show up in peak RSS, not in the per-machine figure.
+//! Peak RSS is read from `/proc/self/status` where available. None of
+//! these memory numbers are identity-compared — they vary by queue
+//! backend and run.
 
 use std::fmt::Write as _;
 
@@ -230,6 +236,27 @@ fn main() {
             eprintln!("check FAILED: fleet throughput fell below the gate");
             std::process::exit(1);
         }
-        println!("check passed");
+        let Some(rss_max) = gate_block.and_then(|b| json_number(b, "rss_kb_per_machine_max"))
+        else {
+            eprintln!("check: no rss_kb_per_machine_max in the committed BENCH_fleet.json");
+            std::process::exit(1);
+        };
+        match rss_kb {
+            Some(kb) => {
+                let per_machine = kb / machines;
+                println!(
+                    "check: {per_machine} kB peak RSS per machine vs gate max {rss_max:.0} kB"
+                );
+                if per_machine as f64 > rss_max {
+                    eprintln!("check FAILED: fleet peak RSS per machine rose above the gate");
+                    std::process::exit(1);
+                }
+                println!("check passed");
+            }
+            None => println!(
+                "check: peak RSS unavailable (no /proc/self/status), memory gate SKIPPED; \
+                 throughput gate passed"
+            ),
+        }
     }
 }

@@ -124,7 +124,7 @@ fn harvest_shaped_machine() {
             ("events_fast_forwarded", 297196),
             ("slab_high_watermark", 54),
             ("ring_high_watermark", 27),
-            ("resident_bytes", 37312),
+            ("resident_bytes", 141856),
             ("yields", 1322),
             ("lock_reschedules", 688),
             ("lock_fallbacks", 175),
@@ -150,7 +150,7 @@ fn harvest_shaped_machine_without_harvesting() {
                 ("events_fast_forwarded", 944826),
                 ("slab_high_watermark", 46),
                 ("ring_high_watermark", 26),
-                ("resident_bytes", 34496),
+                ("resident_bytes", 144128),
                 ("cp_finished", 5),
             ],
         ),
@@ -163,7 +163,7 @@ fn harvest_shaped_machine_without_harvesting() {
                 ("events_fast_forwarded", 722803),
                 ("slab_high_watermark", 46),
                 ("ring_high_watermark", 51),
-                ("resident_bytes", 55616),
+                ("resident_bytes", 161792),
                 ("cp_finished", 5),
             ],
         ),
@@ -216,7 +216,7 @@ fn dp_saturated_shaped_machine() {
             ("events_fast_forwarded", 213955),
             ("slab_high_watermark", 50),
             ("ring_high_watermark", 26),
-            ("resident_bytes", 39104),
+            ("resident_bytes", 261184),
         ],
     );
 }

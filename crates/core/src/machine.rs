@@ -34,7 +34,7 @@ use crate::sched::TaiChiPolicy;
 use crate::vcpu_sched::VcpuScheduler;
 
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
-use taichi_dp::{DpService, TrafficGen};
+use taichi_dp::{DpService, LatencyRecorder, ServiceRecorders, TrafficGen};
 use taichi_hw::{
     Accelerator, ApicFabric, CpuExecState, CpuId, HwWorkloadProbe, IoKind, IrqVector, Packet,
     PacketId,
@@ -603,28 +603,40 @@ impl Machine {
         id
     }
 
-    /// Drains every DP service's accumulated latency records into one
-    /// merged recorder, leaving the services empty. The fleet layer
-    /// calls this at each epoch boundary and folds the returned delta
-    /// straight into its rack-level aggregate, so no per-machine
-    /// history accumulates anywhere. Whole-run reporting
+    /// Merges every DP service's latency records, in service order,
+    /// into one recorder and clears the services' merged recorders
+    /// (their per-tenant recorders are left alone; see
+    /// [`Machine::drain_tenant_recorders`]). Callers read a run's
+    /// records once at its end; whole-run reporting
     /// ([`crate::metrics::RunReport::collect`]) reads the recorders
-    /// cumulatively and must not be mixed with per-epoch draining on
-    /// the same machine.
-    pub fn drain_dp_recorders(&mut self) -> taichi_dp::LatencyRecorder {
-        let mut merged = taichi_dp::LatencyRecorder::new();
-        self.drain_dp_recorders_into(&mut merged);
+    /// cumulatively and must not be mixed with draining on the same
+    /// machine.
+    pub fn drain_dp_recorders(&mut self) -> LatencyRecorder {
+        let mut merged = LatencyRecorder::new();
+        self.with_dp_recorders(|r| r.merged.drain_into(&mut merged));
         merged
     }
 
-    /// [`Machine::drain_dp_recorders`] into a caller-owned recorder:
-    /// each service's records are merged into `dest` and cleared in
-    /// place, so a fleet driver draining every machine every epoch
-    /// reuses one scratch recorder instead of allocating per drain.
-    pub fn drain_dp_recorders_into(&mut self, dest: &mut taichi_dp::LatencyRecorder) {
-        for s in &mut self.services {
-            s.drain_recorder_into(dest);
+    /// Exchanges every DP service's recorders with `loan[i]` (see
+    /// [`DpService::swap_recorders`]), first sizing `loan` to one
+    /// entry per service. Swapping twice restores both sides, so a
+    /// driver can lend one warm set to each of many machines for a
+    /// single `run_until` — swap in, run, swap out, drain the set —
+    /// and the machines hold no histogram storage between runs.
+    pub fn swap_dp_recorders(&mut self, loan: &mut Vec<ServiceRecorders>) {
+        loan.resize_with(self.services.len(), ServiceRecorders::default);
+        for (s, r) in self.services.iter_mut().zip(loan.iter_mut()) {
+            s.swap_recorders(r);
         }
+    }
+
+    /// Hands `f` each service's recorders in service order, then puts
+    /// them back.
+    fn with_dp_recorders(&mut self, f: impl FnMut(&mut ServiceRecorders)) {
+        let mut held = Vec::new();
+        self.swap_dp_recorders(&mut held);
+        held.iter_mut().for_each(f);
+        self.swap_dp_recorders(&mut held);
     }
 
     /// Memory high-water marks for fleet footprint accounting: the
@@ -654,8 +666,9 @@ impl Machine {
 
     /// Approximate resident bytes of the machine's variable-size
     /// structures (event queue storage, payload arenas, rx-ring backing
-    /// stores, tenant staging rings). Fixed-size machine state is
-    /// excluded; the counting allocator gives the authoritative total.
+    /// stores, latency-recorder histogram buckets, tenant staging
+    /// rings). Fixed-size machine state is excluded; the counting
+    /// allocator gives the authoritative total.
     pub fn resident_bytes(&self) -> usize {
         self.queue.resident_bytes()
             + self.packets.resident_bytes()
@@ -664,7 +677,7 @@ impl Machine {
             + self
                 .services
                 .iter()
-                .map(|s| s.ring_resident_bytes())
+                .map(DpService::resident_bytes)
                 .sum::<usize>()
             + self.accel.tenant_ring_resident_bytes()
     }
@@ -1920,31 +1933,22 @@ impl Machine {
         self.accel.tenant_count()
     }
 
-    /// Drains every DP service's per-tenant latency records into one
-    /// merged recorder per tenant, leaving the services empty — the
-    /// per-tenant sibling of [`Machine::drain_dp_recorders`], with the
-    /// same epoch-draining contract. Empty when single-tenant.
-    pub fn drain_tenant_recorders(&mut self) -> Vec<taichi_dp::LatencyRecorder> {
-        let mut merged = Vec::new();
-        self.drain_tenant_recorders_into(&mut merged);
-        merged
-    }
-
-    /// [`Machine::drain_tenant_recorders`] into a caller-owned vector
-    /// (grown to the tenant count on first use, reused thereafter):
-    /// the allocation-free epoch drain. Leaves `dest` untouched when
-    /// single-tenant.
-    pub fn drain_tenant_recorders_into(&mut self, dest: &mut Vec<taichi_dp::LatencyRecorder>) {
+    /// Merges every DP service's per-tenant latency records, in
+    /// service order, into one recorder per tenant and clears them —
+    /// the per-tenant sibling of [`Machine::drain_dp_recorders`], with
+    /// the same contract. Empty when single-tenant.
+    pub fn drain_tenant_recorders(&mut self) -> Vec<LatencyRecorder> {
         if !self.accel.multi_tenant() {
-            return;
+            return Vec::new();
         }
-        let n = self.accel.tenant_count();
-        if dest.len() < n {
-            dest.resize_with(n, taichi_dp::LatencyRecorder::new);
-        }
-        for s in &mut self.services {
-            s.drain_tenant_recorders_into(dest);
-        }
+        let mut merged = Vec::new();
+        merged.resize_with(self.accel.tenant_count(), LatencyRecorder::new);
+        self.with_dp_recorders(|r| {
+            for (rec, dest) in r.tenants.iter_mut().zip(merged.iter_mut()) {
+                rec.drain_into(dest);
+            }
+        });
+        merged
     }
 
     /// Per-tenant SLO ledger: `(issued, issued_bytes, ring_losses,

@@ -15,7 +15,7 @@
 //! RSS hashing of many flows does.
 
 use taichi_hw::{CpuId, IoKind, Packet, PacketId, TenantId};
-use taichi_sim::{Dist, Rng, SimDuration, SimTime};
+use taichi_sim::{round_u64, Dist, Rng, SimDuration, SimTime};
 
 /// When packets arrive.
 #[derive(Clone, Debug)]
@@ -121,7 +121,7 @@ impl TrafficGen {
         // contract: every seeded run depends on it.
         let gap = self.next_gap(rng);
         self.clock += gap;
-        let size = self.size_bytes.sample(rng).round().max(1.0) as u32;
+        let size = round_u64(self.size_bytes.sample(rng)).clamp(1, u32::MAX as u64) as u32;
         let dest = self.targets[rng.next_below(self.targets.len() as u64) as usize];
         let id = PacketId(self.next_id);
         self.next_id += 1;
@@ -166,7 +166,7 @@ impl TrafficGen {
                 }
                 let idx = (clock.as_nanos() / slot.as_nanos().max(1)) as usize % profile.len();
                 let rate = profile[idx].max(1e-6);
-                SimDuration::from_nanos((base.as_nanos() as f64 / rate).round() as u64)
+                SimDuration::from_nanos(round_u64(base.as_nanos() as f64 / rate))
             }
         }
     }

@@ -79,6 +79,11 @@ impl LatencyRecorder {
         self.reset();
     }
 
+    /// Heap bytes held by the two histograms' buckets.
+    pub fn resident_bytes(&self) -> usize {
+        self.total.resident_bytes() + self.software.resident_bytes()
+    }
+
     /// End-to-end latency histogram.
     pub fn total_latency(&self) -> &Histogram {
         &self.total

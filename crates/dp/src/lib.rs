@@ -21,4 +21,4 @@ pub mod service;
 
 pub use generator::{ArrivalPattern, TrafficGen};
 pub use latency::LatencyRecorder;
-pub use service::{DpService, DpServiceConfig};
+pub use service::{DpService, DpServiceConfig, ServiceRecorders};

@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use crate::latency::LatencyRecorder;
 use taichi_hw::{CpuId, Packet, RxQueue};
-use taichi_sim::{Dist, FaultInjector, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter};
+use taichi_sim::{
+    round_u64, Dist, FaultInjector, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter,
+};
 
 /// Tuning constants for one data-plane service.
 #[derive(Clone, Debug)]
@@ -64,6 +66,29 @@ impl Default for DpServiceConfig {
     }
 }
 
+/// A service's completion recorders: the merged recorder every packet
+/// lands in, plus one per tenant (none when single-tenant). They move
+/// in and out of a service as one unit ([`DpService::swap_recorders`]).
+#[derive(Clone, Debug, Default)]
+pub struct ServiceRecorders {
+    /// Every completed packet.
+    pub merged: LatencyRecorder,
+    /// Completed packets per tenant, indexed by `TenantId`.
+    pub tenants: Vec<LatencyRecorder>,
+}
+
+impl ServiceRecorders {
+    /// Heap bytes held by the recorders' histogram buckets.
+    pub fn resident_bytes(&self) -> usize {
+        self.merged.resident_bytes()
+            + self
+                .tenants
+                .iter()
+                .map(LatencyRecorder::resident_bytes)
+                .sum::<usize>()
+    }
+}
+
 /// A poll-mode service pinned to `cpu`.
 #[derive(Clone, Debug)]
 pub struct DpService {
@@ -87,12 +112,11 @@ pub struct DpService {
     /// `config.proc_cost_ns` with sampling constants hoisted (drawn
     /// once per processed packet — the hottest sampler in the machine).
     proc_cost: PreparedDist,
-    recorder: LatencyRecorder,
+    /// Merged and per-tenant latency/throughput recorders. The tenant
+    /// list is empty in the single-tenant configuration — the
+    /// pre-tenant hot path does not touch it (DESIGN.md §3.11).
+    recorders: ServiceRecorders,
     tagged: LatencyRecorder,
-    /// Per-tenant latency/throughput recorders, indexed by `TenantId`.
-    /// Empty in the single-tenant configuration — the pre-tenant hot
-    /// path does not touch them (DESIGN.md §3.11).
-    tenant_recorders: Vec<LatencyRecorder>,
     /// Per-tenant processed-packet counts (empty when single-tenant).
     tenant_processed: Vec<u64>,
     /// Per-tenant ring-overflow drops (empty when single-tenant).
@@ -125,9 +149,8 @@ impl DpService {
             ff_polls: 0,
             polluted_until: SimTime::ZERO,
             meter: UtilizationMeter::new(SimTime::ZERO),
-            recorder: LatencyRecorder::new(),
+            recorders: ServiceRecorders::default(),
             tagged: LatencyRecorder::new(),
-            tenant_recorders: Vec::new(),
             tenant_processed: Vec::new(),
             tenant_drops: Vec::new(),
             processed: 0,
@@ -154,7 +177,7 @@ impl DpService {
     /// engine.
     pub fn set_tenants(&mut self, tenants: usize) {
         if tenants > 1 {
-            self.tenant_recorders = (0..tenants).map(|_| LatencyRecorder::new()).collect();
+            self.recorders.tenants = (0..tenants).map(|_| LatencyRecorder::new()).collect();
             self.tenant_processed = vec![0; tenants];
             self.tenant_drops = vec![0; tenants];
         }
@@ -236,15 +259,15 @@ impl DpService {
             if t < self.polluted_until {
                 cost_ns *= self.config.pollution_tax;
             }
-            t += SimDuration::from_nanos(cost_ns.round().max(1.0) as u64);
+            t += SimDuration::from_nanos(round_u64(cost_ns).max(1));
             p.completed_at = Some(t);
-            self.recorder.record(&p);
+            self.recorders.merged.record(&p);
             if p.dest_queue != 0 {
                 self.tagged.record(&p);
             }
-            if !self.tenant_recorders.is_empty() {
-                let i = p.tenant.index() % self.tenant_recorders.len();
-                self.tenant_recorders[i].record(&p);
+            if !self.recorders.tenants.is_empty() {
+                let i = p.tenant.index() % self.recorders.tenants.len();
+                self.recorders.tenants[i].record(&p);
                 self.tenant_processed[i] += 1;
             }
             self.processed += 1;
@@ -330,7 +353,7 @@ impl DpService {
 
     /// Latency/throughput records.
     pub fn recorder(&self) -> &LatencyRecorder {
-        &self.recorder
+        &self.recorders.merged
     }
 
     /// Latency records for probe packets (non-zero destination queue).
@@ -338,31 +361,23 @@ impl DpService {
         &self.tagged
     }
 
-    /// Merges the accumulated latency records into `dest` and clears
-    /// them in place, without allocating. Epoch-oriented drivers (the
-    /// fleet layer) drain each machine per epoch and fold the delta
-    /// into a streaming aggregate, so no service retains its full
-    /// history; counters (`processed`, `dropped`) stay cumulative.
-    pub fn drain_recorder_into(&mut self, dest: &mut LatencyRecorder) {
-        self.recorder.drain_into(dest);
-    }
-
     /// Per-tenant latency recorders (empty when single-tenant).
     pub fn tenant_recorders(&self) -> &[LatencyRecorder] {
-        &self.tenant_recorders
+        &self.recorders.tenants
     }
 
-    /// Merges each tenant's records into `dest[t]` (growing `dest` to
-    /// the tenant count if needed) and clears them in place — the
-    /// per-tenant sibling of [`DpService::drain_recorder_into`].
-    /// Counters stay cumulative.
-    pub fn drain_tenant_recorders_into(&mut self, dest: &mut Vec<LatencyRecorder>) {
-        if dest.len() < self.tenant_recorders.len() {
-            dest.resize_with(self.tenant_recorders.len(), LatencyRecorder::new);
-        }
-        for (rec, d) in self.tenant_recorders.iter_mut().zip(dest.iter_mut()) {
-            rec.drain_into(d);
-        }
+    /// Exchanges the service's merged and per-tenant recorders with
+    /// `other`, first giving `other` one tenant recorder per tenant so
+    /// the service keeps its tenant shape. Swapping twice restores
+    /// both sides. Epoch drivers lend a service warm recorders for one
+    /// run and take them back to drain, so the service keeps no
+    /// histogram storage between runs; counters (`processed`,
+    /// `dropped`) are not recorders and stay cumulative.
+    pub fn swap_recorders(&mut self, other: &mut ServiceRecorders) {
+        other
+            .tenants
+            .resize_with(self.recorders.tenants.len(), LatencyRecorder::new);
+        std::mem::swap(&mut self.recorders, other);
     }
 
     /// Per-tenant `(processed, ring drops)` counters (empty when
@@ -405,9 +420,10 @@ impl DpService {
         self.queue.high_watermark()
     }
 
-    /// Resident bytes of the rx ring's backing storage.
-    pub fn ring_resident_bytes(&self) -> usize {
-        self.queue.resident_bytes()
+    /// Resident bytes of the service's variable-size storage: the rx
+    /// ring's backing store and every recorder's histogram buckets.
+    pub fn resident_bytes(&self) -> usize {
+        self.queue.resident_bytes() + self.recorders.resident_bytes() + self.tagged.resident_bytes()
     }
 
     /// Busy fraction of the service since creation.
@@ -704,12 +720,26 @@ mod tests {
         assert_eq!(s.tenant_recorders()[1].packets(), 3);
         // The merged recorder still sees everything.
         assert_eq!(s.recorder().packets(), 6);
-        let mut drained = Vec::new();
-        s.drain_tenant_recorders_into(&mut drained);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].packets(), 3);
-        assert_eq!(drained[1].packets(), 3);
+        let mut lent = ServiceRecorders::default();
+        s.swap_recorders(&mut lent);
+        assert_eq!(lent.merged.packets(), 6);
+        assert_eq!(lent.tenants.len(), 2);
+        assert_eq!(lent.tenants[0].packets(), 3);
+        assert_eq!(lent.tenants[1].packets(), 3);
+        assert!(lent.resident_bytes() > 0);
+        // The service keeps its tenant shape, with empty recorders
+        // that hold no bucket storage.
+        assert_eq!(s.tenant_recorders().len(), 2);
         assert_eq!(s.tenant_recorders()[0].packets(), 0);
+        assert_eq!(s.tenant_recorders()[0].resident_bytes(), 0);
+        assert_eq!(s.recorder().packets(), 0);
+        assert_eq!(s.recorder().resident_bytes(), 0);
+        // Swapping back restores the records and the placeholders.
+        s.swap_recorders(&mut lent);
+        assert_eq!(s.recorder().packets(), 6);
+        assert_eq!(s.tenant_recorders()[1].packets(), 3);
+        assert_eq!(lent.tenants.len(), 2);
+        assert_eq!(lent.resident_bytes(), 0);
     }
 
     #[test]

@@ -22,14 +22,17 @@
 //!
 //! # Streaming aggregation and worker pooling
 //!
-//! Machines are *drained* at every epoch boundary
-//! ([`Machine::drain_dp_recorders`]) and the deltas folded immediately
-//! into one rack-level [`LatencyRecorder`] plus one machine-utilization
-//! [`Histogram`] — per-machine histograms are never retained, so the
-//! aggregation state is `O(workers)` histograms regardless of fleet
-//! size. Per-epoch rack throughput feeds two [`OnlineStats`] (pre- and
-//! post-storm), pushed on the main thread in epoch order so the float
-//! accumulation is deterministic too.
+//! Machines own no latency histograms between epochs. Each worker
+//! (and the sequential driver) keeps one warm recorder set — one
+//! [`ServiceRecorders`] per DP service — and lends it to each machine
+//! for exactly one `run_until` ([`Machine::swap_dp_recorders`]). The
+//! returned set is drained into the worker's delta and folded
+//! immediately into one rack-level [`LatencyRecorder`] plus one
+//! machine-utilization [`Histogram`], so histogram storage is
+//! `O(workers × services)` regardless of fleet size. Per-epoch rack
+//! throughput feeds two [`OnlineStats`] (pre- and post-storm), pushed
+//! on the main thread in epoch order so the float accumulation is
+//! deterministic too.
 //!
 //! Each epoch-parallel worker owns a *pool* of machines and reports
 //! one batched `WorkerDelta` per epoch (not one message per
@@ -47,7 +50,7 @@ use taichi_core::audit::check_invariants;
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::MachineConfig;
 use taichi_cp::{TaskFactory, VmCreateRequest};
-use taichi_dp::{ArrivalPattern, LatencyRecorder, TrafficGen};
+use taichi_dp::{ArrivalPattern, LatencyRecorder, ServiceRecorders, TrafficGen};
 use taichi_hw::{CpuId, IoKind, TenantId};
 use taichi_sim::report::Table;
 use taichi_sim::{Dist, Histogram, OnlineStats, Rng, SimDuration, SimTime};
@@ -418,42 +421,41 @@ impl MachineSlot {
         }
     }
 
-    /// Applies `plan`, advances to `end`, drains the epoch's stats
-    /// into `out` (accumulating on top of whatever sibling machines
-    /// already contributed this epoch). Steady state this allocates
-    /// nothing: recorders drain in place and the counters are plain
-    /// integer adds.
+    /// Applies `plan`, advances to `end` with `loan` lent to the DP
+    /// services, drains the epoch's stats into `out` (accumulating on
+    /// top of whatever sibling machines already contributed this
+    /// epoch). Steady state this allocates nothing: the loan's
+    /// recorders drain in place and the counters are plain integer
+    /// adds.
     fn run_epoch_into(
         &mut self,
         cfg: &FleetConfig,
         end: SimTime,
         plan: &EpochPlan,
+        loan: &mut Vec<ServiceRecorders>,
         out: &mut WorkerDelta,
     ) {
-        let now = self.machine.now();
-        let dp = self.machine.services().len() as u64;
-        for f in &plan.flows {
-            self.machine.inject_rx_for_tenant(
-                f.at,
-                IoKind::Network,
-                f.size,
-                CpuId(f.dest_cpu % dp.max(1) as u32),
-                TenantId(f.tenant),
-            );
-        }
-        for _ in 0..plan.vm_creates {
-            let vm_id = ((self.index as u64) << 32) | self.vm_seq;
-            self.vm_seq += 1;
-            self.machine.schedule_vm_create(
-                VmCreateRequest::at_density(vm_id, cfg.vm_density, now),
-                &self.factory,
-            );
-        }
+        self.apply_plan(cfg, plan);
+        // The machine records this epoch into the loan's empty, warm
+        // recorders and keeps only zero-capacity placeholders between
+        // epochs, so histogram storage scales with workers, not
+        // machines. The drain merges services in order, tenants within
+        // each service: the same merge order into each destination as
+        // draining the machine's own recorders, so even the
+        // order-sensitive `sum_sq` is bit-identical.
+        self.machine.swap_dp_recorders(loan);
         self.machine.run_until(end);
-
-        self.machine.drain_dp_recorders_into(&mut out.recorder);
-        self.machine
-            .drain_tenant_recorders_into(&mut out.tenant_recorders);
+        self.machine.swap_dp_recorders(loan);
+        for r in loan.iter_mut() {
+            r.merged.drain_into(&mut out.recorder);
+            if out.tenant_recorders.len() < r.tenants.len() {
+                out.tenant_recorders
+                    .resize_with(r.tenants.len(), LatencyRecorder::new);
+            }
+            for (rec, dest) in r.tenants.iter_mut().zip(out.tenant_recorders.iter_mut()) {
+                rec.drain_into(dest);
+            }
+        }
         let (mut processed, mut dropped) = (0u64, 0u64);
         for s in self.machine.services() {
             processed += s.processed();
@@ -488,6 +490,30 @@ impl MachineSlot {
         out.slab_hwm = out.slab_hwm.max(slab);
         out.ring_hwm = out.ring_hwm.max(ring);
         out.resident_bytes += self.machine.resident_bytes() as u64;
+    }
+
+    /// Injects the plan's east-west arrivals and schedules its VM
+    /// creations.
+    fn apply_plan(&mut self, cfg: &FleetConfig, plan: &EpochPlan) {
+        let now = self.machine.now();
+        let dp = self.machine.services().len() as u64;
+        for f in &plan.flows {
+            self.machine.inject_rx_for_tenant(
+                f.at,
+                IoKind::Network,
+                f.size,
+                CpuId(f.dest_cpu % dp.max(1) as u32),
+                TenantId(f.tenant),
+            );
+        }
+        for _ in 0..plan.vm_creates {
+            let vm_id = ((self.index as u64) << 32) | self.vm_seq;
+            self.vm_seq += 1;
+            self.machine.schedule_vm_create(
+                VmCreateRequest::at_density(vm_id, cfg.vm_density, now),
+                &self.factory,
+            );
+        }
     }
 }
 
@@ -916,12 +942,13 @@ fn run_sequential(cfg: &FleetConfig) -> FleetResult {
         .collect();
     let mut acc = RackAccum::new();
     let mut plans: Vec<EpochPlan> = Vec::new();
+    let mut loan: Vec<ServiceRecorders> = Vec::new();
     let mut scratch = WorkerDelta::default();
     for e in 0..cfg.epochs {
         fill_plans(cfg, e, acc.congested(), &mut plans, None);
         let end = cfg.epoch_start(e + 1);
         for slot in &mut slots {
-            slot.run_epoch_into(cfg, end, &plans[slot.index], &mut scratch);
+            slot.run_epoch_into(cfg, end, &plans[slot.index], &mut loan, &mut scratch);
         }
         acc.fold_worker(&mut scratch);
         acc.close_epoch(cfg, e);
@@ -956,15 +983,16 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                 // Machines are built *inside* the worker (`Machine` is
                 // deliberately `!Send`); worker `w` owns every index
                 // congruent to `w` mod `workers` and advances them in
-                // ascending order each epoch. The plan buffer and the
-                // recycled delta live for the whole run, so a
-                // steady-state epoch performs O(machines) work with
-                // no per-event allocation.
+                // ascending order each epoch. The plan buffer, the
+                // recorder loan and the recycled delta live for the
+                // whole run, so a steady-state epoch performs
+                // O(machines) work with no per-event allocation.
                 let mut slots: Vec<MachineSlot> = (w..cfg.machines)
                     .step_by(workers)
                     .map(|i| MachineSlot::new(&cfg, i))
                     .collect();
                 let mut plans: Vec<EpochPlan> = Vec::new();
+                let mut loan: Vec<ServiceRecorders> = Vec::new();
                 while let Ok(cmd) = cmd_rx.recv() {
                     let mut delta = cmd.recycle.unwrap_or_default();
                     fill_plans(
@@ -975,7 +1003,13 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                         Some((w, workers)),
                     );
                     for slot in &mut slots {
-                        slot.run_epoch_into(&cfg, cmd.end, &plans[slot.index], &mut delta);
+                        slot.run_epoch_into(
+                            &cfg,
+                            cmd.end,
+                            &plans[slot.index],
+                            &mut loan,
+                            &mut delta,
+                        );
                     }
                     if delta_tx.send(delta).is_err() {
                         return;
@@ -1108,17 +1142,126 @@ mod tests {
         assert!(r.summary_table().to_csv().lines().count() == 2);
     }
 
-    #[test]
-    fn multi_tenant_fleet_aggregates_per_tenant_and_stays_conserved() {
-        let mut cfg = FleetConfig {
-            storm_epoch: None,
-            ..tiny()
-        };
+    fn two_tenants(mut cfg: FleetConfig) -> FleetConfig {
         cfg.machine.tenants = TenantConfig {
             count: 2,
             weights: vec![3, 1],
             ..TenantConfig::default()
         };
+        cfg
+    }
+
+    /// Everything a drained recorder exports, floats by bit pattern.
+    fn recorder_summary(r: &LatencyRecorder) -> Vec<u64> {
+        let mut v = vec![r.packets(), r.bytes()];
+        for h in [r.total_latency(), r.software_latency()] {
+            v.extend([
+                h.count(),
+                h.mean().to_bits(),
+                h.min(),
+                h.max(),
+                h.percentile(50.0),
+                h.percentile(99.0),
+                h.percentile(99.9),
+                h.stddev().to_bits(),
+            ]);
+        }
+        v
+    }
+
+    /// Histogram bytes the machine's own DP recorders hold.
+    fn machine_recorder_bytes(m: &Machine) -> usize {
+        m.services()
+            .iter()
+            .map(|s| {
+                s.recorder().resident_bytes()
+                    + s.tagged_recorder().resident_bytes()
+                    + s.tenant_recorders()
+                        .iter()
+                        .map(LatencyRecorder::resident_bytes)
+                        .sum::<usize>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn recorder_loan_matches_in_place_drains() {
+        for cfg in [tiny(), two_tenants(tiny())] {
+            let mut lent: Vec<MachineSlot> = (0..cfg.machines)
+                .map(|i| MachineSlot::new(&cfg, i))
+                .collect();
+            let mut owned: Vec<MachineSlot> = (0..cfg.machines)
+                .map(|i| MachineSlot::new(&cfg, i))
+                .collect();
+            // One loan shared by every machine, as on a worker.
+            let mut loan = Vec::new();
+            let mut packets = vec![0u64; cfg.machine.tenants.count.max(1) as usize];
+            for e in 0..cfg.epochs {
+                let plans = make_plans(&cfg, e, false);
+                let end = cfg.epoch_start(e + 1);
+                for (a, b) in lent.iter_mut().zip(owned.iter_mut()) {
+                    let mut out = WorkerDelta::default();
+                    a.run_epoch_into(&cfg, end, &plans[a.index], &mut loan, &mut out);
+                    b.apply_plan(&cfg, &plans[b.index]);
+                    b.machine.run_until(end);
+                    let merged = b.machine.drain_dp_recorders();
+                    let tenants = b.machine.drain_tenant_recorders();
+                    let at = format!("machine {} epoch {e}", a.index);
+                    assert_eq!(
+                        recorder_summary(&out.recorder),
+                        recorder_summary(&merged),
+                        "{at}"
+                    );
+                    assert_eq!(out.tenant_recorders.len(), tenants.len(), "{at}");
+                    for (t, (x, y)) in out.tenant_recorders.iter().zip(&tenants).enumerate() {
+                        assert_eq!(recorder_summary(x), recorder_summary(y), "{at} tenant {t}");
+                        packets[t] += x.packets();
+                    }
+                    if tenants.is_empty() {
+                        packets[0] += merged.packets();
+                    }
+                }
+            }
+            assert!(
+                packets.iter().all(|&p| p > 0),
+                "every tenant must complete packets: {packets:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_machines_hold_no_recorder_bytes_between_epochs() {
+        for cfg in [tiny(), two_tenants(tiny())] {
+            let mut slots: Vec<MachineSlot> = (0..cfg.machines)
+                .map(|i| MachineSlot::new(&cfg, i))
+                .collect();
+            let mut loan = Vec::new();
+            let mut out = WorkerDelta::default();
+            for e in 0..cfg.epochs {
+                let plans = make_plans(&cfg, e, false);
+                let end = cfg.epoch_start(e + 1);
+                for slot in &mut slots {
+                    slot.run_epoch_into(&cfg, end, &plans[slot.index], &mut loan, &mut out);
+                    assert_eq!(
+                        machine_recorder_bytes(&slot.machine),
+                        0,
+                        "machine {} kept recorder storage after epoch {e}",
+                        slot.index
+                    );
+                }
+                // The histogram storage lives in the one loan instead.
+                let lent: usize = loan.iter().map(ServiceRecorders::resident_bytes).sum();
+                assert!(lent > 0, "the loan recorded nothing in epoch {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_tenant_fleet_aggregates_per_tenant_and_stays_conserved() {
+        let cfg = two_tenants(FleetConfig {
+            storm_epoch: None,
+            ..tiny()
+        });
         let r = run(&cfg, FleetDriver::Sequential);
         assert_eq!(r.violation_count, 0, "{:?}", r.violations);
         assert_eq!(r.tenant_rack.len(), 2);

@@ -15,7 +15,7 @@ use crate::cpu::CpuId;
 use crate::packet::Packet;
 use crate::probe::HwWorkloadProbe;
 use crate::queue::RxQueue;
-use taichi_sim::{Counter, FaultInjector, SimDuration, SimTime, TraceKind, Tracer};
+use taichi_sim::{round_u64, Counter, FaultInjector, SimDuration, SimTime, TraceKind, Tracer};
 
 /// Timing configuration for the accelerator.
 #[derive(Clone, Debug)]
@@ -263,9 +263,9 @@ impl Accelerator {
             None
         };
 
-        let serialize = SimDuration::from_nanos(
-            (packet.size_bytes as f64 * self.config.ns_per_byte).round() as u64,
-        )
+        let serialize = SimDuration::from_nanos(round_u64(
+            packet.size_bytes as f64 * self.config.ns_per_byte,
+        ))
         .max(self.config.issue_gap);
         self.channel_free[ch] = start + serialize;
 
@@ -381,9 +381,9 @@ impl Accelerator {
     ) -> Option<(Packet, PipelineOutput)> {
         let a = self.arbiter.as_mut()?;
         let mut packet = a.pop_next()?;
-        let wire = SimDuration::from_nanos(
-            (packet.size_bytes as f64 * self.config.ns_per_byte).round() as u64,
-        )
+        let wire = SimDuration::from_nanos(round_u64(
+            packet.size_bytes as f64 * self.config.ns_per_byte,
+        ))
         .max(self.config.issue_gap);
         self.arbiter.as_mut().expect("checked above").port_free = now + wire;
         let out = self.ingest(&mut packet, now, probe);

@@ -155,12 +155,12 @@ impl Dist {
 
     /// Draws one sample interpreted as microseconds.
     pub fn sample_micros(&self, rng: &mut Rng) -> SimDuration {
-        SimDuration::from_nanos((self.sample(rng) * 1_000.0).round().max(0.0) as u64)
+        SimDuration::from_nanos(crate::round_u64(self.sample(rng) * 1_000.0))
     }
 
     /// Draws one sample interpreted as milliseconds.
     pub fn sample_millis(&self, rng: &mut Rng) -> SimDuration {
-        SimDuration::from_nanos((self.sample(rng) * 1_000_000.0).round().max(0.0) as u64)
+        SimDuration::from_nanos(crate::round_u64(self.sample(rng) * 1_000_000.0))
     }
 
     /// Returns the analytic mean where one exists in closed form.

@@ -96,6 +96,12 @@ impl Histogram {
         self.sum_sq = 0.0;
     }
 
+    /// Heap bytes held by the bucket vector (its capacity, which
+    /// [`Histogram::reset`] keeps).
+    pub fn resident_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count

@@ -64,3 +64,97 @@ pub use rng::Rng;
 pub use stats::{Counter, OnlineStats, UtilizationMeter};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceConfig, TraceEvent, TraceKind, TraceTag, Tracer};
+
+/// `x.round() as u64` — round half away from zero, saturating, NaN and
+/// negatives to 0 — without a libm call. Baseline x86-64 has no
+/// `roundsd`, so `f64::round` is a function call on the packet path.
+/// Below 2^52 this truncates through `i64` and adds one when the
+/// dropped fraction is at least one half; the signed conversions are
+/// single instructions there, where the unsigned ones expand to
+/// multi-instruction sequences that measured slower than the libm call.
+/// Every `f64` at or above 2^52 is an integer, so truncation is exact,
+/// and `as u64` already maps NaN and negatives to 0 and saturates.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    if x > 0.0 && x < 4_503_599_627_370_496.0 {
+        let i = x as i64;
+        (i + (x - i as f64 >= 0.5) as i64) as u64
+    } else {
+        x as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::round_u64;
+    use crate::check::run_cases;
+
+    fn assert_matches_libm(x: f64) {
+        assert_eq!(
+            round_u64(x),
+            x.round() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_u64_matches_libm_round_on_edge_cases() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let p63 = (1u64 << 63) as f64;
+        let p64 = 18_446_744_073_709_551_616.0;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            -0.5,
+            -0.4,
+            -1.5,
+            p52,
+            p52 + 0.5,
+            p52 - 0.5,
+            p53,
+            p53 - 1.0,
+            p53 + 2.0,
+            p63,
+            p64,
+            p64 * 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in edges {
+            assert_matches_libm(x);
+            assert_matches_libm(f64::from_bits(x.to_bits().wrapping_add(1)));
+            assert_matches_libm(f64::from_bits(x.to_bits().wrapping_sub(1)));
+        }
+    }
+
+    #[test]
+    fn round_u64_matches_libm_round_on_random_values() {
+        run_cases("round_u64", 64, |_, rng| {
+            for _ in 0..4096 {
+                // Random bit patterns cover every exponent, sign,
+                // infinity and NaN payload.
+                assert_matches_libm(f64::from_bits(rng.next_u64()));
+                // Half-integers below 2^53 and their neighbours, the
+                // values where truncate-and-compare could go wrong.
+                let h = (rng.next_below(1 << 53) as f64) * 0.5;
+                assert_matches_libm(h);
+                assert_matches_libm(f64::from_bits(h.to_bits() + 1));
+                assert_matches_libm(f64::from_bits(h.to_bits().saturating_sub(1)));
+                // Magnitudes the simulator rounds: ns costs and sizes.
+                assert_matches_libm(rng.next_f64() * 1e7);
+            }
+        });
+    }
+}
