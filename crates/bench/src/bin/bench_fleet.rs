@@ -1,6 +1,7 @@
-//! Fleet-scale throughput and memory benchmark: machine-epochs/sec,
-//! wall time, allocation traffic, and resident memory per machine for
-//! a 1024-machine rack run under the pooled epoch-parallel driver.
+//! Fleet-scale throughput and memory benchmark: machine-epochs per
+//! second of wall time and per CPU-second, allocation traffic, and
+//! resident memory per machine for a 1024-machine rack run under the
+//! pooled epoch-parallel driver.
 //!
 //! This binary maintains the repo's committed fleet perf trajectory,
 //! `BENCH_fleet.json` at the **repository root** (the fleet analogue of
@@ -24,11 +25,14 @@
 //! - `--quick`: a smaller rack (128 machines x 6 epochs) sized for a
 //!   CI smoke job — machine-epochs/sec is per-machine-normalized, so
 //!   the regression gate is meaningful at either scale;
-//! - `--check`: exit non-zero when machine-epochs/sec falls below the
-//!   gate block's `threshold`, or peak RSS per machine rises above its
-//!   `rss_kb_per_machine_max`; both were set from repeated `--quick`
-//!   runs of this driver. Without `/proc/self/status` there is no peak
-//!   RSS, and the memory half reports itself skipped;
+//! - `--check`: exit non-zero when machine-epochs per CPU-second fall
+//!   below the gate block's `threshold`, or peak RSS per machine rises
+//!   above its `rss_kb_per_machine_max`; both were set from repeated
+//!   `--quick` runs of this driver. The throughput gate divides by the
+//!   process's CPU time (`getrusage`, all threads), not wall time, so
+//!   a busy host that stalls the run does not fail it; without CPU
+//!   time (non-Linux) the check fails. Without `/proc/self/status`
+//!   there is no peak RSS, and the memory half reports itself skipped;
 //! - `--sequential`: measure the sequential reference driver instead.
 //!
 //! The allocation figures come from the counting global allocator
@@ -48,7 +52,8 @@
 use std::fmt::Write as _;
 
 use taichi_bench::{
-    bench_json_path, json_block, json_number, peak_rss_kb, results_dir, usage_error, Knobs,
+    bench_json_path, cpu_time_s, json_block, json_number, peak_rss_kb, results_dir, usage_error,
+    Knobs,
 };
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_sim::alloc::{self, CountingAlloc};
@@ -98,9 +103,13 @@ fn main() {
     );
 
     let before = alloc::snapshot();
+    let cpu_before = cpu_time_s();
     let start = std::time::Instant::now();
     let result = run(&cfg, driver);
     let wall = start.elapsed().as_secs_f64();
+    let cpu = cpu_time_s()
+        .zip(cpu_before)
+        .map(|(after, before)| after - before);
     let delta = alloc::snapshot().since(before);
 
     if result.violation_count > 0 {
@@ -113,6 +122,7 @@ fn main() {
     let machines = cfg.machines as u64;
     let machine_epochs = (cfg.machines * cfg.epochs) as f64;
     let meps = machine_epochs / wall.max(1e-9);
+    let meps_cpu = cpu.map(|c| machine_epochs / c.max(1e-9));
     let alloc_bytes_per_machine = delta.bytes / machines;
     let resident_per_machine = result.resident_bytes / machines;
     let rss_kb = peak_rss_kb();
@@ -122,6 +132,9 @@ fn main() {
         result.rack.packets(),
         result.epochs.iter().map(|r| r.events).sum::<u64>(),
     );
+    if let (Some(c), Some(m)) = (cpu, meps_cpu) {
+        println!("cpu {c:.2} s  {m:.0} machine-epochs per CPU-second");
+    }
     println!(
         "alloc traffic: {} events, {} B/machine cumulative; resident {} B/machine \
          (slab hwm {} slots, ring hwm {} pkts)",
@@ -181,7 +194,8 @@ fn main() {
         current,
         "    \"driver\": \"{}\",\n    \"workers\": {},\n    \"machines\": {},\n    \
          \"epochs\": {},\n    \"quick\": {},\n    \"wall_s\": {:.2},\n    \
-         \"machine_epochs_per_sec\": {:.0},\n    \"alloc_events\": {},\n    \
+         \"machine_epochs_per_sec\": {:.0},\n    \"cpu_s\": {:.2},\n    \
+         \"machine_epochs_per_cpu_s\": {:.0},\n    \"alloc_events\": {},\n    \
          \"alloc_bytes_per_machine\": {},\n    \"resident_bytes_per_machine\": {},\n    \
          \"slab_high_watermark\": {},\n    \"ring_high_watermark\": {},\n    \
          \"peak_rss_kb\": {},\n    \"peak_rss_kb_per_machine\": {},\n    \
@@ -197,6 +211,8 @@ fn main() {
         quick,
         wall,
         meps,
+        cpu.unwrap_or(f64::NAN),
+        meps_cpu.unwrap_or(f64::NAN),
         delta.allocation_events(),
         alloc_bytes_per_machine,
         resident_per_machine,
@@ -228,12 +244,17 @@ fn main() {
             eprintln!("check: no gate threshold in the committed BENCH_fleet.json");
             std::process::exit(1);
         };
+        let Some(meps_cpu) = meps_cpu else {
+            eprintln!("check: no CPU time (getrusage is read on Linux only)");
+            std::process::exit(1);
+        };
         println!(
-            "check: {meps:.0} machine-epochs/s vs gate threshold {threshold:.0} ({:.2}x)",
-            meps / threshold
+            "check: {meps_cpu:.0} machine-epochs per CPU-second vs gate threshold \
+             {threshold:.0} ({:.2}x)",
+            meps_cpu / threshold
         );
-        if meps < threshold {
-            eprintln!("check FAILED: fleet throughput fell below the gate");
+        if meps_cpu < threshold {
+            eprintln!("check FAILED: fleet throughput per CPU-second fell below the gate");
             std::process::exit(1);
         }
         let Some(rss_max) = gate_block.and_then(|b| json_number(b, "rss_kb_per_machine_max"))

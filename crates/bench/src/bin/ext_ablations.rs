@@ -16,7 +16,7 @@ use taichi_cp::{CpTaskKind, TaskFactory};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::{pct, Table};
-use taichi_sim::{Dist, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, Rng, SimTime};
 
 struct Outcome {
     dp_mean_ns: f64,
@@ -48,17 +48,12 @@ fn run(base: &MachineConfig, taichi: TaiChiConfig) -> Outcome {
     ));
     let factory = TaskFactory::default();
     let mut rng = Rng::new(base.seed ^ 0xE);
-    let mut t = SimTime::from_millis(1);
-    while t < SimTime::from_millis(800) {
-        m.schedule_cp_batch(
-            vec![
-                factory.build(CpTaskKind::DeviceManagement, &mut rng),
-                factory.build(CpTaskKind::Monitoring, &mut rng),
-            ],
-            t,
-        );
-        t += SimDuration::from_millis(2);
-    }
+    m.schedule_cp_batches((1..800).step_by(2).map(SimTime::from_millis), move || {
+        vec![
+            factory.build(CpTaskKind::DeviceManagement, &mut rng),
+            factory.build(CpTaskKind::Monitoring, &mut rng),
+        ]
+    });
     m.run_until(SimTime::from_millis(800));
     emit_trace(&label, &m);
     let r = RunReport::collect(&m);

@@ -23,7 +23,7 @@ use taichi_cp::{CpTaskKind, TaskFactory};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::Table;
-use taichi_sim::{Dist, FaultPlan, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, FaultPlan, Rng, SimTime};
 
 /// Uniform fault-rate ladder (0 is the fault-free control row).
 const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
@@ -64,17 +64,15 @@ fn run(base: &MachineConfig, mode: Mode, rate: f64) -> Outcome {
     ));
     let factory = TaskFactory::default();
     let mut rng = Rng::new(base.seed ^ 0xFA);
-    let mut t = SimTime::from_millis(1);
-    while t < SimTime::from_millis(HORIZON_MS) {
-        m.schedule_cp_batch(
+    m.schedule_cp_batches(
+        (1..HORIZON_MS).step_by(2).map(SimTime::from_millis),
+        move || {
             vec![
                 factory.build(CpTaskKind::DeviceManagement, &mut rng),
                 factory.build(CpTaskKind::Monitoring, &mut rng),
-            ],
-            t,
-        );
-        t += SimDuration::from_millis(2);
-    }
+            ]
+        },
+    );
     m.run_until(SimTime::from_millis(HORIZON_MS));
     emit_trace(&format!("ext_faults_{mode}_{rate}"), &m);
     let r = RunReport::collect(&m);

@@ -14,7 +14,7 @@ use taichi_cp::{CpTaskKind, SynthCp, TaskFactory};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::Table;
-use taichi_sim::{Dist, Rng, SimDuration, SimTime};
+use taichi_sim::{Dist, Rng, SimTime};
 
 fn dp_traffic_30pct() -> TrafficGen {
     TrafficGen::new(
@@ -35,19 +35,19 @@ fn run(cfg: &MachineConfig, mode: Mode, concurrency: u32) -> f64 {
     // The production CP stack (device churn, monitoring, orchestration)
     // keeps running underneath the benchmark, exactly as on the paper's
     // IaaS nodes — synth_cp competes with it for CP CPUs.
+    // Its batches are built as they fire: the run stops once the synth
+    // tasks finish, long before the last one.
     let factory = TaskFactory::default();
     let mut bg_rng = Rng::new(cfg.seed ^ 0xB6);
-    let mut t = SimTime::from_millis(1);
-    while t < SimTime::from_secs(10) {
-        m.schedule_cp_batch(
+    m.schedule_cp_batches(
+        (1..10_000).step_by(3).map(SimTime::from_millis),
+        move || {
             vec![
                 factory.build(CpTaskKind::DeviceManagement, &mut bg_rng),
                 factory.build(CpTaskKind::Monitoring, &mut bg_rng),
-            ],
-            t,
-        );
-        t += SimDuration::from_millis(3);
-    }
+            ]
+        },
+    );
     let synth = SynthCp::default();
     let mut rng = Rng::new(cfg.seed ^ 0x11);
     let batch = m.schedule_cp_batch(synth.workload(concurrency, &mut rng), SimTime::ZERO);

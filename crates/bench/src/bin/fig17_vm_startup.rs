@@ -24,20 +24,20 @@ fn run(cfg: &MachineConfig, mode: Mode, density: u32) -> f64 {
         (0..8).map(CpuId).collect(),
     ));
     // Production CP stack running underneath (monitoring + device
-    // churn), as on the paper's nodes.
+    // churn), as on the paper's nodes. Its batches are built as they
+    // fire: the run stops once the last VM is up.
     let factory = TaskFactory::default();
+    let bg_factory = factory.clone();
     let mut bg_rng = taichi_sim::Rng::new(cfg.seed ^ 0xB6);
-    let mut t = SimTime::from_millis(1);
-    while t < SimTime::from_secs(10) {
-        m.schedule_cp_batch(
+    m.schedule_cp_batches(
+        (1..10_000).step_by(3).map(SimTime::from_millis),
+        move || {
             vec![
-                factory.build(CpTaskKind::DeviceManagement, &mut bg_rng),
-                factory.build(CpTaskKind::Monitoring, &mut bg_rng),
-            ],
-            t,
-        );
-        t += SimDuration::from_millis(3);
-    }
+                bg_factory.build(CpTaskKind::DeviceManagement, &mut bg_rng),
+                bg_factory.build(CpTaskKind::Monitoring, &mut bg_rng),
+            ]
+        },
+    );
     let vms = 4;
     for i in 0..vms {
         let at = SimTime::from_millis(i as u64 * 5);

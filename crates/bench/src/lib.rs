@@ -190,6 +190,48 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// CPU time this process has used so far, user plus system, summed
+/// over all its threads: `getrusage(RUSAGE_SELF)`. Unlike wall time it
+/// does not grow while the host runs someone else's work, which makes
+/// it the denominator for throughput gates on shared machines. Linux
+/// only; `None` elsewhere or if the call fails.
+pub fn cpu_time_s() -> Option<f64> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_long};
+        #[repr(C)]
+        struct Timeval {
+            sec: c_long,
+            usec: c_long,
+        }
+        /// `struct rusage`: the two times, then 14 `long` counters.
+        #[repr(C)]
+        struct Rusage {
+            utime: Timeval,
+            stime: Timeval,
+            counters: [c_long; 14],
+        }
+        extern "C" {
+            fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+        }
+        const RUSAGE_SELF: c_int = 0;
+        let mut ru = Rusage {
+            utime: Timeval { sec: 0, usec: 0 },
+            stime: Timeval { sec: 0, usec: 0 },
+            counters: [0; 14],
+        };
+        // SAFETY: `ru` is a writable `struct rusage` with the C layout,
+        // and getrusage writes nothing outside it.
+        if unsafe { getrusage(RUSAGE_SELF, &mut ru) } != 0 {
+            return None;
+        }
+        let secs = |t: &Timeval| t.sec as f64 + t.usec as f64 * 1e-6;
+        Some(secs(&ru.utime) + secs(&ru.stime))
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
+}
+
 /// Path of a committed `BENCH_*.json` trajectory file at the
 /// repository root.
 pub fn bench_json_path(name: &str) -> PathBuf {
@@ -375,6 +417,21 @@ mod tests {
     fn valid_and_unset_workers_resolve() {
         assert_eq!(resolve_workers(Some(" 3 "), 8), Ok(3));
         assert_eq!(resolve_workers(None, 5), Ok(5));
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn cpu_time_grows_with_work() {
+        let before = cpu_time_s().expect("getrusage works on Linux");
+        let mut x = 0u64;
+        while cpu_time_s().unwrap() < before + 0.02 {
+            x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+        }
+        let after = cpu_time_s().unwrap();
+        assert!(
+            after >= before + 0.02 && after < before + 60.0,
+            "{before} -> {after}"
+        );
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! The harvest-shaped config also pins the Tai Chi policy's decision
 //! counts, and runs once more in each mode that never harvests
-//! (Baseline, Type2), whose output no other pin covers.
+//! (Baseline, Type2), whose output no other pin covers. Every
+//! single-machine config also pins its dispatch count per event kind,
+//! and a reduced Figure 3 machine (Baseline, low load) pins what each
+//! packet costs in events.
 
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::{MachineConfig, RunReport, TenantConfig};
@@ -19,13 +22,23 @@ use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_hw::{IoKind, TenantId};
-use taichi_sim::{Dist, Rng, SimTime};
+use taichi_sim::{Dist, Rng, SimDuration, SimTime};
 
 type Pins = [(&'static str, u64)];
 
 /// Compares `actual` against `expected` key by key and panics with
 /// every mismatching key (and any missing or extra one) listed.
 fn check(config: &str, actual: &Pins, expected: &Pins) {
+    let diff = mismatches(actual, expected);
+    assert!(
+        diff.is_empty(),
+        "{config}: engine work changed\n{}",
+        diff.join("\n")
+    );
+}
+
+/// Every key on which `actual` and `expected` disagree, one line each.
+fn mismatches(actual: &Pins, expected: &Pins) -> Vec<String> {
     let mut diff = Vec::new();
     for &(key, want) in expected {
         match actual.iter().find(|(k, _)| *k == key) {
@@ -39,17 +52,15 @@ fn check(config: &str, actual: &Pins, expected: &Pins) {
             diff.push(format!("  {key}: not pinned, got {got}"));
         }
     }
-    assert!(
-        diff.is_empty(),
-        "{config}: engine work changed\n{}",
-        diff.join("\n")
-    );
+    diff
 }
 
-/// The per-machine counts every single-machine config pins.
+/// The per-machine counts every single-machine config pins, followed
+/// by the dispatch count of each event kind that was dispatched at all
+/// (keyed by the `Event` variant name).
 fn machine_pins(m: &Machine) -> Vec<(&'static str, u64)> {
     let (slab_hwm, ring_hwm) = m.memory_high_watermarks();
-    vec![
+    let mut pins = vec![
         ("events_processed", m.events_processed()),
         ("events_dispatched", m.events_dispatched()),
         ("events_skipped", m.events_skipped()),
@@ -57,7 +68,18 @@ fn machine_pins(m: &Machine) -> Vec<(&'static str, u64)> {
         ("slab_high_watermark", slab_hwm as u64),
         ("ring_high_watermark", ring_hwm as u64),
         ("resident_bytes", m.resident_bytes() as u64),
-    ]
+    ];
+    let by_kind: Vec<_> = m
+        .events_dispatched_by_kind()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    assert_eq!(
+        by_kind.iter().map(|&(_, n)| n).sum::<u64>(),
+        m.events_dispatched(),
+        "per-kind dispatch counts must sum to events_dispatched: {by_kind:?}"
+    );
+    pins.extend(by_kind);
+    pins
 }
 
 /// The Tai Chi policy's decision counts: yields, lock reschedules and
@@ -125,6 +147,17 @@ fn harvest_shaped_machine() {
             ("slab_high_watermark", 54),
             ("ring_high_watermark", 27),
             ("resident_bytes", 141856),
+            ("NextArrival", 30986),
+            ("Delivered", 30971),
+            ("ProbeIrq", 850),
+            ("DpIdle", 1886),
+            ("VcpuEntered", 1322),
+            ("VcpuSliceExpire", 935),
+            ("VcpuExited", 1319),
+            ("KernelDecide", 162),
+            ("DpBurstDone", 13560),
+            ("VmCreate", 2),
+            ("SpawnBatch", 1),
             ("yields", 1322),
             ("lock_reschedules", 688),
             ("lock_fallbacks", 175),
@@ -144,36 +177,105 @@ fn harvest_shaped_machine_without_harvesting() {
         (
             Mode::Baseline,
             &[
-                ("events_processed", 76645),
-                ("events_dispatched", 76484),
+                ("events_processed", 72308),
+                ("events_dispatched", 72147),
                 ("events_skipped", 161),
                 ("events_fast_forwarded", 944826),
-                ("slab_high_watermark", 46),
+                ("slab_high_watermark", 44),
                 ("ring_high_watermark", 26),
                 ("resident_bytes", 144128),
+                ("NextArrival", 30986),
+                ("Delivered", 30971),
+                ("KernelDecide", 111),
+                ("DpBurstDone", 10076),
+                ("VmCreate", 2),
+                ("SpawnBatch", 1),
                 ("cp_finished", 5),
             ],
         ),
         (
             Mode::Type2,
             &[
-                ("events_processed", 67449),
-                ("events_dispatched", 67298),
+                ("events_processed", 66575),
+                ("events_dispatched", 66424),
                 ("events_skipped", 151),
                 ("events_fast_forwarded", 722803),
                 ("slab_high_watermark", 46),
                 ("ring_high_watermark", 51),
                 ("resident_bytes", 161792),
+                ("NextArrival", 30986),
+                ("Delivered", 30971),
+                ("KernelDecide", 102),
+                ("DpBurstDone", 4362),
+                ("VmCreate", 2),
+                ("SpawnBatch", 1),
                 ("cp_finished", 5),
             ],
         ),
     ];
+    // Both modes are measured before either fails, so one run shows
+    // every moved pin.
+    let mut diff = Vec::new();
     for (mode, expected) in cases {
         let m = harvest_shaped(mode);
         let mut actual = machine_pins(&m);
         actual.push(("cp_finished", RunReport::collect(&m).cp_finished));
-        check(&format!("harvest/{mode}"), &actual, expected);
+        let moved = mismatches(&actual, expected);
+        if !moved.is_empty() {
+            diff.push(format!("harvest/{mode}: engine work changed"));
+            diff.extend(moved);
+        }
     }
+    assert!(diff.is_empty(), "{}", diff.join("\n"));
+}
+
+#[test]
+fn fig3_shaped_machine() {
+    // Figure 3's Baseline machine at reduced scale: diurnally
+    // modulated low load on every DP CPU (the profile cycled in 200 ms
+    // instead of 20 s) with utilization sampling, and no CP work. Most
+    // bursts drain the ring here, so this pin shows what each packet
+    // costs in events.
+    let mut m = Machine::new(
+        MachineConfig {
+            seed: 0xF163,
+            ..MachineConfig::default()
+        },
+        Mode::Baseline,
+    );
+    let mut profile: Vec<f64> = (0..100)
+        .map(|i| 1.0 + 0.6 * (i as f64 / 100.0 * std::f64::consts::TAU).sin())
+        .collect();
+    profile[84] = 3.7;
+    m.add_traffic(TrafficGen::new(
+        ArrivalPattern::Modulated {
+            base_gap_us: Dist::exponential(1.5 / 0.10 / 8.0),
+            profile,
+            slot: SimDuration::from_millis(2),
+        },
+        Dist::constant(512.0),
+        IoKind::Network,
+        m.dp_cpu_ids().to_vec(),
+    ));
+    m.enable_util_sampling(SimDuration::from_millis(10));
+    m.run_until(SimTime::from_millis(200));
+    check(
+        "fig3",
+        &machine_pins(&m),
+        &[
+            ("events_processed", 232882),
+            ("events_dispatched", 232882),
+            ("events_skipped", 0),
+            ("events_fast_forwarded", 11912105),
+            ("slab_high_watermark", 21),
+            ("ring_high_watermark", 6),
+            ("resident_bytes", 118608),
+            ("NextArrival", 109993),
+            ("Delivered", 109992),
+            ("DpBurstDone", 12877),
+            ("UtilSample", 20),
+        ],
+    );
 }
 
 #[test]
@@ -217,6 +319,11 @@ fn dp_saturated_shaped_machine() {
             ("slab_high_watermark", 50),
             ("ring_high_watermark", 26),
             ("resident_bytes", 261184),
+            ("NextArrival", 88947),
+            ("Delivered", 88935),
+            ("DpIdle", 1391),
+            ("DpBurstDone", 45205),
+            ("ArbiterIssue", 88947),
         ],
     );
 }

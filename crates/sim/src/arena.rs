@@ -77,6 +77,14 @@ impl<T> Arena<T> {
         value
     }
 
+    /// The value behind the live handle `h`, left parked.
+    #[inline]
+    pub fn get_mut(&mut self, h: u32) -> &mut T {
+        self.slots[h as usize]
+            .as_mut()
+            .unwrap_or_else(|| panic!("arena handle {h} is not live"))
+    }
+
     /// Occupancy counters.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
@@ -134,6 +142,24 @@ mod tests {
         }
         assert_eq!(a.stats().slots, 100, "the slab keeps its peak");
         assert_eq!(a.unpark(hs[0]), 0);
+    }
+
+    #[test]
+    fn get_mut_edits_in_place() {
+        let mut a = Arena::default();
+        let h = a.park(vec![1]);
+        a.get_mut(h).push(2);
+        assert_eq!(a.stats().live, 1, "get_mut leaves the value parked");
+        assert_eq!(a.unpark(h), [1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not live")]
+    fn get_mut_of_a_free_handle_fails_loudly() {
+        let mut a = Arena::default();
+        let h = a.park(1u8);
+        a.unpark(h);
+        a.get_mut(h);
     }
 
     #[test]

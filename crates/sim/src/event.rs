@@ -5,6 +5,20 @@
 //! reproducibility. [`EventQueue::schedule`] returns an [`EventToken`]
 //! usable for cancellation.
 //!
+//! # Reserved keys
+//!
+//! [`EventQueue::reserve`] takes an event's `(time, seq)` key — the
+//! next sequence number — without queueing anything, and
+//! [`EventQueue::schedule_reserved`] queues an event at that key later.
+//! Because the sequence number was taken at reserve time, a late insert
+//! pops exactly where an eager `schedule` would have put it, and every
+//! event scheduled in between keeps its own key. The queue records the
+//! key of each event it pops (on every pop path, the heap oracle's
+//! included), so [`EventQueue::is_pending`] can say whether the run has
+//! reached a reserved key whether or not an event sits there. A caller
+//! can therefore reserve a timer's slot in the order, and queue the
+//! timer only once it learns the handler would have something to do.
+//!
 //! # Generation-stamped slots
 //!
 //! This is the simulator's hottest structure (every machine event goes
@@ -100,6 +114,20 @@ use crate::time::SimTime;
 pub struct EventToken {
     slot: u32,
     generation: u64,
+}
+
+/// A queue position: the `(time, seq)` key an event pops at.
+///
+/// [`EventQueue::reserve`] hands one out without queueing anything, so
+/// a caller can decide later whether the event is needed at all;
+/// [`EventQueue::schedule_reserved`] then inserts it exactly where an
+/// eager [`EventQueue::schedule`] at reserve time would have, and
+/// [`EventQueue::is_pending`] says whether the run has reached the key
+/// yet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey {
+    time: SimTime,
+    seq: u64,
 }
 
 /// Scheduling core selection for the identity oracle (see the module
@@ -419,6 +447,10 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
+    /// The key just past the most recently popped event: every key
+    /// below it has been dispatched (or was reserved and never
+    /// queued), every key at or above it is still ahead of the run.
+    popped_to: EventKey,
     /// Pending (non-cancelled) events.
     live: usize,
     /// Cancelled entries still physically queued (in the overflow
@@ -455,6 +487,10 @@ impl<E> EventQueue<E> {
             slots: Vec::with_capacity(initial_slots),
             free: Vec::with_capacity(initial_slots),
             next_seq: 0,
+            popped_to: EventKey {
+                time: SimTime::ZERO,
+                seq: 0,
+            },
             live: 0,
             cancelled: 0,
             now: SimTime::ZERO,
@@ -497,15 +533,55 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is a logic error and panics in debug
     /// builds; in release builds the event fires immediately (at `now`).
+    #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventToken {
+        let key = self.reserve(time);
+        self.schedule_reserved(key, event)
+    }
+
+    /// Takes the key [`EventQueue::schedule`] would give an event at
+    /// `time` right now — the next sequence number — without queueing
+    /// anything. Events scheduled later get later sequence numbers, so
+    /// they still order after this key at the same instant.
+    ///
+    /// Reserving in the past is a logic error and panics in debug
+    /// builds; in release builds the key is clamped to `now`.
+    #[inline]
+    pub fn reserve(&mut self, time: SimTime) -> EventKey {
         debug_assert!(
             time >= self.now,
             "scheduled event in the past: {time:?} < now {:?}",
             self.now
         );
-        let time = time.max(self.now);
-        let seq = self.next_seq;
+        let key = EventKey {
+            time: time.max(self.now),
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
+        key
+    }
+
+    /// True while the run has not reached `key`: it sorts after every
+    /// event popped so far. A reserved key stays pending until a later
+    /// key pops (or its own event, if one was queued there), whether or
+    /// not anything is queued at it.
+    #[inline]
+    pub fn is_pending(&self, key: EventKey) -> bool {
+        key >= self.popped_to
+    }
+
+    /// Queues `event` at a key from [`EventQueue::reserve`], which must
+    /// still be pending and must not have been used before. It pops
+    /// exactly where an eager `schedule` at reserve time would have put
+    /// it: after every event at that instant with a smaller sequence
+    /// number, before every one with a larger one.
+    pub fn schedule_reserved(&mut self, key: EventKey, event: E) -> EventToken {
+        debug_assert!(
+            self.is_pending(key),
+            "reserved key {key:?} is behind the run ({:?})",
+            self.popped_to
+        );
+        let EventKey { time, seq } = key;
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -688,6 +764,10 @@ impl<E> EventQueue<E> {
                 if time > limit {
                     return None;
                 }
+                self.popped_to = EventKey {
+                    time,
+                    seq: self.slots[min as usize].seq + 1,
+                };
                 list_unlink(&mut self.slots, wheel.l0_head.slot_mut(b), prev, min);
                 if wheel.l0_head.get(b) == NIL {
                     clear_bit(&mut wheel.l0_mask, b);
@@ -871,6 +951,10 @@ impl<E> EventQueue<E> {
             return None;
         }
         let entry = self.wheel.overflow.pop().expect("peeked non-empty");
+        self.popped_to = EventKey {
+            time: entry.time,
+            seq: entry.seq + 1,
+        };
         let event = self.retire_queued(entry.slot);
         self.sweep_overflow_top();
         Some((entry.time, event.expect("live slot owns its payload")))
@@ -1438,6 +1522,139 @@ mod tests {
         }
         assert!(wheel.is_empty());
         assert_eq!(heap.cancelled_backlog(), 0);
+    }
+
+    #[test]
+    fn reserved_key_pops_where_eager_schedule_would() {
+        // Same-instant neighbours on both sides of the reserved key:
+        // the late insert pops after the tie scheduled before the
+        // reserve and before the one scheduled after it.
+        for be in BACKENDS {
+            for t in [500, 200_000, 50_000_000] {
+                let t = SimTime::from_nanos(t);
+                let mut q = EventQueue::with_backend(be);
+                q.schedule(t, "before");
+                let key = q.reserve(t);
+                q.schedule(t, "after");
+                q.schedule(SimTime::from_nanos(100), "early");
+                assert_eq!(q.len(), 3, "{be:?}: a reservation queues nothing");
+                assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
+                assert!(q.is_pending(key));
+                q.schedule_reserved(key, "reserved");
+                let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+                assert_eq!(order, ["before", "reserved", "after"], "{be:?} at {t:?}");
+                assert!(!q.is_pending(key), "{be:?}: popped key is behind the run");
+            }
+        }
+    }
+
+    #[test]
+    fn is_pending_tracks_the_popped_key_without_an_event() {
+        for be in BACKENDS {
+            let mut q = EventQueue::with_backend(be);
+            let t = SimTime::from_nanos(1_000);
+            q.schedule(SimTime::from_nanos(10), 0);
+            q.schedule(t, 1);
+            let key = q.reserve(t);
+            q.schedule(t, 2);
+            assert!(q.is_pending(key), "{be:?}: nothing popped yet");
+            q.pop();
+            assert!(q.is_pending(key), "{be:?}: an earlier instant popped");
+            assert_eq!(q.pop(), Some((t, 1)));
+            assert!(q.is_pending(key), "{be:?}: a smaller seq at the instant");
+            assert_eq!(q.pop(), Some((t, 2)));
+            assert!(!q.is_pending(key), "{be:?}: a larger seq at the instant");
+            // A limited pop that returns nothing moves nothing.
+            let later = q.reserve(SimTime::from_nanos(2_000));
+            q.schedule(SimTime::from_nanos(3_000), 3);
+            assert!(q.pop_at_or_before(SimTime::from_nanos(2_500)).is_none());
+            assert!(q.is_pending(later), "{be:?}");
+        }
+    }
+
+    #[test]
+    fn late_inserts_match_eager_schedules() {
+        // Differential check: every reservation either gets its event
+        // later (before the run can pass its instant) or never does.
+        // The reference schedules each event at reserve time and
+        // cancels the never-queued ones on the spot. Pops, peeks and
+        // `is_pending` must agree op for op, across level 0, level 1
+        // and overflow.
+        for be in BACKENDS {
+            let mut rng = crate::rng::Rng::new(0x5EED ^ be as u64);
+            let mut lazy = EventQueue::with_backend(be);
+            let mut eager = EventQueue::with_backend(be);
+            // (key, payload) reservations waiting for their event.
+            let mut waiting: Vec<(EventKey, u64)> = Vec::new();
+            let mut keys = Vec::new();
+            let mut late = 0;
+            for step in 0..20_000u64 {
+                let now = lazy.now().as_nanos();
+                let span = [2_000, 300_000, 60_000_000][rng.next_below(3) as usize];
+                let at = SimTime::from_nanos(now + rng.next_below(span));
+                match rng.next_below(5) {
+                    0 | 1 => {
+                        lazy.schedule(at, step);
+                        eager.schedule(at, step);
+                    }
+                    2 => {
+                        let key = lazy.reserve(at);
+                        let tok = eager.schedule(at, step);
+                        if rng.chance(0.5) {
+                            waiting.push((key, step));
+                        } else {
+                            assert!(eager.cancel(tok));
+                        }
+                        keys.push(key);
+                    }
+                    3 => {
+                        if !waiting.is_empty() {
+                            let i = rng.next_below(waiting.len() as u64) as usize;
+                            let (key, e) = waiting.swap_remove(i);
+                            lazy.schedule_reserved(key, e);
+                            late += 1;
+                        }
+                    }
+                    _ => {
+                        let limit = SimTime::from_nanos(now + rng.next_below(400_000));
+                        // Queue every reservation the pop could pass.
+                        waiting.retain(|&(key, e)| {
+                            if key.time <= limit {
+                                lazy.schedule_reserved(key, e);
+                                late += 1;
+                                return false;
+                            }
+                            true
+                        });
+                        let got = lazy.pop_at_or_before(limit);
+                        assert_eq!(got, eager.pop_at_or_before(limit), "{be:?} step {step}");
+                    }
+                }
+                assert_eq!(lazy.peek_time().is_some(), !lazy.is_empty());
+                if waiting.is_empty() {
+                    assert_eq!(lazy.peek_time(), eager.peek_time(), "{be:?} step {step}");
+                    assert_eq!(lazy.len(), eager.len(), "{be:?} step {step}");
+                }
+                if let Some(&k) = rng.pick(&keys) {
+                    assert_eq!(
+                        lazy.is_pending(k),
+                        eager.is_pending(k),
+                        "{be:?} step {step}"
+                    );
+                }
+            }
+            for (key, e) in waiting.drain(..) {
+                lazy.schedule_reserved(key, e);
+            }
+            while let Some(got) = eager.pop() {
+                assert_eq!(lazy.pop(), Some(got), "{be:?}");
+            }
+            assert!(lazy.is_empty(), "{be:?}");
+            assert!(late > 1_000, "{be:?}: only {late} late inserts");
+            assert!(keys
+                .iter()
+                .all(|&k| lazy.is_pending(k) == eager.is_pending(k)));
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use arena::{Arena, ArenaStats};
 pub use dist::{Dist, PreparedDist};
 #[cfg(any(test, feature = "oracle"))]
 pub use event::QueueBackend;
-pub use event::{EventQueue, EventToken};
+pub use event::{EventKey, EventQueue, EventToken};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
 pub use hist::Histogram;
 pub use inline_vec::InlineVec;

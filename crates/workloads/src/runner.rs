@@ -210,21 +210,26 @@ fn machine_with_load(
     // exceeds the 4 dedicated CP pCPUs (the §3.1 starvation premise):
     // under Tai Chi the surplus continuously seeks idle DP cycles, so
     // every data-plane measurement runs with the scheduler active.
+    // Each batch is built when it fires.
     let factory = TaskFactory::default();
     let mut rng = Rng::new(seed ^ 0xC0FFEE);
-    let mut t = SimTime::from_millis(1);
     let end = SimTime::ZERO + horizon;
-    while t < end {
-        let mut batch = Vec::new();
-        batch.push(factory.build(CpTaskKind::DeviceManagement, &mut rng));
-        batch.push(factory.build(CpTaskKind::DeviceManagement, &mut rng));
-        batch.push(factory.build(CpTaskKind::Monitoring, &mut rng));
-        if rng.chance(0.5) {
-            batch.push(factory.build(CpTaskKind::Orchestration, &mut rng));
-        }
-        m.schedule_cp_batch(batch, t);
-        t += SimDuration::from_millis(2);
-    }
+    m.schedule_cp_batches(
+        (1..)
+            .step_by(2)
+            .map(SimTime::from_millis)
+            .take_while(|&t| t < end),
+        move || {
+            let mut batch = Vec::new();
+            batch.push(factory.build(CpTaskKind::DeviceManagement, &mut rng));
+            batch.push(factory.build(CpTaskKind::DeviceManagement, &mut rng));
+            batch.push(factory.build(CpTaskKind::Monitoring, &mut rng));
+            if rng.chance(0.5) {
+                batch.push(factory.build(CpTaskKind::Orchestration, &mut rng));
+            }
+            batch
+        },
+    );
     m
 }
 
