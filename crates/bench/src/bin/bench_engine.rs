@@ -18,9 +18,12 @@
 //!
 //! - `--quick`: fewer coarse iterations (CI smoke mode);
 //! - `--check`: exit non-zero when the current TaiChi-mode *logical*
-//!   events/s (`machine_events_per_sec`) falls below the gate block's
-//!   `threshold`, which was set from the spread of repeated `--quick`
-//!   runs of this engine.
+//!   events per CPU-second (`machine_events_per_cpu_s`) fall below the
+//!   gate block's `threshold`, which was set from the spread of
+//!   repeated `--quick` runs of this engine. The gate divides by the
+//!   process's CPU time (`getrusage`, user + system), not wall time,
+//!   so a busy host that stalls the run does not fail it; without CPU
+//!   time (non-Linux) the check fails.
 //!
 //! Any other argument, or a bad `TAICHI_*` value, is a usage error
 //! (exit status 2).
@@ -32,11 +35,13 @@
 //! `events_per_sec` is effective throughput — `(events +
 //! fast_forwarded) / wall` — i.e. the rate a poll-stepping engine
 //! would need to match this one's simulated coverage.
-//! `machine_events_per_sec` keeps the raw logical rate, the unit of the
-//! baseline block and of the gate. Outside the Tai Chi modes a DP burst
-//! completion is queued only when its handler has work, so Baseline and
-//! Type2 retire fewer logical events for the same simulated work than
-//! the baseline block's engine did (the current block's `note` says so).
+//! `machine_events_per_sec` keeps the raw logical rate per wall second,
+//! the unit of the baseline block; `machine_events_per_cpu_s` is the
+//! same count per CPU-second, the gate's unit. Outside the Tai Chi
+//! modes a DP burst completion is queued only when its handler has
+//! work, so Baseline and Type2 retire fewer logical events for the same
+//! simulated work than the baseline block's engine did (the current
+//! block's `note` says so).
 //!
 //! Uses the in-repo timing loops ([`taichi_bench::bench_ns`] /
 //! [`taichi_bench::bench_coarse_ms`]) so the workspace builds offline.
@@ -94,12 +99,16 @@ struct MachineStats {
     events_per_sec: f64,
     /// Raw logical throughput: `events / wall`.
     machine_events_per_sec: f64,
+    /// CPU milliseconds per run (`None` without CPU time).
+    cpu_ms: Option<f64>,
+    /// Raw logical throughput per CPU-second: `events / cpu`.
+    machine_events_per_cpu_s: Option<f64>,
 }
 
-/// Wall-clock per 20 ms of simulated time plus engine events/sec, for
-/// one mode.
+/// Wall-clock and CPU time per 20 ms of simulated time plus engine
+/// events/sec, for one mode.
 fn machine_stats(mode: Mode, iters: u32) -> MachineStats {
-    let ms = bench_coarse_ms(iters, || {
+    let (ms, cpu_ms) = bench_coarse_ms(iters, || {
         let mut m = build(mode);
         m.run_until(SimTime::from_millis(20));
         black_box(m.kernel().finished_count())
@@ -119,23 +128,31 @@ fn machine_stats(mode: Mode, iters: u32) -> MachineStats {
         ns_per_event: ms * 1e6 / effective_events as f64,
         events_per_sec: effective_events as f64 / (ms / 1e3),
         machine_events_per_sec: events as f64 / (ms / 1e3),
+        cpu_ms,
+        machine_events_per_cpu_s: cpu_ms.map(|c| events as f64 / (c.max(1e-9) / 1e3)),
     }
 }
 
 fn mode_json(s: MachineStats) -> String {
+    let or_null = |v: Option<f64>, digits: usize| match v {
+        Some(v) => format!("{v:.digits$}"),
+        None => "null".into(),
+    };
     format!(
-        "{{ \"ms_per_20ms_sim\": {:.2}, \"events\": {}, \"dispatched\": {}, \
-         \"fast_forwarded\": {}, \"effective_events\": {}, \
+        "{{ \"ms_per_20ms_sim\": {:.2}, \"cpu_ms_per_20ms_sim\": {}, \"events\": {}, \
+         \"dispatched\": {}, \"fast_forwarded\": {}, \"effective_events\": {}, \
          \"ns_per_event\": {:.1}, \"events_per_sec\": {:.0}, \
-         \"machine_events_per_sec\": {:.0} }}",
+         \"machine_events_per_sec\": {:.0}, \"machine_events_per_cpu_s\": {} }}",
         s.ms,
+        or_null(s.cpu_ms, 2),
         s.events,
         s.dispatched,
         s.fast_forwarded,
         s.effective_events,
         s.ns_per_event,
         s.events_per_sec,
-        s.machine_events_per_sec
+        s.machine_events_per_sec,
+        or_null(s.machine_events_per_cpu_s, 0)
     )
 }
 
@@ -211,13 +228,15 @@ fn main() {
     for (mode, s) in modes.iter().zip(&stats) {
         println!(
             "simulate_20ms/{mode:<18} {:>9.2} ms/iter  {} events (+{} fast-forwarded)  \
-             {:.0} ns/event  {:.0} events/sec effective  {:.0} logical",
+             {:.0} ns/event  {:.0} events/sec effective  {:.0} logical  \
+             {:.0} logical per CPU-second",
             s.ms,
             s.events,
             s.fast_forwarded,
             s.ns_per_event,
             s.events_per_sec,
             s.machine_events_per_sec,
+            s.machine_events_per_cpu_s.unwrap_or(f64::NAN),
         );
     }
 
@@ -233,7 +252,9 @@ fn main() {
          queue a DP burst completion only when its handler has work (packets left in the \
          ring or delivered during the burst), so their events and logical events/s count \
          fewer completions than the baseline block's engine did for the same simulated \
-         work; TaiChi mode queues every completion, so the gate's unit is unchanged\",\n    \
+         work; TaiChi mode queues every completion, so its logical events/s compare \
+         with the baseline block's. cpu_ms_per_20ms_sim and machine_events_per_cpu_s \
+         divide by the process's CPU time (getrusage), the gate's unit\",\n    \
          \"primitives\": {\n",
     );
     let _ = write!(
@@ -252,8 +273,9 @@ fn main() {
     }
     // The gate and the speedup line pin the TaiChi mode specifically —
     // a Baseline- or Type2-mode improvement must never mask a
-    // TaiChi-mode regression. Both compare logical events/s, the
-    // baseline block's unit.
+    // TaiChi-mode regression. Both count logical events; the speedup
+    // line divides by wall time, the baseline block's unit, and the
+    // gate by CPU time.
     let taichi = stats[1];
     assert!(matches!(modes[1], Mode::TaiChi));
     let baseline_eps = baseline_block.and_then(|b| {
@@ -288,10 +310,13 @@ fn main() {
             eprintln!("check: no gate threshold in the committed BENCH_engine.json");
             std::process::exit(1);
         };
-        let cur = taichi.machine_events_per_sec;
+        let Some(cur) = taichi.machine_events_per_cpu_s else {
+            eprintln!("check FAILED: no CPU time on this platform, so no gated metric");
+            std::process::exit(1);
+        };
         println!(
-            "check: TaiChi {cur:.0} logical events/s vs gate threshold {threshold:.0} \
-             ({:.2}x)",
+            "check: TaiChi {cur:.0} logical events per CPU-second vs gate threshold \
+             {threshold:.0} ({:.2}x)",
             cur / threshold
         );
         if cur < threshold {

@@ -335,14 +335,21 @@ pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// [`bench_coarse`]'s measurement loop without the printing: returns
-/// ms/iter over a fixed iteration count.
-pub fn bench_coarse_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+/// wall ms/iter over a fixed iteration count, plus CPU ms/iter
+/// ([`cpu_time_s`] over the same loop; `None` where CPU time is
+/// unavailable).
+pub fn bench_coarse_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, Option<f64>) {
     std::hint::black_box(f()); // warmup
+    let cpu_before = cpu_time_s();
     let start = std::time::Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    start.elapsed().as_secs_f64() * 1e3 / iters as f64
+    let wall = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
+    let cpu = cpu_time_s()
+        .zip(cpu_before)
+        .map(|(after, before)| (after - before) * 1e3 / iters as f64);
+    (wall, cpu)
 }
 
 #[cfg(test)]

@@ -146,7 +146,7 @@ fn harvest_shaped_machine() {
             ("events_fast_forwarded", 297196),
             ("slab_high_watermark", 54),
             ("ring_high_watermark", 27),
-            ("resident_bytes", 141856),
+            ("resident_bytes", 129568),
             ("NextArrival", 30986),
             ("Delivered", 30971),
             ("ProbeIrq", 850),
@@ -183,7 +183,7 @@ fn harvest_shaped_machine_without_harvesting() {
                 ("events_fast_forwarded", 944826),
                 ("slab_high_watermark", 44),
                 ("ring_high_watermark", 26),
-                ("resident_bytes", 144128),
+                ("resident_bytes", 133376),
                 ("NextArrival", 30986),
                 ("Delivered", 30971),
                 ("KernelDecide", 111),
@@ -202,7 +202,7 @@ fn harvest_shaped_machine_without_harvesting() {
                 ("events_fast_forwarded", 722803),
                 ("slab_high_watermark", 46),
                 ("ring_high_watermark", 51),
-                ("resident_bytes", 161792),
+                ("resident_bytes", 139520),
                 ("NextArrival", 30986),
                 ("Delivered", 30971),
                 ("KernelDecide", 102),
@@ -269,7 +269,7 @@ fn fig3_shaped_machine() {
             ("events_fast_forwarded", 11912105),
             ("slab_high_watermark", 21),
             ("ring_high_watermark", 6),
-            ("resident_bytes", 118608),
+            ("resident_bytes", 115920),
             ("NextArrival", 109993),
             ("Delivered", 109992),
             ("DpBurstDone", 12877),
@@ -318,7 +318,7 @@ fn dp_saturated_shaped_machine() {
             ("events_fast_forwarded", 213955),
             ("slab_high_watermark", 50),
             ("ring_high_watermark", 26),
-            ("resident_bytes", 261184),
+            ("resident_bytes", 248512),
             ("NextArrival", 88947),
             ("Delivered", 88935),
             ("DpIdle", 1391),
@@ -356,7 +356,7 @@ fn fleet_rack_shaped_fleet() {
             ("ring_high_watermark", 11),
             // Final-epoch backing storage, not the peak: the storm's
             // slab and ring capacity is kept for reuse (nothing shrinks).
-            ("resident_bytes", 473728),
+            ("resident_bytes", 383872),
         ],
     );
 }

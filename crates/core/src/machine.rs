@@ -258,6 +258,9 @@ impl Event {
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 const _: () = assert!(std::mem::size_of::<EventToken>() == 16);
+/// One cache line per in-flight packet (the arena between ingest and
+/// delivery); rx rings hold a narrower 40-byte descriptor.
+const _: () = assert!(std::mem::size_of::<Packet>() == 64);
 
 /// Degradation-bookkeeping counters for the fault layer: every
 /// recovery action the scheduler took, plus the loss counters the

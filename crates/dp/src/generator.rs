@@ -59,7 +59,7 @@ pub struct TrafficGen {
     /// first packet.
     onoff: Option<SimTime>,
     kind: IoKind,
-    queue: u32,
+    queue: u16,
     tenant: TenantId,
     next_id: u64,
     clock: SimTime,
@@ -95,7 +95,7 @@ impl TrafficGen {
     /// is bulk traffic; services record non-zero queues separately,
     /// which latency-probe benchmarks (ping, sockperf) use to sample
     /// the data path sparsely and uniformly in time.
-    pub fn with_queue(mut self, queue: u32) -> Self {
+    pub fn with_queue(mut self, queue: u16) -> Self {
         self.queue = queue;
         self
     }

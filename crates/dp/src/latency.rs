@@ -135,7 +135,6 @@ mod tests {
             0,
             SimTime::from_micros(submit_us),
         );
-        p.preprocessed_at = Some(SimTime::from_micros(submit_us + 2));
         p.delivered_at = Some(SimTime::from_micros(submit_us + 3));
         p.completed_at = Some(SimTime::from_micros(complete_us));
         p

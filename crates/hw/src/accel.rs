@@ -235,9 +235,10 @@ impl Accelerator {
     /// Ingests `packet` at `now`, consulting (and counting on) the
     /// hardware probe before preprocessing begins.
     ///
-    /// Stamps `preprocessed_at`/`delivered_at` on the packet and returns
-    /// the stage times plus any probe IRQ. The channel is chosen by the
-    /// packet's destination CPU so one DP CPU's traffic is serialized.
+    /// Stamps `delivered_at` on the packet and returns the stage times
+    /// (stage ② ends at `preprocess_done`) plus any probe IRQ. The
+    /// channel is chosen by the packet's destination CPU so one DP
+    /// CPU's traffic is serialized.
     pub fn ingest(
         &mut self,
         packet: &mut Packet,
@@ -271,7 +272,6 @@ impl Accelerator {
 
         let preprocess_done = start + self.config.preprocess;
         let delivered_at = preprocess_done + self.config.transfer;
-        packet.preprocessed_at = Some(preprocess_done);
         packet.delivered_at = Some(delivered_at);
 
         self.ingested.inc();
@@ -461,7 +461,6 @@ mod tests {
         assert_eq!(out.irq_at, SimTime::from_micros(10));
         assert_eq!(out.preprocess_done.as_nanos(), 10_000 + 2_700);
         assert_eq!(out.delivered_at.as_nanos(), 10_000 + 3_200);
-        assert_eq!(p.preprocessed_at, Some(out.preprocess_done));
         assert_eq!(p.delivered_at, Some(out.delivered_at));
     }
 

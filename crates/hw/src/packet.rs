@@ -4,9 +4,10 @@
 //! storage request — as it moves along the Fig. 1c blue path: submitted
 //! by the host's device driver, preprocessed by the accelerator,
 //! transferred into the memory shared with the data-plane service, then
-//! software-processed by the poll-mode service. Per-stage timestamps are
-//! recorded so the Fig. 6 breakdown and the end-to-end latency figures
-//! can be reproduced directly from packet records.
+//! software-processed by the poll-mode service. The packet carries its
+//! submission, delivery and completion times, from which the latency
+//! figures are computed; the accelerator's own stage times (the Fig. 6
+//! breakdown) come from its [`PipelineOutput`](crate::PipelineOutput).
 
 use crate::cpu::CpuId;
 use taichi_sim::{SimDuration, SimTime};
@@ -46,7 +47,11 @@ pub enum IoKind {
 }
 
 /// One in-flight I/O work item with per-stage timestamps.
-#[derive(Clone, Copy, Debug)]
+///
+/// Exactly one cache line (64 bytes): the machine's in-flight arena
+/// holds one per packet between ingest and delivery. Rx rings store a
+/// narrower descriptor (see [`RxQueue`](crate::RxQueue)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// Unique ID, assigned at submission.
     pub id: PacketId,
@@ -57,13 +62,11 @@ pub struct Packet {
     /// Data-plane CPU that owns the destination queue.
     pub dest_cpu: CpuId,
     /// Destination rx queue index on that CPU's service.
-    pub dest_queue: u32,
+    pub dest_queue: u16,
     /// Owning tenant (0 = the implicit single-operator tenant).
     pub tenant: TenantId,
     /// When the host driver submitted the request (stage ①).
     pub submitted_at: SimTime,
-    /// When accelerator preprocessing finished (stage ②).
-    pub preprocessed_at: Option<SimTime>,
     /// When the packet landed in shared memory (stage ③).
     pub delivered_at: Option<SimTime>,
     /// When the DP service finished software processing (stage ④).
@@ -77,7 +80,7 @@ impl Packet {
         kind: IoKind,
         size_bytes: u32,
         dest_cpu: CpuId,
-        dest_queue: u32,
+        dest_queue: u16,
         submitted_at: SimTime,
     ) -> Self {
         Packet {
@@ -88,7 +91,6 @@ impl Packet {
             dest_queue,
             tenant: TenantId::HOST,
             submitted_at,
-            preprocessed_at: None,
             delivered_at: None,
             completed_at: None,
         }
@@ -142,7 +144,6 @@ mod tests {
     #[test]
     fn latency_accounting() {
         let mut p = pkt();
-        p.preprocessed_at = Some(SimTime::from_nanos(12_700));
         p.delivered_at = Some(SimTime::from_nanos(13_200));
         p.completed_at = Some(SimTime::from_nanos(15_200));
         assert_eq!(

@@ -5,16 +5,76 @@
 //! bursts (`rte_eth_rx_burst`-style). Overflow drops are counted — the
 //! evaluation uses the drop counter to verify that no mode under test
 //! sheds load instead of absorbing it.
+//!
+//! Like a real NIC's rx ring, the ring holds small fixed-size
+//! descriptors, not whole packet records: an `RxSlot` is 40 bytes
+//! against [`Packet`]'s 64, because a queued packet has no completion
+//! time yet and its delivery time fits a flag plus a bare instant.
 
-use crate::packet::Packet;
-use taichi_sim::{Counter, FaultInjector};
+use crate::cpu::CpuId;
+use crate::packet::{IoKind, Packet, PacketId, TenantId};
+use taichi_sim::{Counter, FaultInjector, SimTime};
 
 use std::collections::VecDeque;
+
+/// One queued descriptor: every [`Packet`] field except
+/// `completed_at`, which no queued packet has. `delivered_at` is split
+/// into a presence flag (in the byte the other narrow fields leave
+/// spare) and an instant that is meaningful only when the flag is set,
+/// so `None` is not confused with any real time.
+#[derive(Clone, Copy, Debug)]
+struct RxSlot {
+    id: PacketId,
+    submitted_at: SimTime,
+    delivered_at: SimTime,
+    size_bytes: u32,
+    dest_cpu: CpuId,
+    tenant: TenantId,
+    dest_queue: u16,
+    kind: IoKind,
+    delivered: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<RxSlot>() == 40);
+
+impl RxSlot {
+    /// Packs a packet that has not completed yet.
+    #[inline]
+    fn pack(p: Packet) -> Self {
+        RxSlot {
+            id: p.id,
+            submitted_at: p.submitted_at,
+            delivered_at: p.delivered_at.unwrap_or(SimTime::ZERO),
+            size_bytes: p.size_bytes,
+            dest_cpu: p.dest_cpu,
+            tenant: p.tenant,
+            dest_queue: p.dest_queue,
+            kind: p.kind,
+            delivered: p.delivered_at.is_some(),
+        }
+    }
+
+    /// Rebuilds the packet exactly as it was pushed.
+    #[inline]
+    fn unpack(self) -> Packet {
+        Packet {
+            id: self.id,
+            kind: self.kind,
+            size_bytes: self.size_bytes,
+            dest_cpu: self.dest_cpu,
+            dest_queue: self.dest_queue,
+            tenant: self.tenant,
+            submitted_at: self.submitted_at,
+            delivered_at: self.delivered.then_some(self.delivered_at),
+            completed_at: None,
+        }
+    }
+}
 
 /// A bounded receive descriptor ring.
 #[derive(Clone, Debug)]
 pub struct RxQueue {
-    ring: VecDeque<Packet>,
+    ring: VecDeque<RxSlot>,
     capacity: usize,
     enqueued: Counter,
     dequeued: Counter,
@@ -64,8 +124,19 @@ impl RxQueue {
     /// stat, and folding it into the overflow counter double-charged it
     /// against the service-level drop metric the evaluation uses to
     /// check that no mode sheds load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet already has `completed_at` set: a ring
+    /// queues work the service has yet to do, and its descriptor has
+    /// no room for a completion time, so the stamp would be lost.
     #[inline]
     pub fn push(&mut self, packet: Packet) -> bool {
+        assert!(
+            packet.completed_at.is_none(),
+            "rx ring cannot queue completed packet {:?}",
+            packet.id
+        );
         if let Some(f) = &self.fault {
             if f.enic_reject(packet.dest_cpu.0) {
                 self.rejected.inc();
@@ -76,30 +147,20 @@ impl RxQueue {
             self.dropped.inc();
             return false;
         }
-        self.ring.push_back(packet);
+        self.ring.push_back(RxSlot::pack(packet));
         self.high_watermark = self.high_watermark.max(self.ring.len());
         self.enqueued.inc();
         true
     }
 
-    /// Dequeues the packet at the head of the ring, if any.
-    ///
-    /// The allocation-free sibling of [`rx_burst`](Self::rx_burst):
-    /// burst drains on the simulator's hot path pop packets one at a
-    /// time instead of collecting them into a fresh `Vec`.
+    /// Dequeues the packet at the head of the ring, if any, rebuilt
+    /// field for field as it was pushed. A burst drain pops packets
+    /// one at a time, so it never allocates.
     #[inline]
     pub fn pop(&mut self) -> Option<Packet> {
-        let p = self.ring.pop_front()?;
+        let slot = self.ring.pop_front()?;
         self.dequeued.inc();
-        Some(p)
-    }
-
-    /// Drains up to `burst` packets in FIFO order.
-    pub fn rx_burst(&mut self, burst: usize) -> Vec<Packet> {
-        let n = burst.min(self.ring.len());
-        let out: Vec<Packet> = self.ring.drain(..n).collect();
-        self.dequeued.add(out.len() as u64);
-        out
+        Some(slot.unpack())
     }
 
     /// Payload size of the packet at the head of the ring, if any —
@@ -107,7 +168,7 @@ impl RxQueue {
     /// tenant's credit covers its next packet without popping it.
     #[inline]
     pub(crate) fn head_size(&self) -> Option<u32> {
-        self.ring.front().map(|p| p.size_bytes)
+        self.ring.front().map(|s| s.size_bytes)
     }
 
     /// Packets currently waiting.
@@ -158,18 +219,16 @@ impl RxQueue {
         self.high_watermark
     }
 
-    /// Resident bytes of the ring's backing storage.
+    /// Resident bytes of the ring's backing storage (40 bytes per
+    /// reserved descriptor).
     pub fn resident_bytes(&self) -> usize {
-        self.ring.capacity() * std::mem::size_of::<Packet>()
+        self.ring.capacity() * std::mem::size_of::<RxSlot>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuId;
-    use crate::packet::{IoKind, PacketId};
-    use taichi_sim::SimTime;
 
     fn pkt(id: u64) -> Packet {
         Packet::new(
@@ -182,15 +241,18 @@ mod tests {
         )
     }
 
+    /// Pops up to `n` packets' ids in FIFO order.
+    fn pop_ids(q: &mut RxQueue, n: usize) -> Vec<u64> {
+        (0..n).map_while(|_| q.pop()).map(|p| p.id.0).collect()
+    }
+
     #[test]
     fn fifo_order() {
         let mut q = RxQueue::new(8);
         for i in 0..5 {
             assert!(q.push(pkt(i)));
         }
-        let burst = q.rx_burst(3);
-        let ids: Vec<u64> = burst.iter().map(|p| p.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(pop_ids(&mut q, 3), vec![0, 1, 2]);
         assert_eq!(q.len(), 2);
     }
 
@@ -210,8 +272,7 @@ mod tests {
         let mut q = RxQueue::new(8);
         q.push(pkt(0));
         q.push(pkt(1));
-        let burst = q.rx_burst(32);
-        assert_eq!(burst.len(), 2);
+        assert_eq!(pop_ids(&mut q, 32).len(), 2);
         assert!(q.is_empty());
         assert_eq!(q.total_dequeued(), 2);
     }
@@ -219,7 +280,8 @@ mod tests {
     #[test]
     fn empty_burst_is_empty() {
         let mut q = RxQueue::new(4);
-        assert!(q.rx_burst(16).is_empty());
+        assert!(q.pop().is_none());
+        assert_eq!(q.total_dequeued(), 0);
     }
 
     #[test]
@@ -228,10 +290,60 @@ mod tests {
         for i in 0..7 {
             q.push(pkt(i));
         }
-        q.rx_burst(5);
+        pop_ids(&mut q, 5);
         q.push(pkt(100));
         assert_eq!(q.high_watermark(), 7);
         assert_eq!(q.capacity(), 10);
+    }
+
+    #[test]
+    fn pop_rebuilds_the_pushed_packet_exactly() {
+        let undelivered = Packet::new(
+            PacketId(u64::MAX),
+            IoKind::Storage,
+            u32::MAX,
+            CpuId(u32::MAX),
+            u16::MAX,
+            SimTime::from_nanos(u64::MAX),
+        )
+        .with_tenant(TenantId(u32::MAX));
+        // Delivered at time zero: the flag, not the instant, marks it.
+        let mut at_zero = pkt(1);
+        at_zero.delivered_at = Some(SimTime::ZERO);
+        let mut late = pkt(2).with_tenant(TenantId(3));
+        late.dest_queue = 1;
+        late.submitted_at = SimTime::from_nanos(1_234);
+        late.delivered_at = Some(SimTime::from_nanos(u64::MAX));
+        let packets = [undelivered, at_zero, late, pkt(0)];
+        let mut q = RxQueue::new(8);
+        for p in packets {
+            assert!(q.push(p));
+        }
+        for p in packets {
+            assert_eq!(q.pop(), Some(p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot queue completed packet")]
+    fn pushing_a_completed_packet_panics() {
+        let mut p = pkt(0);
+        p.completed_at = Some(SimTime::from_nanos(5));
+        RxQueue::new(4).push(p);
+    }
+
+    #[test]
+    fn full_ring_holds_40_byte_descriptors() {
+        let mut q = RxQueue::new(1024);
+        for i in 0..1024 {
+            assert!(q.push(pkt(i)));
+        }
+        assert!(!q.push(pkt(1024)));
+        assert!(
+            q.resident_bytes() <= 40 * 1024,
+            "{} B for 1024 descriptors",
+            q.resident_bytes()
+        );
     }
 
     #[test]

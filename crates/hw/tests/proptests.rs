@@ -3,13 +3,14 @@
 
 use taichi_hw::{
     Accelerator, AcceleratorConfig, CpuExecState, CpuId, HwWorkloadProbe, IoKind, Packet, PacketId,
-    RxQueue,
+    RxQueue, TenantId,
 };
 use taichi_sim::check::run_cases;
-use taichi_sim::SimTime;
+use taichi_sim::{SimDuration, SimTime};
 
 /// The rx ring behaves exactly like a bounded VecDeque: FIFO order,
-/// drops only when full, conservation of packets.
+/// drops only when full, conservation of packets, and every popped
+/// packet equal field for field to the one pushed.
 #[test]
 fn rx_queue_matches_model() {
     run_cases("rx_queue_matches_model", 128, |_, rng| {
@@ -17,23 +18,33 @@ fn rx_queue_matches_model() {
         let burst = rng.gen_range(1, 16) as usize;
         let nops = rng.next_below(200);
         let mut q = RxQueue::new(cap);
-        let mut model: std::collections::VecDeque<u64> = Default::default();
+        let mut model: std::collections::VecDeque<Packet> = Default::default();
         let mut pushed = 0u64;
         let mut dropped = 0u64;
         let mut popped = 0u64;
         for _ in 0..nops {
             if rng.chance(0.5) {
-                let id = rng.gen_range(1, 1000);
-                let p = Packet::new(
-                    PacketId(id),
-                    IoKind::Network,
-                    64,
-                    CpuId(0),
-                    0,
-                    SimTime::ZERO,
-                );
+                let kind = if rng.chance(0.5) {
+                    IoKind::Network
+                } else {
+                    IoKind::Storage
+                };
+                let submitted = SimTime::from_nanos(rng.next_below(1 << 40));
+                let mut p = Packet::new(
+                    PacketId(rng.gen_range(1, 1000)),
+                    kind,
+                    rng.gen_range(64, 9000) as u32,
+                    CpuId(rng.next_below(12) as u32),
+                    rng.next_below(3) as u16,
+                    submitted,
+                )
+                .with_tenant(TenantId(rng.next_below(4) as u32));
+                if rng.chance(0.75) {
+                    p.delivered_at =
+                        Some(submitted + SimDuration::from_nanos(rng.next_below(5_000)));
+                }
                 if model.len() < cap {
-                    model.push_back(id);
+                    model.push_back(p);
                     assert!(q.push(p));
                     pushed += 1;
                 } else {
@@ -41,12 +52,14 @@ fn rx_queue_matches_model() {
                     dropped += 1;
                 }
             } else {
-                let got: Vec<u64> = q.rx_burst(burst).iter().map(|p| p.id.0).collect();
-                let want: Vec<u64> = (0..burst.min(model.len()))
-                    .map(|_| model.pop_front().expect("len checked"))
-                    .collect();
-                assert_eq!(&got, &want);
-                popped += got.len() as u64;
+                for _ in 0..burst {
+                    let got = q.pop();
+                    assert_eq!(got, model.pop_front());
+                    if got.is_none() {
+                        break;
+                    }
+                    popped += 1;
+                }
             }
         }
         assert_eq!(q.len(), model.len());

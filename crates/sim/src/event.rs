@@ -444,6 +444,10 @@ pub struct EventQueue<E> {
     /// the overflow heap.
     #[cfg(any(test, feature = "oracle"))]
     heap_only: bool,
+    /// Oracle: iterations of the window-advance loop so far (see
+    /// [`EventQueue::advance_steps`]).
+    #[cfg(any(test, feature = "oracle"))]
+    advance_steps: u64,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -484,6 +488,8 @@ impl<E> EventQueue<E> {
             wheel: Wheel::new(),
             #[cfg(any(test, feature = "oracle"))]
             heap_only: false,
+            #[cfg(any(test, feature = "oracle"))]
+            advance_steps: 0,
             slots: Vec::with_capacity(initial_slots),
             free: Vec::with_capacity(initial_slots),
             next_seq: 0,
@@ -522,6 +528,15 @@ impl<E> EventQueue<E> {
         } else {
             QueueBackend::Wheel
         }
+    }
+
+    /// Oracle: iterations the level-0 window advance has run so far.
+    /// Each one hops to an occupied level-1 bucket or crosses an empty
+    /// stretch whole, so crossing an idle gap costs a handful of
+    /// iterations however long the gap is.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn advance_steps(&self) -> u64 {
+        self.advance_steps
     }
 
     /// The time of the most recently popped event (simulation "now").
@@ -834,6 +849,10 @@ impl<E> EventQueue<E> {
     /// can never land behind the hopped window.
     fn wheel_advance_to(&mut self, new_end: u64) {
         loop {
+            #[cfg(any(test, feature = "oracle"))]
+            {
+                self.advance_steps += 1;
+            }
             let wheel = &mut *self.wheel;
             if wheel.l0_end >= new_end {
                 break;
@@ -1324,6 +1343,21 @@ mod tests {
         let near = q.now() + SimDuration::from_nanos(64);
         q.schedule(near, "near");
         assert_eq!(q.pop().map(|(t, _)| t), Some(near));
+    }
+
+    #[test]
+    fn idle_gap_advance_takes_a_handful_of_steps() {
+        // A lone event 10 s ahead sits ~76 000 level-1 blocks past the
+        // window. Crossing the empty stretch must cost a few loop
+        // iterations, not one per block.
+        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        q.schedule(SimTime::from_secs(10), "far");
+        assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::from_secs(10)));
+        assert!(
+            q.advance_steps() <= 4,
+            "{} window-advance iterations for one idle gap",
+            q.advance_steps()
+        );
     }
 
     #[test]
