@@ -43,6 +43,13 @@
 //! simulated work than the baseline block's engine did (the current
 //! block's `note` says so).
 //!
+//! The `primitives` block times the engine's and the scheduler's
+//! per-event and per-yield fast paths: event queue, kernel decision,
+//! hardware probe check, adaptive yield and slice feedback, IPI
+//! routing, the vCPU pick, histogram record and the RNG. The paper's
+//! "negligible scheduling overhead" claim rests on all of them being
+//! nanosecond-scale.
+//!
 //! Uses the in-repo timing loops ([`taichi_bench::bench_ns`] /
 //! [`taichi_bench::bench_coarse_ms`]) so the workspace builds offline.
 
@@ -54,15 +61,21 @@ use taichi_bench::{
     Knobs,
 };
 use taichi_core::machine::{Machine, Mode};
+use taichi_core::orchestrator::IpiOrchestrator;
+use taichi_core::probe_sw::AdaptiveYield;
+use taichi_core::sched::TaiChiPolicy;
+use taichi_core::slice::AdaptiveSlice;
+use taichi_core::vcpu_sched::VcpuScheduler;
 use taichi_core::MachineConfig;
 use taichi_cp::SynthCp;
 use taichi_dp::{ArrivalPattern, TrafficGen};
-use taichi_hw::{CpuId, IoKind};
-use taichi_os::{ActionBuf, CpuSet, Kernel, KernelConfig, Program};
-use taichi_sim::{Dist, EventQueue, Rng, SimDuration, SimTime};
+use taichi_hw::{CpuExecState, CpuId, HwWorkloadProbe, IoKind, IpiMessage, IrqVector};
+use taichi_os::{ActionBuf, CpuSet, Kernel, KernelConfig, Program, SoftirqKind};
+use taichi_sim::{Dist, EventQueue, Histogram, Rng, SimDuration, SimTime};
+use taichi_virt::VmExitReason;
 
-/// The same representative machine as the `machine_throughput` bench:
-/// bursty 8-CPU network traffic plus an 8-task synth_cp batch.
+/// The representative machine: bursty 8-CPU network traffic plus an
+/// 8-task synth_cp batch.
 fn build(mode: Mode) -> Machine {
     let mut m = Machine::new(MachineConfig::default(), mode);
     m.add_traffic(TrafficGen::new(
@@ -173,29 +186,39 @@ fn main() {
 
     // ---- Primitive micro-benches (default = wheel backend). ----
 
+    let mut primitives: Vec<(&str, f64)> = Vec::new();
+    let mut prim = |name: &'static str, ns: f64| {
+        println!("{name:<32}{ns:>12.1} ns/iter");
+        primitives.push((name, ns));
+    };
+
     // Event-queue fast path: steady-state schedule+pop (the slab and
     // free list reach a fixed point, so this is allocation-free).
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut t = 0u64;
-    let push_pop = bench_ns(|| {
-        t += 100;
-        q.schedule(SimTime::from_nanos(t), t);
-        black_box(q.pop())
-    });
-    println!("event_queue_push_pop            {push_pop:>12.1} ns/iter");
+    prim(
+        "event_queue_push_pop",
+        bench_ns(|| {
+            t += 100;
+            q.schedule(SimTime::from_nanos(t), t);
+            black_box(q.pop())
+        }),
+    );
 
     // Cancellation path: schedule two, cancel one, pop the survivor —
     // exercises the generation stamp + eager/lazy discard machinery.
     let mut q2: EventQueue<u64> = EventQueue::new();
     let mut t2 = 0u64;
-    let push_cancel_pop = bench_ns(|| {
-        t2 += 100;
-        let tok = q2.schedule(SimTime::from_nanos(t2), t2);
-        q2.schedule(SimTime::from_nanos(t2 + 1), t2);
-        q2.cancel(tok);
-        black_box(q2.pop())
-    });
-    println!("event_queue_push_cancel_pop     {push_cancel_pop:>12.1} ns/iter");
+    prim(
+        "event_queue_push_cancel_pop",
+        bench_ns(|| {
+            t2 += 100;
+            let tok = q2.schedule(SimTime::from_nanos(t2), t2);
+            q2.schedule(SimTime::from_nanos(t2 + 1), t2);
+            q2.cancel(tok);
+            black_box(q2.pop())
+        }),
+    );
 
     // Kernel decision hot loop with the out-parameter scratch buffer:
     // two effectively endless compute threads share one CPU, and every
@@ -211,15 +234,84 @@ fn main() {
         kernel.spawn(prog, CpuSet::single(CpuId(0)), SimTime::ZERO, &mut buf);
     }
     let mut now = SimTime::ZERO;
-    let decide_rotate = bench_ns(|| {
-        buf.clear();
-        if let Some(t) = kernel.next_decision_time(CpuId(0), now) {
-            now = t;
-        }
-        kernel.decide(CpuId(0), now, &mut buf);
-        black_box(buf.len())
-    });
-    println!("kernel_decide_rotate            {decide_rotate:>12.1} ns/iter");
+    prim(
+        "kernel_decide_rotate",
+        bench_ns(|| {
+            buf.clear();
+            if let Some(t) = kernel.next_decision_time(CpuId(0), now) {
+                now = t;
+            }
+            kernel.decide(CpuId(0), now, &mut buf);
+            black_box(buf.len())
+        }),
+    );
+
+    // Scheduler fast paths: the per-packet probe check, the per-exit
+    // yield and slice feedback, and IPI routing.
+    let mut probe = HwWorkloadProbe::new(12);
+    probe.set_state(CpuId(3), CpuExecState::VState);
+    prim(
+        "hw_probe_check_on_packet",
+        bench_ns(|| probe.check_on_packet(black_box(CpuId(3)))),
+    );
+    let mut y = AdaptiveYield::new(12, 200, 25, 6400);
+    prim(
+        "adaptive_yield_update",
+        bench_ns(|| {
+            y.on_vm_exit(black_box(CpuId(2)), VmExitReason::SliceExpired);
+            y.on_vm_exit(black_box(CpuId(2)), VmExitReason::HwProbe);
+        }),
+    );
+    let mut slice = AdaptiveSlice::new(
+        12,
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(1600),
+    );
+    prim(
+        "adaptive_slice_update",
+        bench_ns(|| {
+            slice.on_vm_exit(black_box(CpuId(2)), VmExitReason::SliceExpired);
+            slice.on_vm_exit(black_box(CpuId(2)), VmExitReason::HwProbe);
+        }),
+    );
+    let cp_hosts: Vec<CpuId> = (8..12).map(CpuId).collect();
+    let mut ipi_kernel = Kernel::new(KernelConfig::default(), &cp_hosts);
+    let mut orch = IpiOrchestrator::new(12);
+    orch.register_vcpus(&mut ipi_kernel, 8, SimTime::ZERO);
+    let msg = IpiMessage {
+        src: CpuId(8),
+        dst: CpuId(14),
+        vector: IrqVector::RESCHEDULE,
+    };
+    prim(
+        "ipi_route",
+        bench_ns(|| orch.route(black_box(msg), |i| i % 2 == 0)),
+    );
+
+    // The vCPU pick, end to end, reading real kernel state
+    // (descheduled check + pending softirq work on the back half of
+    // the pool).
+    let mut pick_kernel = Kernel::new(KernelConfig::default(), &cp_hosts);
+    let mut pick_orch = IpiOrchestrator::new(12);
+    let vcpu_ids = pick_orch.register_vcpus(&mut pick_kernel, 8, SimTime::ZERO);
+    for &v in &vcpu_ids[4..] {
+        pick_kernel.softirqs().raise(v, SoftirqKind::TaiChiVcpu);
+    }
+    let vsched = VcpuScheduler::new(&vcpu_ids, 12);
+    let mut policy = TaiChiPolicy::new(12);
+    prim(
+        "policy_pick_vcpu",
+        bench_ns(|| policy.pick_vcpu(black_box(&vsched), &pick_kernel, &pick_orch)),
+    );
+
+    let mut h = Histogram::new();
+    let mut rng = Rng::new(1);
+    prim(
+        "histogram_record",
+        bench_ns(|| h.record(black_box(rng.next_below(1_000_000)))),
+    );
+    let mut rng = Rng::new(42);
+    prim("rng_next_u64", bench_ns(|| black_box(rng.next_u64())));
 
     // ---- Full-machine throughput. ----
 
@@ -257,12 +349,11 @@ fn main() {
          divide by the process's CPU time (getrusage), the gate's unit\",\n    \
          \"primitives\": {\n",
     );
-    let _ = write!(
-        current,
-        "      \"event_queue_push_pop_ns\": {push_pop:.1},\n      \
-         \"event_queue_push_cancel_pop_ns\": {push_cancel_pop:.1},\n      \
-         \"kernel_decide_rotate_ns\": {decide_rotate:.1}\n    }},\n    \"modes\": {{\n"
-    );
+    for (i, (name, ns)) in primitives.iter().enumerate() {
+        let sep = if i + 1 == primitives.len() { "" } else { "," };
+        let _ = writeln!(current, "      \"{name}_ns\": {ns:.1}{sep}");
+    }
+    current.push_str("    },\n    \"modes\": {\n");
     for (i, (mode, s)) in modes.iter().zip(&stats).enumerate() {
         let _ = writeln!(
             current,

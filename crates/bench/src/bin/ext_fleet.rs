@@ -80,6 +80,13 @@ fn main() {
             other => die(&format!("unknown argument {other:?}")),
         }
     }
+    if let Some(e) = cfg.storm_epoch.filter(|&e| e >= cfg.epochs) {
+        die(&format!(
+            "--storm {e} never fires in a {}-epoch run (expected an epoch index below --epochs, \
+             or --storm off)",
+            cfg.epochs
+        ));
+    }
 
     println!(
         "fleet: {} machines x {} epochs of {} us ({:?}, churn {}, storm {:?})",

@@ -193,7 +193,10 @@ fn main() {
         };
         match flag.as_str() {
             "--tenants" => match taichi_core::parse_tenant_count(&value("--tenants")) {
-                Ok(v) => k.tenants = v.max(2),
+                Ok(v) if v >= 2 => k.tenants = v,
+                Ok(v) => die(&format!(
+                    "--tenants {v} leaves no aggressor (expected >= 2: victim 0 plus an aggressor)"
+                )),
                 Err(e) => die(&e),
             },
             "--weights" => match taichi_core::parse_tenant_weights(&value("--weights")) {
@@ -211,8 +214,15 @@ fn main() {
             other => die(&format!("unknown argument {other:?}")),
         }
     }
-    let aggr = aggressor.unwrap_or(k.tenants as usize - 1).max(1) % k.tenants as usize;
-    k.aggressor = aggr.max(1); // tenant 0 is always the victim
+    // Tenant 0 is always the victim; the default aggressor is the last.
+    k.aggressor = match aggressor {
+        None => k.tenants as usize - 1,
+        Some(a) if (1..k.tenants as usize).contains(&a) => a,
+        Some(a) => die(&format!(
+            "--aggressor {a} is not an aggressor tenant (expected 1..={}; tenant 0 is the victim)",
+            k.tenants - 1
+        )),
+    };
     println!(
         "tenants: {} (victim 0 vs aggressor {}), weighted scenario {:?}, \
          horizon {} ms",

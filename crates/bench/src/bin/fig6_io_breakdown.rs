@@ -7,10 +7,10 @@
 //! pipeline and reports the measured stage times.
 
 use taichi_bench::{emit, Knobs};
-use taichi_core::TaiChiConfig;
 use taichi_hw::{Accelerator, AcceleratorConfig, CpuId, HwWorkloadProbe, IoKind, Packet, PacketId};
 use taichi_sim::report::Table;
 use taichi_sim::{OnlineStats, Rng, SimTime};
+use taichi_virt::cost::SWITCH_LATENCY;
 
 fn main() {
     let knobs = Knobs::init();
@@ -35,7 +35,7 @@ fn main() {
         transfer.push((out.delivered_at - out.preprocess_done).as_micros_f64());
     }
 
-    let switch = TaiChiConfig::default().costs.switch_latency();
+    let switch = SWITCH_LATENCY;
     let window = preprocess.mean() + transfer.mean();
 
     let mut t = Table::new(

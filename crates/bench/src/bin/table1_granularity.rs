@@ -20,10 +20,10 @@
 //! qualitative values for context, marked "reported".
 
 use taichi_bench::{emit, Knobs};
-use taichi_core::TaiChiConfig;
 use taichi_cp::routines::fig5_routine_ms;
 use taichi_sim::report::Table;
 use taichi_sim::{Histogram, Rng, SimDuration};
+use taichi_virt::cost::SWITCH_LATENCY;
 
 fn main() {
     let knobs = Knobs::init();
@@ -44,9 +44,8 @@ fn main() {
     }
 
     // Tai Chi preemption latency: IRQ fabric + VM-exit + pCPU restore.
-    let cfg = TaiChiConfig::default();
     let irq = SimDuration::from_nanos(300);
-    let taichi_ns = (irq + cfg.costs.switch_latency()).as_nanos();
+    let taichi_ns = (irq + SWITCH_LATENCY).as_nanos();
 
     let mut t = Table::new(
         "Table 1: coordinating DP and CP on SmartNICs",

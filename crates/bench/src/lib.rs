@@ -275,44 +275,7 @@ pub fn json_number(block: &str, key: &str) -> Option<f64> {
 
 /// Minimal micro-benchmark loop (the workspace builds without network
 /// access, so Criterion is not available): runs `f` for a warmup, then
-/// measures batches until ~0.2 s elapses and prints ns/iter.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    const WARMUP: u32 = 1_000;
-    for _ in 0..WARMUP {
-        std::hint::black_box(f());
-    }
-    let mut iters = 0u64;
-    let mut batch = 1_000u64;
-    let start = std::time::Instant::now();
-    loop {
-        for _ in 0..batch {
-            std::hint::black_box(f());
-        }
-        iters += batch;
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 200 {
-            let per = elapsed.as_nanos() as f64 / iters as f64;
-            println!("{name:<32} {per:>12.1} ns/iter ({iters} iters)");
-            return;
-        }
-        batch = batch.saturating_mul(2);
-    }
-}
-
-/// Like [`bench()`] but for coarse operations (whole-machine runs):
-/// measures a fixed number of iterations and prints ms/iter.
-pub fn bench_coarse<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f()); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    println!("{name:<32} {per:>12.2} ms/iter ({iters} iters)");
-}
-
-/// [`bench()`]'s measurement loop without the printing: returns ns/iter
-/// (used by `bench_engine` to assemble its JSON report).
+/// measures batches until ~0.2 s elapses and returns ns/iter.
 pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     const WARMUP: u32 = 1_000;
     for _ in 0..WARMUP {
@@ -334,8 +297,8 @@ pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     }
 }
 
-/// [`bench_coarse`]'s measurement loop without the printing: returns
-/// wall ms/iter over a fixed iteration count, plus CPU ms/iter
+/// Coarse measurement loop for whole-machine runs: returns wall
+/// ms/iter over a fixed iteration count, plus CPU ms/iter
 /// ([`cpu_time_s`] over the same loop; `None` where CPU time is
 /// unavailable).
 pub fn bench_coarse_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, Option<f64>) {

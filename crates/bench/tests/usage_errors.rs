@@ -8,6 +8,8 @@ use std::process::Command;
 
 const FIG5: &str = env!("CARGO_BIN_EXE_fig5_nonpreempt_hist");
 const BENCH_ENGINE: &str = env!("CARGO_BIN_EXE_bench_engine");
+const EXT_TENANTS: &str = env!("CARGO_BIN_EXE_ext_tenants");
+const EXT_FLEET: &str = env!("CARGO_BIN_EXE_ext_fleet");
 
 /// Runs the binary at `bin` with `args` and one extra environment
 /// variable and asserts it fails as a usage error mentioning `needle`.
@@ -44,4 +46,19 @@ fn bad_knobs_and_unknown_flags_exit_with_usage() {
     );
     expect_usage_error(FIG5, &["--policy", "taichi"], None, "--policy");
     expect_usage_error(BENCH_ENGINE, &["--quick", "--chek"], None, "--chek");
+    expect_usage_error(EXT_TENANTS, &["--tenants", "1"], None, "--tenants 1");
+    expect_usage_error(EXT_TENANTS, &["--aggressor", "0"], None, "--aggressor 0");
+    expect_usage_error(
+        EXT_TENANTS,
+        &["--tenants", "3", "--aggressor", "3"],
+        None,
+        "--aggressor 3",
+    );
+    expect_usage_error(
+        EXT_FLEET,
+        &["--epochs", "12", "--storm", "99"],
+        None,
+        "--storm off",
+    );
+    expect_usage_error(EXT_FLEET, &["--epochs", "3"], None, "--storm off");
 }

@@ -31,7 +31,7 @@
 //! [`FailureDump`](taichi_sim::trace::FailureDump) first so a failing
 //! fault-matrix test leaves a trace TSV behind.
 
-use crate::machine::Machine;
+use crate::machine::{Machine, MAX_IPI_RETRIES};
 use crate::orchestrator::IpiOrchestrator;
 use taichi_hw::CpuId;
 use taichi_os::{ActionBuf, CpuSet, Kernel, Segment, ThreadId};
@@ -244,14 +244,11 @@ pub fn check_invariants(m: &Machine) -> InvariantReport {
     }
 
     // 3. IPI retries bounded.
-    if let Some(f) = m.fault() {
-        let max = f.degrade().max_ipi_retries;
-        if health.ipi_max_attempt > max {
-            violations.push(format!(
-                "an IPI reached retry attempt {} past the budget of {max}",
-                health.ipi_max_attempt
-            ));
-        }
+    if m.fault().is_some() && health.ipi_max_attempt > MAX_IPI_RETRIES {
+        violations.push(format!(
+            "an IPI reached retry attempt {} past the budget of {MAX_IPI_RETRIES}",
+            health.ipi_max_attempt
+        ));
     }
 
     // 4. No stranded sleepers.

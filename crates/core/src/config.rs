@@ -5,10 +5,9 @@ use taichi_hw::accel::AcceleratorConfig;
 use taichi_hw::SmartNicSpec;
 use taichi_os::KernelConfig;
 use taichi_sim::trace::TraceConfig;
+use taichi_sim::FaultPlan;
 #[cfg(feature = "oracle")]
 use taichi_sim::QueueBackend;
-use taichi_sim::{FaultPlan, SimDuration};
-use taichi_virt::{Type2Model, VirtCosts};
 
 /// Idle-time skipping for the machine driver (`MachineConfig::skip`),
 /// a test-only choice under the dev-only `oracle` feature.
@@ -33,7 +32,10 @@ pub enum SkipMode {
     Off,
 }
 
-/// Tuning knobs for the Tai Chi scheduler proper (§4).
+/// Tuning knobs for the Tai Chi scheduler proper (§4). The paper's
+/// fixed parameters (initial slice, yield-threshold bounds, softirq
+/// and VM-switch latencies) are named constants next to the code that
+/// reads them, not fields.
 #[derive(Clone, Debug)]
 pub struct TaiChiConfig {
     /// Number of vCPUs to create and register as native CPUs.
@@ -41,19 +43,6 @@ pub struct TaiChiConfig {
     /// The paper over-provisions the control plane; with 4 CP pCPUs the
     /// production deployment registers roughly the DP CPU count.
     pub num_vcpus: u32,
-    /// Initial (and post-probe-reset) vCPU time slice (§4.1: 50 µs).
-    pub initial_slice: SimDuration,
-    /// Cap on the doubled time slice.
-    pub max_slice: SimDuration,
-    /// Initial empty-poll yield threshold N (§4.3).
-    pub initial_yield_threshold: u32,
-    /// Lower bound on N.
-    pub min_yield_threshold: u32,
-    /// Upper bound on N.
-    pub max_yield_threshold: u32,
-    /// Latency of raising + entering the dedicated softirq handler
-    /// that performs the context switch (§4.1).
-    pub softirq_latency: SimDuration,
     /// §9 future work: multi-dimensional idle assessment. When set,
     /// the yield decision also consults the accelerator pipeline and
     /// vetoes a yield while packets for the CPU are still in flight
@@ -64,23 +53,14 @@ pub struct TaiChiConfig {
     /// data-plane service (e.g. way-partitioning). Removes the
     /// post-grant pollution surcharge entirely.
     pub cache_isolation: bool,
-    /// Virtualization costs (VM-enter/exit, posted interrupts).
-    pub costs: VirtCosts,
 }
 
 impl Default for TaiChiConfig {
     fn default() -> Self {
         TaiChiConfig {
             num_vcpus: 8,
-            initial_slice: SimDuration::from_micros(50),
-            max_slice: SimDuration::from_micros(100),
-            initial_yield_threshold: 200,
-            min_yield_threshold: 25,
-            max_yield_threshold: 6_400,
-            softirq_latency: SimDuration::from_nanos(600),
             pipeline_aware_yield: false,
             cache_isolation: false,
-            costs: VirtCosts::default(),
         }
     }
 }
@@ -185,11 +165,6 @@ pub struct MachineConfig {
     /// Multi-tenant data-path knobs (default: one tenant — the
     /// pre-tenant engine, byte for byte).
     pub tenants: TenantConfig,
-    /// Type-2 baseline model (used only in `Mode::Type2`).
-    pub type2: Type2Model,
-    /// Execution tax applied to DP services in `Mode::TaiChiVdp`
-    /// (running the data plane inside vCPUs; §6.3 measures ~7 %).
-    pub vdp_exec_tax: f64,
     /// RNG seed — identical seeds give bit-identical runs.
     pub seed: u64,
     /// Scheduler trace layer (off by default; enabling it never
@@ -219,8 +194,6 @@ impl Default for MachineConfig {
             accel: AcceleratorConfig::default(),
             dp: DpServiceConfig::default(),
             tenants: TenantConfig::default(),
-            type2: Type2Model::default(),
-            vdp_exec_tax: 1.08,
             seed: 0xD1CE,
             trace: TraceConfig::default(),
             faults: FaultPlan::default(),
@@ -235,14 +208,25 @@ impl Default for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::VDP_EXEC_TAX;
+    use crate::sched::{
+        INITIAL_SLICE, INITIAL_YIELD_THRESHOLD, MAX_YIELD_THRESHOLD, MIN_YIELD_THRESHOLD,
+    };
+    use taichi_sim::SimDuration;
+    use taichi_virt::cost::SWITCH_LATENCY;
 
     #[test]
     fn defaults_match_paper_constants() {
-        let c = TaiChiConfig::default();
-        assert_eq!(c.initial_slice, SimDuration::from_micros(50));
-        assert_eq!(c.costs.switch_latency(), SimDuration::from_micros(2));
-        assert!(c.min_yield_threshold < c.initial_yield_threshold);
-        assert!(c.initial_yield_threshold < c.max_yield_threshold);
+        assert_eq!(INITIAL_SLICE, SimDuration::from_micros(50));
+        assert_eq!(SWITCH_LATENCY, SimDuration::from_micros(2));
+        assert_eq!(
+            (
+                MIN_YIELD_THRESHOLD,
+                INITIAL_YIELD_THRESHOLD,
+                MAX_YIELD_THRESHOLD
+            ),
+            (25, 200, 6_400)
+        );
     }
 
     #[test]
@@ -250,7 +234,7 @@ mod tests {
         let m = MachineConfig::default();
         assert_eq!(m.spec.num_cpus, 12);
         assert_eq!(m.spec.dp_cpus, 8);
-        assert!(m.vdp_exec_tax > 1.0);
+        assert_eq!(VDP_EXEC_TAX, 1.08);
         assert!(!m.tenants.is_multi(), "default must be single-tenant");
     }
 

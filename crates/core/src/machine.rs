@@ -64,6 +64,8 @@ use taichi_sim::{
     Arena, ArenaStats, EventKey, EventQueue, EventToken, FaultInjector, IpiFate, Rng, SimDuration,
     SimTime, TraceKind, Tracer,
 };
+use taichi_virt::cost::{SWITCH_LATENCY, VM_ENTER};
+use taichi_virt::type2;
 use taichi_virt::{VcpuState, VmExitReason};
 
 use std::cmp::Reverse;
@@ -87,6 +89,27 @@ const PACKET_SLOTS: usize = 32;
 
 /// Initial skipped-deadline heap reservation (grows on demand).
 const SKIPPED_DEADLINE_SLOTS: usize = 16;
+
+/// Execution tax applied to DP services in `Mode::TaiChiVdp`
+/// (running the data plane inside vCPUs; §6.3 measures ~7 %).
+pub(crate) const VDP_EXEC_TAX: f64 = 1.08;
+
+/// Latency of raising + entering the dedicated softirq handler
+/// that performs the context switch (§4.1).
+const SOFTIRQ_LATENCY: SimDuration = SimDuration::from_nanos(600);
+
+/// Maximum resend attempts per logical IPI (fault degradation).
+pub(crate) const MAX_IPI_RETRIES: u32 = 3;
+
+/// Base backoff before the first IPI resend; doubles per attempt.
+const IPI_BACKOFF: SimDuration = SimDuration::from_micros(2);
+
+/// Recovery delay for a re-armed wakeup (models the slack timer).
+const WAKEUP_REARM_DELAY: SimDuration = SimDuration::from_micros(20);
+
+/// Consecutive probe-triggered VM-exits on one host that count as
+/// starvation (triggers the storm yield clamp).
+const STARVATION_WINDOW: u32 = 8;
 
 /// Scheduling regime under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -455,7 +478,7 @@ impl Machine {
     /// Builds a machine in the given mode. `cfg` and `mode` are the
     /// whole truth about the run: nothing here reads the environment.
     pub fn new(cfg: MachineConfig, mode: Mode) -> Self {
-        let policy = TaiChiPolicy::new(&cfg);
+        let policy = TaiChiPolicy::new(cfg.spec.num_cpus);
         // Borrowed, not cloned: thousands of short-lived machines go
         // through here under `par::sweep_with`, and the spec is only read
         // during construction.
@@ -463,7 +486,7 @@ impl Machine {
         let num_cpus = spec.num_cpus;
         let rng = Rng::new(cfg.seed);
         let dp_count = match mode {
-            Mode::Type2 => cfg.type2.effective_dp_cpus(spec.dp_cpus),
+            Mode::Type2 => type2::effective_dp_cpus(spec.dp_cpus),
             _ => spec.dp_cpus,
         };
         let dp_cpu_ids: Vec<CpuId> = (0..dp_count).map(CpuId).collect();
@@ -504,12 +527,12 @@ impl Machine {
         }
         if mode == Mode::TaiChiVdp {
             for s in &mut services {
-                s.set_exec_tax(cfg.vdp_exec_tax);
+                s.set_exec_tax(VDP_EXEC_TAX);
             }
         }
         if mode == Mode::Type2 {
             for s in &mut services {
-                s.set_exec_tax(cfg.type2.dp_interference_tax);
+                s.set_exec_tax(type2::DP_INTERFERENCE_TAX);
             }
         }
 
@@ -866,19 +889,18 @@ impl Machine {
         if self.mode != Mode::Type2 {
             return program;
         }
-        let m = &self.cfg.type2;
         let mut out = Program::new();
         for seg in program.segments() {
             let seg = match seg {
-                Segment::UserCompute(d) => Segment::UserCompute(m.guest_cp_time(*d)),
+                Segment::UserCompute(d) => Segment::UserCompute(type2::guest_cp_time(*d)),
                 Segment::KernelPreemptible(d) => {
                     // Guest CP syscalls coordinating with the host-side
                     // data plane cross the OS boundary: guest tax plus
                     // the IPC→RPC penalty.
-                    Segment::KernelPreemptible(m.ipc_cost(m.guest_cp_time(*d)))
+                    Segment::KernelPreemptible(type2::ipc_cost(type2::guest_cp_time(*d)))
                 }
                 Segment::NonPreemptible { dur, lock } => Segment::NonPreemptible {
-                    dur: m.guest_cp_time(*dur),
+                    dur: type2::guest_cp_time(*dur),
                     lock: *lock,
                 },
                 other => other.clone(),
@@ -1432,8 +1454,7 @@ impl Machine {
             }
             return;
         }
-        let enter_done =
-            self.now + self.cfg.taichi.softirq_latency + self.cfg.taichi.costs.vm_enter;
+        let enter_done = self.now + SOFTIRQ_LATENCY + VM_ENTER;
         self.queue.schedule(enter_done, Event::VcpuEntered { idx });
     }
 
@@ -1508,7 +1529,7 @@ impl Machine {
         self.skip_stale(old);
         // Full switch latency (VM-exit + pCPU context restore): the
         // 2 µs the hardware probe hides inside the I/O window.
-        let done = self.now + self.cfg.taichi.costs.switch_latency();
+        let done = self.now + SWITCH_LATENCY;
         self.queue.schedule(done, Event::VcpuExited { idx });
     }
 
@@ -1561,16 +1582,15 @@ impl Machine {
         // Storm-starvation clamp: under a CP task storm every grant is
         // cut short by the probe, and the doubling feedback loop pays
         // a 2 µs switch per step on its way to the max threshold. Once
-        // the probe signals `starvation_window` consecutive preempted
+        // the probe signals `STARVATION_WINDOW` consecutive preempted
         // grants, jump the threshold straight to max. Only active with
         // an injector present so fault-free schedules are untouched.
-        if let Some(f) = &self.fault {
-            let d = f.degrade();
+        if self.fault.is_some() {
             let pi = host.index();
             if pi < self.probe_starve.len() {
                 if effective == VmExitReason::HwProbe {
                     self.probe_starve[pi] += 1;
-                    if d.yield_clamp && self.probe_starve[pi] >= d.starvation_window {
+                    if self.probe_starve[pi] >= STARVATION_WINDOW {
                         self.probe_starve[pi] = 0;
                         if self.policy.clamp_yield_to_max(host) {
                             self.health.yield_clamps += 1;
@@ -1740,8 +1760,7 @@ impl Machine {
                     let mut at = at;
                     if let Some(f) = &self.fault {
                         if f.wakeup_dropped(NO_CPU) {
-                            let d = f.degrade();
-                            if d.wakeup_rearm {
+                            if f.degrade().wakeup_rearm {
                                 // Slack-timer recovery: the wakeup
                                 // lands late but it lands.
                                 self.health.wakeup_rearms += 1;
@@ -1751,7 +1770,7 @@ impl Machine {
                                         action: "wakeup_rearm",
                                     },
                                 );
-                                at += d.wakeup_rearm_delay;
+                                at += WAKEUP_REARM_DELAY;
                             } else {
                                 // Policy disabled: the thread sleeps
                                 // forever. Recorded so the invariant
@@ -1774,7 +1793,7 @@ impl Machine {
     /// Routes one IPI through the fabric-fault filter and then the
     /// unified orchestrator. `attempt` counts fabric redraws for this
     /// logical message: a drop is re-sent with exponential backoff (up
-    /// to [`taichi_sim::DegradePolicy::max_ipi_retries`]), a delay
+    /// to [`MAX_IPI_RETRIES`]), a delay
     /// redraws its fate at the deferred time, and an exhausted budget
     /// abandons the message (counted, and caught by the invariant
     /// checker when the bound is exceeded).
@@ -1783,8 +1802,7 @@ impl Machine {
         if let Some(f) = &self.fault {
             match f.ipi_fate(dst.0) {
                 IpiFate::Drop => {
-                    let d = f.degrade();
-                    if d.ipi_resend && attempt < d.max_ipi_retries {
+                    if attempt < MAX_IPI_RETRIES {
                         self.health.ipi_resends += 1;
                         self.trace(
                             dst,
@@ -1793,7 +1811,7 @@ impl Machine {
                             },
                         );
                         let backoff = SimDuration::from_nanos(
-                            d.ipi_backoff.as_nanos().saturating_mul(1 << attempt),
+                            IPI_BACKOFF.as_nanos().saturating_mul(1 << attempt),
                         );
                         self.queue.schedule(
                             self.now + backoff,
@@ -1809,7 +1827,7 @@ impl Machine {
                     }
                     return;
                 }
-                IpiFate::Delay(d) if attempt < f.degrade().max_ipi_retries => {
+                IpiFate::Delay(d) if attempt < MAX_IPI_RETRIES => {
                     self.queue.schedule(
                         self.now + d,
                         Event::IpiRetry {

@@ -15,7 +15,7 @@
 //!
 //! The probe window is never stepped poll-by-poll: `N` feeds the
 //! analytic `idle_notify_time` re-arm (`empty_since + (N + 1) ×
-//! poll_iteration`), so a whole idle gap costs one timer event no
+//! POLL_ITERATION`), so a whole idle gap costs one timer event no
 //! matter how many empty polls it represents — see DESIGN.md §3.9.
 //! [`AdaptiveYield::threshold`] sits on that per-re-arm hot path,
 //! hence the `#[inline]` on the accessors.

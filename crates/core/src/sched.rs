@@ -19,7 +19,6 @@
 //! taxes, IPC→RPC inflation, the pCPU lost to emulation) is structural
 //! and modeled by its machine construction and program transformation.
 
-use crate::config::MachineConfig;
 use crate::orchestrator::IpiOrchestrator;
 use crate::probe_sw::AdaptiveYield;
 use crate::slice::AdaptiveSlice;
@@ -29,6 +28,22 @@ use taichi_hw::CpuId;
 use taichi_os::Kernel;
 use taichi_sim::SimDuration;
 use taichi_virt::VmExitReason;
+
+/// Initial (and post-probe-reset) vCPU time slice (§4.1: 50 µs).
+pub(crate) const INITIAL_SLICE: SimDuration = SimDuration::from_micros(50);
+/// Cap on the doubled time slice.
+pub(crate) const MAX_SLICE: SimDuration = SimDuration::from_micros(100);
+/// Initial empty-poll yield threshold N (§4.3).
+pub(crate) const INITIAL_YIELD_THRESHOLD: u32 = 200;
+/// Lower bound on N.
+pub(crate) const MIN_YIELD_THRESHOLD: u32 = 25;
+/// Upper bound on N.
+pub(crate) const MAX_YIELD_THRESHOLD: u32 = 6_400;
+
+// The adaptive controllers start inside their bounds.
+const _: () = assert!(MIN_YIELD_THRESHOLD < INITIAL_YIELD_THRESHOLD);
+const _: () = assert!(INITIAL_YIELD_THRESHOLD < MAX_YIELD_THRESHOLD);
+const _: () = assert!(INITIAL_SLICE.as_nanos() <= MAX_SLICE.as_nanos());
 
 /// Where a lock-context reschedule decided to re-place the vCPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,20 +65,16 @@ pub struct TaiChiPolicy {
 }
 
 impl TaiChiPolicy {
-    /// Builds the policy from the machine config.
-    pub fn new(cfg: &MachineConfig) -> Self {
+    /// Builds the policy for a machine with `num_cpus` physical CPUs.
+    pub fn new(num_cpus: u32) -> Self {
         TaiChiPolicy {
             yield_ctl: AdaptiveYield::new(
-                cfg.spec.num_cpus,
-                cfg.taichi.initial_yield_threshold,
-                cfg.taichi.min_yield_threshold,
-                cfg.taichi.max_yield_threshold,
+                num_cpus,
+                INITIAL_YIELD_THRESHOLD,
+                MIN_YIELD_THRESHOLD,
+                MAX_YIELD_THRESHOLD,
             ),
-            slice_ctl: AdaptiveSlice::new(
-                cfg.spec.num_cpus,
-                cfg.taichi.initial_slice,
-                cfg.taichi.max_slice,
-            ),
+            slice_ctl: AdaptiveSlice::new(num_cpus, INITIAL_SLICE, MAX_SLICE),
             rr_next: 0,
             cp_rr: 0,
         }
@@ -156,6 +167,7 @@ impl TaiChiPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
     use crate::machine::{Machine, Mode};
     use taichi_cp::SynthCp;
     use taichi_dp::{ArrivalPattern, TrafficGen};
@@ -199,7 +211,7 @@ mod tests {
     }
 
     fn taichi() -> TaiChiPolicy {
-        TaiChiPolicy::new(&MachineConfig::default())
+        TaiChiPolicy::new(MachineConfig::default().spec.num_cpus)
     }
 
     /// Runs `mode` for 5 ms: bursty traffic on every DP CPU while a

@@ -10,6 +10,11 @@
 use taichi_os::Program;
 use taichi_sim::{Rng, SimDuration};
 
+/// Fraction of each round spent in a non-preemptible routine.
+const ROUTINE_FRACTION: f64 = 0.4;
+/// Fraction of each round spent in preemptible syscall work.
+const SYSCALL_FRACTION: f64 = 0.2;
+
 /// Builder for synth_cp task programs.
 #[derive(Clone, Debug)]
 pub struct SynthCp {
@@ -17,10 +22,6 @@ pub struct SynthCp {
     pub task_cpu_time: SimDuration,
     /// Number of (compute, syscall, routine) rounds per task.
     pub rounds: u32,
-    /// Fraction of each round spent in a non-preemptible routine.
-    pub routine_fraction: f64,
-    /// Fraction of each round spent in preemptible syscall work.
-    pub syscall_fraction: f64,
 }
 
 impl Default for SynthCp {
@@ -28,8 +29,6 @@ impl Default for SynthCp {
         SynthCp {
             task_cpu_time: SimDuration::from_millis(50),
             rounds: 10,
-            routine_fraction: 0.4,
-            syscall_fraction: 0.2,
         }
     }
 }
@@ -47,8 +46,8 @@ impl SynthCp {
         for _ in 0..rounds {
             let jitter = 0.9 + 0.2 * rng.next_f64();
             let round_ns = (per_round as f64 * jitter) as u64;
-            let routine = (round_ns as f64 * self.routine_fraction) as u64;
-            let syscall = (round_ns as f64 * self.syscall_fraction) as u64;
+            let routine = (round_ns as f64 * ROUTINE_FRACTION) as u64;
+            let syscall = (round_ns as f64 * SYSCALL_FRACTION) as u64;
             let compute = round_ns.saturating_sub(routine + syscall);
             p = p
                 .compute(SimDuration::from_nanos(compute))

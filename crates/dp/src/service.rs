@@ -15,7 +15,7 @@
 //! Simulating every ~100 ns poll iteration would melt the event queue,
 //! so the loop is modelled *analytically*: while the queue is empty the
 //! threshold-crossing instant is `last_activity + threshold ×
-//! poll_iteration`; a packet arrival before that instant resets the
+//! POLL_ITERATION`; a packet arrival before that instant resets the
 //! counter. The observable behaviour (when the yield notification
 //! fires) is identical to iterating the loop.
 //!
@@ -33,34 +33,33 @@ use taichi_sim::{
     round_u64, Dist, FaultInjector, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter,
 };
 
-/// Tuning constants for one data-plane service.
+/// Cost of one empty poll iteration (queue probe + loop overhead).
+const POLL_ITERATION: SimDuration = SimDuration::from_nanos(120);
+/// Cache/TLB pollution window after a vCPU vacates the core.
+const POLLUTION_WINDOW: SimDuration = SimDuration::from_micros(8);
+
+/// Tuning knobs for one data-plane service.
 #[derive(Clone, Debug)]
 pub struct DpServiceConfig {
-    /// Cost of one empty poll iteration (queue probe + loop overhead).
-    pub poll_iteration: SimDuration,
     /// Per-packet software processing cost (ns).
     pub proc_cost_ns: Dist,
     /// Max packets drained per burst.
     pub burst: usize,
     /// Receive ring capacity.
     pub ring_capacity: usize,
-    /// Cache/TLB pollution window after a vCPU vacates the core.
-    pub pollution_window: SimDuration,
-    /// Multiplicative processing surcharge inside the window.
+    /// Multiplicative processing surcharge inside the pollution window.
     pub pollution_tax: f64,
 }
 
 impl Default for DpServiceConfig {
     fn default() -> Self {
         DpServiceConfig {
-            poll_iteration: SimDuration::from_nanos(120),
             proc_cost_ns: Dist::LogNormal {
                 mean: 1_500.0,
                 sigma: 0.4,
             },
             burst: 32,
             ring_capacity: 1024,
-            pollution_window: SimDuration::from_micros(8),
             pollution_tax: 1.18,
         }
     }
@@ -103,7 +102,7 @@ pub struct DpService {
     /// Start of the current empty-poll run (None while packets flow).
     empty_since: Option<SimTime>,
     /// Empty-poll iterations from *closed* runs, accumulated in closed
-    /// form (`gap / poll_iteration`) instead of one event per
+    /// form (`gap / POLL_ITERATION`) instead of one event per
     /// iteration — the engine's fast-forward ledger.
     ff_polls: u64,
     /// Cache pollution expires at this instant.
@@ -228,7 +227,7 @@ impl DpService {
 
     /// Marks the core as cache/TLB-polluted (a vCPU just vacated it).
     pub fn mark_polluted(&mut self, now: SimTime) {
-        self.polluted_until = now + self.config.pollution_window;
+        self.polluted_until = now + POLLUTION_WINDOW;
     }
 
     /// Drains and processes up to one burst starting no earlier than
@@ -288,36 +287,28 @@ impl DpService {
         if !self.queue.is_empty() {
             return None;
         }
-        Some(
-            since
-                + self
-                    .config
-                    .poll_iteration
-                    .saturating_mul(threshold as u64 + 1),
-        )
+        Some(since + POLL_ITERATION.saturating_mul(threshold as u64 + 1))
     }
 
     /// Consecutive empty polls accumulated by `now` (analytic).
     pub(crate) fn empty_polls(&self, now: SimTime) -> u64 {
         match self.empty_since {
             Some(since) if self.queue.is_empty() && now > since => {
-                now.saturating_since(since).as_nanos()
-                    / self.config.poll_iteration.as_nanos().max(1)
+                now.saturating_since(since).as_nanos() / POLL_ITERATION.as_nanos()
             }
             _ => 0,
         }
     }
 
     /// Ends the open empty-poll run at `now`, folding its closed-form
-    /// iteration count (`gap / poll_iteration`) into the fast-forward
+    /// iteration count (`gap / POLL_ITERATION`) into the fast-forward
     /// ledger — the O(1) replacement for iterating the Fig. 9 loop
     /// across the gap. A run opened in the future (processing still
     /// completing) contributes nothing.
     fn close_empty_run(&mut self, now: SimTime) {
         if let Some(since) = self.empty_since.take() {
             if now > since {
-                self.ff_polls += now.saturating_since(since).as_nanos()
-                    / self.config.poll_iteration.as_nanos().max(1);
+                self.ff_polls += now.saturating_since(since).as_nanos() / POLL_ITERATION.as_nanos();
             }
         }
     }
@@ -522,7 +513,7 @@ mod tests {
         // 1000 ns * 1.18 = 1180 ns.
         assert_eq!(done.as_nanos(), 100_000 + 1_180);
         // Past the window the tax disappears.
-        let t2 = t + s.config.pollution_window + SimDuration::from_micros(1);
+        let t2 = t + POLLUTION_WINDOW + SimDuration::from_micros(1);
         s.enqueue(delivered(2, t2.as_nanos() / 1_000), t2);
         let done2 = s.process_burst(t2, &mut rng).unwrap();
         assert_eq!(done2.as_nanos(), t2.as_nanos() + 1_000);

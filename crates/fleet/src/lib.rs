@@ -62,8 +62,34 @@ const CHURN_SALT: u64 = 0xC4A2_1234;
 /// Violation strings retained verbatim (the rest are counted).
 const MAX_VIOLATIONS: usize = 8;
 
-/// Fleet configuration: rack size, epoch schedule, east-west traffic
-/// model, load shaping, churn, and the startup storm.
+// The rack's traffic model.
+
+/// Scheduling mode every machine runs in.
+const MODE: Mode = Mode::TaiChi;
+/// Base east-west flows each machine originates per epoch.
+const EW_FLOWS_PER_MACHINE: u32 = 6;
+/// Max packets per east-west flow (uniform in `1..=max`).
+const EW_PACKETS_PER_FLOW: u32 = 4;
+/// Payload size of east-west packets.
+const EW_SIZE_BYTES: u32 = 512;
+/// Minimum cross-NIC network latency.
+const NET_BASE_LATENCY: SimDuration = SimDuration::from_micros(5);
+/// Uniform cross-NIC latency jitter on top of the base.
+const NET_JITTER: SimDuration = SimDuration::from_micros(20);
+/// Diurnal period in epochs.
+const DIURNAL_PERIOD: usize = 8;
+/// Diurnal modulation amplitude in `[0, 1)`.
+const DIURNAL_AMPLITUDE: f64 = 0.5;
+/// Per-machine-per-epoch chance of a bursty epoch.
+const BURST_PROB: f64 = 0.15;
+/// East-west volume multiplier during a bursty epoch.
+const BURST_FACTOR: f64 = 3.0;
+/// Device density of churn/storm VM-create requests.
+const VM_DENSITY: u32 = 2;
+
+/// Fleet configuration: rack size, epoch schedule, churn, and the
+/// startup storm. Every machine runs Tai Chi and the invariant checker
+/// audits every machine at every epoch boundary.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Machines (SmartNICs) in the rack.
@@ -75,26 +101,6 @@ pub struct FleetConfig {
     /// Fleet seed; machine `i` derives its own seed (and all its RNG
     /// streams) from this and `i` alone.
     pub seed: u64,
-    /// Scheduling mode every machine runs in.
-    pub mode: Mode,
-    /// Base east-west flows each machine originates per epoch.
-    pub ew_flows_per_machine: u32,
-    /// Max packets per east-west flow (uniform in `1..=max`).
-    pub ew_packets_per_flow: u32,
-    /// Payload size of east-west packets.
-    pub ew_size_bytes: u32,
-    /// Minimum cross-NIC network latency.
-    pub net_base_latency: SimDuration,
-    /// Uniform cross-NIC latency jitter on top of the base.
-    pub net_jitter: SimDuration,
-    /// Diurnal period in epochs (0 disables the sinusoid).
-    pub diurnal_period: usize,
-    /// Diurnal modulation amplitude in `[0, 1)`.
-    pub diurnal_amplitude: f64,
-    /// Per-machine-per-epoch chance of a bursty epoch.
-    pub burst_prob: f64,
-    /// East-west volume multiplier during a bursty epoch.
-    pub burst_factor: f64,
     /// Expected VM placements (creations) per epoch across the rack.
     pub churn_per_epoch: f64,
     /// Epoch at which a rack-wide VM startup storm fires (`None`
@@ -102,11 +108,6 @@ pub struct FleetConfig {
     pub storm_epoch: Option<usize>,
     /// VMs created on *every* machine at the storm epoch.
     pub storm_vms_per_machine: u32,
-    /// Device density of churn/storm VM-create requests.
-    pub vm_density: u32,
-    /// Run the invariant checker on every machine at every epoch
-    /// boundary.
-    pub check_invariants: bool,
     /// Template every machine is built from; the fleet overrides only
     /// its `seed` (per machine, from [`FleetConfig::seed`]). Its
     /// `tenants` shape the fleet's traffic too: the default (one
@@ -125,21 +126,9 @@ impl Default for FleetConfig {
             epochs: 8,
             epoch_len: SimDuration::from_millis(2),
             seed: 0xF1EE7,
-            mode: Mode::TaiChi,
-            ew_flows_per_machine: 6,
-            ew_packets_per_flow: 4,
-            ew_size_bytes: 512,
-            net_base_latency: SimDuration::from_micros(5),
-            net_jitter: SimDuration::from_micros(20),
-            diurnal_period: 8,
-            diurnal_amplitude: 0.5,
-            burst_prob: 0.15,
-            burst_factor: 3.0,
             churn_per_epoch: 1.0,
             storm_epoch: None,
             storm_vms_per_machine: 2,
-            vm_density: 2,
-            check_invariants: true,
             machine: MachineConfig::default(),
         }
     }
@@ -202,15 +191,11 @@ struct EpochPlan {
 
 /// Deterministic per-epoch load factor: diurnal sinusoid times the
 /// machine's burst draw.
-fn load_factor(cfg: &FleetConfig, epoch: usize, rng: &mut Rng) -> f64 {
-    let diurnal = if cfg.diurnal_period == 0 {
-        1.0
-    } else {
-        let phase = epoch as f64 / cfg.diurnal_period as f64;
-        1.0 + cfg.diurnal_amplitude * (std::f64::consts::TAU * phase).sin()
-    };
-    let burst = if rng.chance(cfg.burst_prob) {
-        cfg.burst_factor
+fn load_factor(epoch: usize, rng: &mut Rng) -> f64 {
+    let phase = epoch as f64 / DIURNAL_PERIOD as f64;
+    let diurnal = 1.0 + DIURNAL_AMPLITUDE * (std::f64::consts::TAU * phase).sin();
+    let burst = if rng.chance(BURST_PROB) {
+        BURST_FACTOR
     } else {
         1.0
     };
@@ -260,8 +245,7 @@ fn fill_plans(
                 .wrapping_mul(n as u64)
                 .wrapping_add(src as u64),
         );
-        let mut flows =
-            (cfg.ew_flows_per_machine as f64 * load_factor(cfg, epoch, &mut rng)).round() as u64;
+        let mut flows = (EW_FLOWS_PER_MACHINE as f64 * load_factor(epoch, &mut rng)).round() as u64;
         if congested {
             flows = flows * 3 / 4;
         }
@@ -270,7 +254,7 @@ fn fill_plans(
                 break;
             }
             let dst = (src + 1 + rng.next_below(n as u64 - 1) as usize) % n;
-            let packets = 1 + rng.next_below(cfg.ew_packets_per_flow.max(1) as u64);
+            let packets = 1 + rng.next_below(EW_PACKETS_PER_FLOW as u64);
             // The whole flow belongs to one tenant; the draw is gated
             // so single-tenant plan streams stay byte-identical.
             let tenant = if cfg.machine.tenants.is_multi() {
@@ -283,13 +267,13 @@ fn fill_plans(
             // unconditional; only the push is gated by ownership.
             for _ in 0..packets {
                 let offset = rng.next_below(epoch_ns.max(1));
-                let latency = cfg.net_base_latency
-                    + SimDuration::from_nanos(rng.next_below(cfg.net_jitter.as_nanos().max(1)));
+                let latency = NET_BASE_LATENCY
+                    + SimDuration::from_nanos(rng.next_below(NET_JITTER.as_nanos()));
                 let dest_cpu = rng.next_below(8) as u32;
                 if owned(dst) {
                     plans[dst].flows.push(InjectedArrival {
                         at: start + SimDuration::from_nanos(offset) + latency,
-                        size: cfg.ew_size_bytes,
+                        size: EW_SIZE_BYTES,
                         dest_cpu,
                         tenant,
                     });
@@ -386,7 +370,7 @@ impl MachineSlot {
             seed: cfg.machine_seed(index),
             ..cfg.machine.clone()
         };
-        let mut machine = Machine::new(mcfg, cfg.mode);
+        let mut machine = Machine::new(mcfg, MODE);
         // Baseline local (intra-NIC) load; east-west traffic rides on
         // top of this via `inject_rx_for_tenant`. In a multi-tenant
         // fleet each tenant originates its own share of the same
@@ -429,13 +413,12 @@ impl MachineSlot {
     /// adds.
     fn run_epoch_into(
         &mut self,
-        cfg: &FleetConfig,
         end: SimTime,
         plan: &EpochPlan,
         loan: &mut Vec<ServiceRecorders>,
         out: &mut WorkerDelta,
     ) {
-        self.apply_plan(cfg, plan);
+        self.apply_plan(plan);
         // The machine records this epoch into the loan's empty, warm
         // recorders and keeps only zero-capacity placeholders between
         // epochs, so histogram storage scales with workers, not
@@ -467,13 +450,11 @@ impl MachineSlot {
             let sum: f64 = services.iter().map(|s| s.utilization(end)).sum();
             sum / services.len().max(1) as f64
         };
-        if cfg.check_invariants {
-            let report = check_invariants(&self.machine);
-            out.violation_count += report.violations.len() as u64;
-            for v in &report.violations {
-                if out.violations.len() < MAX_VIOLATIONS {
-                    out.violations.push(format!("machine {}: {v}", self.index));
-                }
+        let report = check_invariants(&self.machine);
+        out.violation_count += report.violations.len() as u64;
+        for v in &report.violations {
+            if out.violations.len() < MAX_VIOLATIONS {
+                out.violations.push(format!("machine {}: {v}", self.index));
             }
         }
         out.processed += processed - self.last_processed;
@@ -494,7 +475,7 @@ impl MachineSlot {
 
     /// Injects the plan's east-west arrivals and schedules its VM
     /// creations.
-    fn apply_plan(&mut self, cfg: &FleetConfig, plan: &EpochPlan) {
+    fn apply_plan(&mut self, plan: &EpochPlan) {
         let now = self.machine.now();
         let dp = self.machine.services().len() as u64;
         for f in &plan.flows {
@@ -510,7 +491,7 @@ impl MachineSlot {
             let vm_id = ((self.index as u64) << 32) | self.vm_seq;
             self.vm_seq += 1;
             self.machine.schedule_vm_create(
-                VmCreateRequest::at_density(vm_id, cfg.vm_density, now),
+                VmCreateRequest::at_density(vm_id, VM_DENSITY, now),
                 &self.factory,
             );
         }
@@ -948,7 +929,7 @@ fn run_sequential(cfg: &FleetConfig) -> FleetResult {
         fill_plans(cfg, e, acc.congested(), &mut plans, None);
         let end = cfg.epoch_start(e + 1);
         for slot in &mut slots {
-            slot.run_epoch_into(cfg, end, &plans[slot.index], &mut loan, &mut scratch);
+            slot.run_epoch_into(end, &plans[slot.index], &mut loan, &mut scratch);
         }
         acc.fold_worker(&mut scratch);
         acc.close_epoch(cfg, e);
@@ -1003,13 +984,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                         Some((w, workers)),
                     );
                     for slot in &mut slots {
-                        slot.run_epoch_into(
-                            &cfg,
-                            cmd.end,
-                            &plans[slot.index],
-                            &mut loan,
-                            &mut delta,
-                        );
+                        slot.run_epoch_into(cmd.end, &plans[slot.index], &mut loan, &mut delta);
                     }
                     if delta_tx.send(delta).is_err() {
                         return;
@@ -1201,8 +1176,8 @@ mod tests {
                 let end = cfg.epoch_start(e + 1);
                 for (a, b) in lent.iter_mut().zip(owned.iter_mut()) {
                     let mut out = WorkerDelta::default();
-                    a.run_epoch_into(&cfg, end, &plans[a.index], &mut loan, &mut out);
-                    b.apply_plan(&cfg, &plans[b.index]);
+                    a.run_epoch_into(end, &plans[a.index], &mut loan, &mut out);
+                    b.apply_plan(&plans[b.index]);
                     b.machine.run_until(end);
                     let merged = b.machine.drain_dp_recorders();
                     let tenants = b.machine.drain_tenant_recorders();
@@ -1241,7 +1216,7 @@ mod tests {
                 let plans = make_plans(&cfg, e, false);
                 let end = cfg.epoch_start(e + 1);
                 for slot in &mut slots {
-                    slot.run_epoch_into(&cfg, end, &plans[slot.index], &mut loan, &mut out);
+                    slot.run_epoch_into(end, &plans[slot.index], &mut loan, &mut out);
                     assert_eq!(
                         machine_recorder_bytes(&slot.machine),
                         0,

@@ -27,7 +27,6 @@ fn config() -> FleetConfig {
         churn_per_epoch: 1.5,
         storm_epoch: Some(2),
         storm_vms_per_machine: 2,
-        check_invariants: true,
         ..FleetConfig::default()
     }
 }

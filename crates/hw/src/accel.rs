@@ -17,17 +17,22 @@ use crate::probe::HwWorkloadProbe;
 use crate::queue::RxQueue;
 use taichi_sim::{round_u64, Counter, FaultInjector, SimDuration, SimTime, TraceKind, Tracer};
 
-/// Timing configuration for the accelerator.
+/// Latency of stage ② (header/payload preprocessing). Paper: 2.7 µs.
+pub const PREPROCESS: SimDuration = SimDuration::from_nanos(2_700);
+/// Latency of stage ③ (transfer to shared memory). Paper: 0.5 µs.
+pub const TRANSFER: SimDuration = SimDuration::from_nanos(500);
+/// The full preprocessing window (② + ③) the probe can hide
+/// scheduling latency inside.
+pub const WINDOW: SimDuration =
+    SimDuration::from_nanos(PREPROCESS.as_nanos() + TRANSFER.as_nanos());
+/// Minimum gap between packet issues on one channel (pipeline
+/// initiation interval). 40 ns ≈ 300 Mpps aggregate on 12 channels,
+/// far above anything the evaluation drives.
+const ISSUE_GAP: SimDuration = SimDuration::from_nanos(40);
+
+/// Line-rate and channel configuration for the accelerator.
 #[derive(Clone, Debug)]
 pub struct AcceleratorConfig {
-    /// Latency of stage ② (header/payload preprocessing). Paper: 2.7 µs.
-    pub preprocess: SimDuration,
-    /// Latency of stage ③ (transfer to shared memory). Paper: 0.5 µs.
-    pub transfer: SimDuration,
-    /// Minimum gap between packet issues on one channel (pipeline
-    /// initiation interval). 40 ns ≈ 300 Mpps aggregate on 12 channels,
-    /// far above anything the evaluation drives.
-    pub issue_gap: SimDuration,
     /// Additional serialization per payload byte (line-rate bound);
     /// 0.04 ns/B ≈ 200 Gb/s.
     pub ns_per_byte: f64,
@@ -39,20 +44,9 @@ pub struct AcceleratorConfig {
 impl Default for AcceleratorConfig {
     fn default() -> Self {
         AcceleratorConfig {
-            preprocess: SimDuration::from_nanos(2_700),
-            transfer: SimDuration::from_nanos(500),
-            issue_gap: SimDuration::from_nanos(40),
             ns_per_byte: 0.04,
             channels: 12,
         }
-    }
-}
-
-impl AcceleratorConfig {
-    /// The full preprocessing window (② + ③) the probe can hide
-    /// scheduling latency inside.
-    pub fn window(&self) -> SimDuration {
-        self.preprocess + self.transfer
     }
 }
 
@@ -79,7 +73,7 @@ pub struct PipelineOutput {
 /// The arbiter models the one resource N tenants genuinely share
 /// *before* the per-channel pipelines: the eNIC→accelerator link.
 /// Each issued packet occupies the port for its wire time
-/// (`max(size × ns_per_byte, issue_gap)` — 200 Gb/s line rate), so a
+/// (`max(size × ns_per_byte, ISSUE_GAP)` — 200 Gb/s line rate), so a
 /// tenant bursting to line rate backlogs every ring, and the DRR
 /// credits decide whose head-of-line packet enters the pipeline next.
 ///
@@ -227,11 +221,6 @@ impl Accelerator {
         self.fault = Some(fault);
     }
 
-    /// Returns the configuration.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
     /// Ingests `packet` at `now`, consulting (and counting on) the
     /// hardware probe before preprocessing begins.
     ///
@@ -267,11 +256,11 @@ impl Accelerator {
         let serialize = SimDuration::from_nanos(round_u64(
             packet.size_bytes as f64 * self.config.ns_per_byte,
         ))
-        .max(self.config.issue_gap);
+        .max(ISSUE_GAP);
         self.channel_free[ch] = start + serialize;
 
-        let preprocess_done = start + self.config.preprocess;
-        let delivered_at = preprocess_done + self.config.transfer;
+        let preprocess_done = start + PREPROCESS;
+        let delivered_at = preprocess_done + TRANSFER;
         packet.delivered_at = Some(delivered_at);
 
         self.ingested.inc();
@@ -384,7 +373,7 @@ impl Accelerator {
         let wire = SimDuration::from_nanos(round_u64(
             packet.size_bytes as f64 * self.config.ns_per_byte,
         ))
-        .max(self.config.issue_gap);
+        .max(ISSUE_GAP);
         self.arbiter.as_mut().expect("checked above").port_free = now + wire;
         let out = self.ingest(&mut packet, now, probe);
         Some((packet, out))
@@ -448,8 +437,7 @@ mod tests {
 
     #[test]
     fn default_window_is_3_2_us() {
-        let c = AcceleratorConfig::default();
-        assert_eq!(c.window(), SimDuration::from_nanos(3_200));
+        assert_eq!(WINDOW, SimDuration::from_nanos(3_200));
     }
 
     #[test]
@@ -473,7 +461,7 @@ mod tests {
         let out = acc.ingest(&mut p, SimTime::from_micros(1), &mut probe);
         assert_eq!(out.probe_irq, Some(CpuId(2)));
         // IRQ precedes delivery by the full window.
-        assert_eq!(out.delivered_at - out.irq_at, acc.config().window());
+        assert_eq!(out.delivered_at - out.irq_at, WINDOW);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Randomized property tests for the hardware model, driven by the
 //! in-repo deterministic harness ([`taichi_sim::check`]).
 
+use taichi_hw::accel::WINDOW;
 use taichi_hw::{
     Accelerator, AcceleratorConfig, CpuExecState, CpuId, HwWorkloadProbe, IoKind, Packet, PacketId,
     RxQueue, TenantId,
@@ -85,9 +86,7 @@ fn accelerator_timing_invariants() {
                 )
             })
             .collect();
-        let cfg = AcceleratorConfig::default();
-        let window = cfg.window();
-        let mut acc = Accelerator::new(cfg);
+        let mut acc = Accelerator::new(AcceleratorConfig::default());
         let mut probe = HwWorkloadProbe::new(12);
         arrivals.sort();
         let mut last_start = [SimTime::ZERO; 12];
@@ -96,7 +95,7 @@ fn accelerator_timing_invariants() {
             let mut p = Packet::new(PacketId(i as u64), IoKind::Network, size, CpuId(cpu), 0, at);
             let out = acc.ingest(&mut p, at, &mut probe);
             // Stage arithmetic is exact.
-            assert_eq!(out.delivered_at - out.irq_at, window);
+            assert_eq!(out.delivered_at - out.irq_at, WINDOW);
             assert!(out.irq_at >= at, "cannot start before arrival");
             // Per-channel issue order is monotone.
             let ch = cpu as usize % 12;

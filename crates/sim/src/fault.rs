@@ -38,42 +38,25 @@ use std::rc::Rc;
 /// [`Rng::stream`]); chosen far from the traffic-generator indices.
 pub const FAULT_STREAM: u64 = 0xFA_17;
 
-/// How the scheduler responds to injected faults. All knobs default to
-/// the hardened behaviour; tests flip individual knobs off to prove
-/// the invariant checker catches a broken policy.
+/// How the scheduler responds to injected faults. Both knobs default
+/// to the hardened behaviour; tests flip one off to prove the
+/// invariant checker catches a broken policy. The rest of the
+/// response (bounded IPI resends with backoff, the re-armed wakeup's
+/// slack delay, the storm yield clamp) is fixed and lives with the
+/// machine that applies it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DegradePolicy {
-    /// Re-send a dropped IPI (bounded, with exponential backoff).
-    pub ipi_resend: bool,
-    /// Maximum resend attempts per logical IPI.
-    pub max_ipi_retries: u32,
-    /// Base backoff before the first resend; doubles per attempt.
-    pub ipi_backoff: SimDuration,
     /// Re-arm a kernel wakeup timer lost to fault injection.
     pub wakeup_rearm: bool,
-    /// Recovery delay for a re-armed wakeup (models the slack timer).
-    pub wakeup_rearm_delay: SimDuration,
     /// Re-raise the context-switch softirq when the raise was dropped.
     pub softirq_rearm: bool,
-    /// Clamp the adaptive yield threshold to its maximum when the
-    /// probe signals storm-induced starvation.
-    pub yield_clamp: bool,
-    /// Consecutive probe-triggered VM-exits on one host that count as
-    /// starvation (triggers the clamp).
-    pub starvation_window: u32,
 }
 
 impl Default for DegradePolicy {
     fn default() -> Self {
         DegradePolicy {
-            ipi_resend: true,
-            max_ipi_retries: 3,
-            ipi_backoff: SimDuration::from_micros(2),
             wakeup_rearm: true,
-            wakeup_rearm_delay: SimDuration::from_micros(20),
             softirq_rearm: true,
-            yield_clamp: true,
-            starvation_window: 8,
         }
     }
 }

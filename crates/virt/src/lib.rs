@@ -9,8 +9,8 @@
 //!   CPU, VM-enter, VM-exit with typed reasons, and per-vCPU statistics
 //!   (run time, exit counts by reason) that the adaptive algorithms in
 //!   `taichi-core` key off.
-//! - [`cost`]: the virtualization cost model. Defaults follow the
-//!   paper: a 2 µs vCPU context-switch latency (§3.4), a ~7 % guest
+//! - [`cost`]: the virtualization cost model, as named constants from
+//!   the paper: a 2 µs vCPU context-switch latency (§3.4), a ~7 % guest
 //!   execution tax from nested page tables (§6.3's Tai Chi-vDP result),
 //!   and cheap posted-interrupt injection (§5).
 //! - [`type2`]: the traditional type-2 (QEMU+KVM) deployment model used
@@ -22,6 +22,4 @@ pub mod cost;
 pub mod type2;
 pub mod vcpu;
 
-pub use cost::VirtCosts;
-pub use type2::Type2Model;
 pub use vcpu::{Vcpu, VcpuState, VmExitReason};

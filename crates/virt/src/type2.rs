@@ -14,60 +14,40 @@
 //! 3. **vCPU switch latency.** The same 2 µs world-switch cost applies
 //!    whenever a guest vCPU yields a physical core.
 
-use crate::cost::VirtCosts;
+use crate::cost::GUEST_EXEC_TAX;
 use taichi_sim::SimDuration;
 
-/// Configuration of the type-2 baseline.
-#[derive(Clone, Debug)]
-pub struct Type2Model {
-    /// Virtualization timing constants.
-    pub costs: VirtCosts,
-    /// Physical CPUs consumed by QEMU emulation + guest housekeeping.
-    pub emulation_cpus: u32,
-    /// Per-message penalty replacing one native IPC with an RPC across
-    /// the guest boundary (marshalling + vmexit + host dispatch).
-    pub ipc_to_rpc_penalty: SimDuration,
-    /// Guest OS memory/context overhead expressed as an additional
-    /// multiplicative tax on CP execution inside the guest.
-    pub guest_cp_tax: f64,
-    /// Multiplicative tax on data-plane packet processing from the
-    /// co-resident emulation CPU's cache/memory-bandwidth interference
-    /// (the paper's 25.7% IOPS loss exceeds the 12.5% pure-capacity
-    /// loss of one CPU in eight; the remainder is interference).
-    pub dp_interference_tax: f64,
+/// Physical CPUs consumed by QEMU emulation + guest housekeeping.
+pub const EMULATION_CPUS: u32 = 1;
+/// Per-message penalty replacing one native IPC with an RPC across
+/// the guest boundary (marshalling + vmexit + host dispatch).
+pub const IPC_TO_RPC_PENALTY: SimDuration = SimDuration::from_micros(15);
+/// Guest OS memory/context overhead expressed as an additional
+/// multiplicative tax on CP execution inside the guest.
+pub const GUEST_CP_TAX: f64 = 1.05;
+/// Multiplicative tax on data-plane packet processing from the
+/// co-resident emulation CPU's cache/memory-bandwidth interference
+/// (the paper's 25.7% IOPS loss exceeds the 12.5% pure-capacity
+/// loss of one CPU in eight; the remainder is interference).
+pub const DP_INTERFERENCE_TAX: f64 = 1.15;
+
+/// Data-plane CPUs remaining after the emulation CPU is carved out
+/// of the `dp_total` pool (the paper's deployments take it from the
+/// data plane, since CP CPUs are already the scarce resource).
+pub fn effective_dp_cpus(dp_total: u32) -> u32 {
+    dp_total.saturating_sub(EMULATION_CPUS)
 }
 
-impl Default for Type2Model {
-    fn default() -> Self {
-        Type2Model {
-            costs: VirtCosts::default(),
-            emulation_cpus: 1,
-            ipc_to_rpc_penalty: SimDuration::from_micros(15),
-            guest_cp_tax: 1.05,
-            dp_interference_tax: 1.15,
-        }
-    }
+/// Cost of one DP↔CP interaction under this model (native IPC cost
+/// plus the RPC penalty).
+pub fn ipc_cost(native: SimDuration) -> SimDuration {
+    native + IPC_TO_RPC_PENALTY
 }
 
-impl Type2Model {
-    /// Data-plane CPUs remaining after the emulation CPU is carved out
-    /// of the `dp_total` pool (the paper's deployments take it from the
-    /// data plane, since CP CPUs are already the scarce resource).
-    pub fn effective_dp_cpus(&self, dp_total: u32) -> u32 {
-        dp_total.saturating_sub(self.emulation_cpus)
-    }
-
-    /// Cost of one DP↔CP interaction under this model (native IPC cost
-    /// plus the RPC penalty).
-    pub fn ipc_cost(&self, native: SimDuration) -> SimDuration {
-        native + self.ipc_to_rpc_penalty
-    }
-
-    /// CP execution time inside the guest for a native duration.
-    pub fn guest_cp_time(&self, native: SimDuration) -> SimDuration {
-        let taxed = native.as_nanos() as f64 * self.guest_cp_tax * self.costs.guest_exec_tax;
-        SimDuration::from_nanos(taxed.round() as u64)
-    }
+/// CP execution time inside the guest for a native duration.
+pub fn guest_cp_time(native: SimDuration) -> SimDuration {
+    let taxed = native.as_nanos() as f64 * GUEST_CP_TAX * GUEST_EXEC_TAX;
+    SimDuration::from_nanos(taxed.round() as u64)
 }
 
 #[cfg(test)]
@@ -76,26 +56,23 @@ mod tests {
 
     #[test]
     fn emulation_cpu_reduces_dp_pool() {
-        let m = Type2Model::default();
-        assert_eq!(m.effective_dp_cpus(8), 7);
-        assert_eq!(m.effective_dp_cpus(1), 0);
-        assert_eq!(m.effective_dp_cpus(0), 0);
+        assert_eq!(effective_dp_cpus(8), 7);
+        assert_eq!(effective_dp_cpus(1), 0);
+        assert_eq!(effective_dp_cpus(0), 0);
     }
 
     #[test]
     fn rpc_penalty_dominates_fast_ipc() {
-        let m = Type2Model::default();
         let native = SimDuration::from_nanos(500);
-        let rpc = m.ipc_cost(native);
+        let rpc = ipc_cost(native);
         assert!(rpc >= SimDuration::from_micros(15));
         assert!(rpc.as_nanos() > native.as_nanos() * 10);
     }
 
     #[test]
     fn guest_cp_time_compounds_taxes() {
-        let m = Type2Model::default();
         let native = SimDuration::from_micros(100);
-        let guest = m.guest_cp_time(native);
+        let guest = guest_cp_time(native);
         // 100 µs * 1.05 * 1.07 = 112.35 µs.
         assert_eq!(guest.as_nanos(), 112_350);
     }

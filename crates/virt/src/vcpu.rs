@@ -137,7 +137,7 @@ impl Vcpu {
     }
 
     /// Begins placement on `host`; VM-enter completes after
-    /// [`VirtCosts::vm_enter`](crate::VirtCosts::vm_enter).
+    /// [`VM_ENTER`](crate::cost::VM_ENTER).
     ///
     /// # Panics
     ///
@@ -180,7 +180,7 @@ impl Vcpu {
     }
 
     /// Initiates a VM-exit for `reason`; completes after
-    /// [`VirtCosts::vm_exit`](crate::VirtCosts::vm_exit).
+    /// [`VM_EXIT`](crate::cost::VM_EXIT).
     pub fn begin_exit(&mut self, reason: VmExitReason, _now: SimTime) {
         let host = match self.state {
             VcpuState::Running { host, .. } => host,
