@@ -8,11 +8,12 @@
 //!   pre-timing-wheel binary-heap engine) and the `"gate"` block is the
 //!   frozen `--check` threshold; both are **preserved verbatim** when
 //!   the file already exists, so re-runs never move them;
-//! - the `"current"` block is rewritten on every run with fresh
+//! - the `"current"` block is rewritten on every full run with fresh
 //!   measurements.
 //!
-//! A copy also lands in `target/experiments/` so CI can upload it as an
-//! artifact without touching the working tree.
+//! Every run writes `target/experiments/BENCH_engine.json`, the copy CI
+//! uploads; a `--quick` run writes only that copy, so the working tree
+//! keeps the full run's numbers.
 //!
 //! Flags:
 //!
@@ -57,8 +58,8 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 
 use taichi_bench::{
-    bench_coarse_ms, bench_json_path, bench_ns, json_block, json_number, results_dir, usage_error,
-    Knobs,
+    bench_coarse_ms, bench_json_path, bench_ns, json_block, json_number, usage_error,
+    write_bench_json, Knobs,
 };
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::orchestrator::IpiOrchestrator;
@@ -386,13 +387,7 @@ fn main() {
         let _ = writeln!(json, "  {block},");
     }
     let _ = write!(json, "  {current}\n}}\n");
-    for path in [root_path, results_dir().join("BENCH_engine.json")] {
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[json] {}", path.display());
-        }
-    }
+    write_bench_json("BENCH_engine.json", &json, quick);
 
     // ---- Regression gate. ----
 

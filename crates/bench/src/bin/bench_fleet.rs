@@ -14,11 +14,12 @@
 //!   at 1024 machines x 8 epochs — and the `"gate"` block is the
 //!   frozen `--check` threshold; both are **preserved verbatim** when
 //!   the file already exists, so re-runs never move them;
-//! - the `"current"` block is rewritten on every run with fresh
+//! - the `"current"` block is rewritten on every full run with fresh
 //!   measurements plus the resulting speedup and footprint ratios.
 //!
-//! A copy also lands in `target/experiments/` so CI can upload it as an
-//! artifact without touching the working tree.
+//! Every run writes `target/experiments/BENCH_fleet.json`, the copy CI
+//! uploads; a `--quick` run writes only that copy, so the working tree
+//! keeps the full run's numbers.
 //!
 //! Flags:
 //!
@@ -52,8 +53,8 @@
 use std::fmt::Write as _;
 
 use taichi_bench::{
-    bench_json_path, cpu_time_s, json_block, json_number, peak_rss_kb, results_dir, usage_error,
-    Knobs,
+    bench_json_path, cpu_time_s, json_block, json_number, peak_rss_kb, usage_error,
+    write_bench_json, Knobs,
 };
 use taichi_fleet::{run, FleetConfig, FleetDriver};
 use taichi_sim::alloc::{self, CountingAlloc};
@@ -229,13 +230,7 @@ fn main() {
         let _ = writeln!(json, "  {gate},");
     }
     let _ = write!(json, "  {current}\n}}\n");
-    for path in [root_path.clone(), results_dir().join("BENCH_fleet.json")] {
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[json] {}", path.display());
-        }
-    }
+    write_bench_json("BENCH_fleet.json", &json, quick);
 
     // ---- Regression gate. ----
 

@@ -214,6 +214,17 @@ fn main() {
             other => die(&format!("unknown argument {other:?}")),
         }
     }
+    // Whichever flag came first: a weight per tenant at most (fewer
+    // are padded with 1s).
+    if k.weights.len() > k.tenants as usize {
+        let weights: Vec<String> = k.weights.iter().map(u64::to_string).collect();
+        die(&format!(
+            "--weights {} gives {} weights for {} tenants (expected at most one per tenant)",
+            weights.join(":"),
+            k.weights.len(),
+            k.tenants
+        ));
+    }
     // Tenant 0 is always the victim; the default aggressor is the last.
     k.aggressor = match aggressor {
         None => k.tenants as usize - 1,

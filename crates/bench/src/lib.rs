@@ -240,6 +240,21 @@ pub fn bench_json_path(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// Writes a trajectory file's new contents: always to
+/// `target/experiments/<name>` (the copy CI uploads), and to the
+/// committed root file only for a full run, so `--quick` runs leave
+/// the working tree untouched.
+pub fn write_bench_json(name: &str, json: &str, quick: bool) {
+    let root = (!quick).then(|| bench_json_path(name));
+    for path in root.into_iter().chain([results_dir().join(name)]) {
+        if let Err(e) = fs::write(&path, json) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        } else {
+            println!("[json] {}", path.display());
+        }
+    }
+}
+
 /// Extracts `"key": { ... }` (balanced braces) from `text`, including
 /// the key itself — enough JSON awareness to carry a committed frozen
 /// block forward without a parser dependency.

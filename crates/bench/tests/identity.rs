@@ -89,6 +89,13 @@ fn add_bench_traffic(m: &mut Machine) {
 /// The workload every case runs: bench traffic, a 12-task synth_cp
 /// batch at time zero, and one VM creation at 10 ms.
 fn run(cfg: MachineConfig, mode: Mode, horizon: SimTime) -> Machine {
+    let mut m = build(cfg, mode);
+    m.run_until(horizon);
+    m
+}
+
+/// A machine loaded with [`run`]'s workload, not started yet.
+fn build(cfg: MachineConfig, mode: Mode) -> Machine {
     let seed = cfg.seed;
     let mut m = Machine::new(cfg, mode);
     add_bench_traffic(&mut m);
@@ -98,7 +105,6 @@ fn run(cfg: MachineConfig, mode: Mode, horizon: SimTime) -> Machine {
         VmCreateRequest::at_density(0, 2, SimTime::from_millis(10)),
         &TaskFactory::default(),
     );
-    m.run_until(horizon);
     m
 }
 
@@ -425,4 +431,29 @@ fn equal_weight_tenants_split_the_port_within_one_quantum() {
         "equal-weight equal-demand tenants diverged by more than one \
          quantum: {b0} vs {b1} bytes"
     );
+}
+
+/// `Machine` is `Send`: a traced, faulted run that moves to another
+/// thread halfway exports exactly what a run kept on one thread does.
+#[test]
+fn machine_moved_to_another_thread_matches_a_single_thread_run() {
+    let mut cfg = MachineConfig {
+        seed: SEED,
+        faults: FaultPlan::default()
+            .apply_spec("all=0.05,jitter_ns=1500,storm_us=4000")
+            .expect("valid fault spec"),
+        ..MachineConfig::default()
+    };
+    cfg.trace.enabled = true;
+    let mut m = build(cfg.clone(), Mode::TaiChi);
+    m.run_until(SimTime::from_millis(50));
+    let moved = std::thread::spawn(move || {
+        m.run_until(SimTime::from_millis(100));
+        m
+    })
+    .join()
+    .expect("the moved run finished");
+    let stayed = run(cfg, Mode::TaiChi, SimTime::from_millis(100));
+    assert_eq!(fingerprint(&moved), fingerprint(&stayed));
+    assert!(moved.trace_tsv() == stayed.trace_tsv(), "trace TSV differs");
 }

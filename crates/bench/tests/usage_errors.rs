@@ -50,6 +50,18 @@ fn bad_knobs_and_unknown_flags_exit_with_usage() {
     expect_usage_error(EXT_TENANTS, &["--aggressor", "0"], None, "--aggressor 0");
     expect_usage_error(
         EXT_TENANTS,
+        &["--weights", "3:1:5", "--horizon-ms", "2"],
+        None,
+        "--weights 3:1:5",
+    );
+    expect_usage_error(
+        EXT_TENANTS,
+        &["--tenants", "2", "--weights", "3:1:5"],
+        None,
+        "--weights 3:1:5",
+    );
+    expect_usage_error(
+        EXT_TENANTS,
         &["--tenants", "3", "--aggressor", "3"],
         None,
         "--aggressor 3",

@@ -27,9 +27,9 @@
 //! scheduler must not have lost a vCPU, wedged a softirq, exceeded its
 //! IPI retry budget, stranded a sleeping thread, or run its clock
 //! backwards. Violations are reported as strings (one per broken
-//! invariant); the asserting variant arms a
-//! [`FailureDump`](taichi_sim::trace::FailureDump) first so a failing
-//! fault-matrix test leaves a trace TSV behind.
+//! invariant); the asserting variant panics, and a traced machine
+//! dropped during that panic writes its trace TSV to `trace.dump`, so a
+//! failing fault-matrix test leaves the schedule behind.
 
 use crate::machine::{Machine, MAX_IPI_RETRIES};
 use crate::orchestrator::IpiOrchestrator;
@@ -307,10 +307,9 @@ pub fn check_invariants(m: &Machine) -> InvariantReport {
     InvariantReport { violations }
 }
 
-/// Fail-fast variant of [`check_invariants`]: on any violation, arms a
-/// [`FailureDump`](taichi_sim::trace::FailureDump) (so the trace TSV
-/// lands at the configured `trace.dump` path when tracing is on) and
-/// panics with the full report.
+/// Fail-fast variant of [`check_invariants`]: on any violation, panics
+/// with the full report (a traced machine dropped during the unwind
+/// writes its trace TSV to the configured `trace.dump` path).
 ///
 /// # Panics
 ///
@@ -320,7 +319,6 @@ pub fn assert_invariants(m: &Machine, label: &str) {
     if report.ok() {
         return;
     }
-    let _dump = m.failure_dump(label);
     panic!("{label}: {report}");
 }
 

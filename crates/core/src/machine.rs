@@ -1,8 +1,8 @@
 //! Full-system composition: the SmartNIC machine simulator.
 //!
 //! A [`Machine`] wires every substrate together — accelerator, rx
-//! rings, APIC fabric, kernel, DP services, CP tasks, vCPUs — and runs
-//! the discrete-event loop. [`Mode`] selects the scheduling regime
+//! rings, interrupt fabric, kernel, DP services, CP tasks, vCPUs — and
+//! runs the discrete-event loop. [`Mode`] selects the scheduling regime
 //! under test:
 //!
 //! | Mode | CP placement | DP placement | Probes |
@@ -43,6 +43,15 @@
 //!   the burst ends. Every other event keeps its key, so outputs are
 //!   byte-identical to queueing every completion; only the dispatched
 //!   event count falls.
+//!
+//! # One owner for the tracer and the fault injector
+//!
+//! The machine holds the only [`Tracer`] and the only
+//! [`FaultInjector`]. Components never see either: they report what
+//! happened (a [`PipelineOutput`], a softirq raise, a
+//! [`KernelAction::Fact`]) and the machine emits every trace event and
+//! draws every fault, just before the component call the fault acts
+//! on. Nothing is shared, so `Machine` is `Send`.
 
 use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
@@ -53,13 +62,13 @@ use crate::vcpu_sched::VcpuScheduler;
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
 use taichi_dp::{DpService, LatencyRecorder, ServiceRecorders, TrafficGen};
 use taichi_hw::{
-    Accelerator, ApicFabric, CpuExecState, CpuId, HwWorkloadProbe, IoKind, IrqVector, Packet,
-    PacketId,
+    Accelerator, CpuExecState, CpuId, HwWorkloadProbe, IoKind, IrqVector, Packet, PacketId,
+    PipelineOutput, IRQ_LATENCY,
 };
 use taichi_os::{
-    ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId, ThreadState,
+    ActionBuf, CpuSet, Kernel, KernelAction, KernelFact, Program, Segment, SoftirqKind, ThreadId,
+    ThreadState,
 };
-use taichi_sim::trace::FailureDump;
 use taichi_sim::{
     Arena, ArenaStats, EventKey, EventQueue, EventToken, FaultInjector, IpiFate, Rng, SimDuration,
     SimTime, TraceKind, Tracer,
@@ -284,6 +293,11 @@ const _: () = assert!(std::mem::size_of::<EventToken>() == 16);
 /// One cache line per in-flight packet (the arena between ingest and
 /// delivery); rx rings hold a narrower 40-byte descriptor.
 const _: () = assert!(std::mem::size_of::<Packet>() == 64);
+/// A machine owns all of its state, so it can move to another thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Machine>();
+};
 
 /// Degradation-bookkeeping counters for the fault layer: every
 /// recovery action the scheduler took, plus the loss counters the
@@ -324,7 +338,7 @@ struct Burst {
 }
 
 /// Builds the programs of a source's CP batches, one batch per call.
-type BatchBuilder = Box<dyn FnMut() -> Vec<Program>>;
+type BatchBuilder = Box<dyn FnMut() -> Vec<Program> + Send>;
 
 /// A source of scheduled CP batches (see [`Machine::schedule_cp_batches`]).
 struct CpSource {
@@ -344,7 +358,6 @@ pub struct Machine {
 
     accel: Accelerator,
     hw_probe: HwWorkloadProbe,
-    apic: ApicFabric,
     kernel: Kernel,
     orchestrator: IpiOrchestrator,
     vsched: VcpuScheduler,
@@ -463,6 +476,20 @@ pub struct Machine {
     probe_starve: Vec<u32>,
 }
 
+/// A traced machine dropped while its thread panics (a failing test)
+/// writes its trace TSV to [`TraceConfig::dump`](taichi_sim::TraceConfig::dump),
+/// claimed like any other export, so the failing schedule survives.
+impl Drop for Machine {
+    fn drop(&mut self) {
+        if std::thread::panicking() && self.cfg.trace.dump.is_some() {
+            // `dump` is set, so the default destination is never used.
+            if let Some(path) = self.export_trace(Path::new("")) {
+                eprintln!("[taichi-trace] wrote {}", path.display());
+            }
+        }
+    }
+}
+
 /// Raw VM-exit reason name for the trace.
 fn exit_reason_name(reason: VmExitReason) -> &'static str {
     match reason {
@@ -549,27 +576,11 @@ impl Machine {
         // The tracer only records the schedule; it never influences it.
         let tracer = Tracer::from_config(&cfg.trace);
         let mut accel = Accelerator::new(cfg.accel.clone());
-        if let Some(t) = &tracer {
-            kernel.set_tracer(t.clone());
-            accel.set_tracer(t.clone());
-        }
 
         // Fault layer: the injector exists only when the plan can
-        // actually fire, so inactive plans leave every subsystem on its
-        // pre-fault fast path and runs byte-identical.
+        // actually fire, so inactive plans leave every draw site an
+        // untaken branch and runs byte-identical.
         let fault = FaultInjector::from_plan(&cfg.faults, cfg.seed);
-        let mut apic = ApicFabric::new(SimDuration::from_nanos(300));
-        if let Some(f) = &fault {
-            if let Some(t) = &tracer {
-                f.set_tracer(t.clone());
-            }
-            kernel.set_fault(f.clone());
-            accel.set_fault(f.clone());
-            apic.set_fault(f.clone());
-            for s in &mut services {
-                s.set_fault(f.clone());
-            }
-        }
 
         // Multi-tenant data path (DESIGN.md §3.11): constructed only
         // when asked for, so the default single-tenant machine carries
@@ -590,7 +601,6 @@ impl Machine {
         Machine {
             accel,
             hw_probe,
-            apic,
             kernel,
             orchestrator,
             vsched,
@@ -835,7 +845,7 @@ impl Machine {
     pub fn schedule_cp_batches(
         &mut self,
         times: impl IntoIterator<Item = SimTime>,
-        build: impl FnMut() -> Vec<Program> + 'static,
+        build: impl FnMut() -> Vec<Program> + Send + 'static,
     ) -> Range<usize> {
         let first = self.batches.len();
         let source = self.cp_sources.park(CpSource {
@@ -938,9 +948,6 @@ impl Machine {
             // settling here keeps the ledger bounded by the timers
             // still pending, not by run length.
             self.settle_skipped();
-            if let Some(tr) = &self.tracer {
-                tr.set_time(at);
-            }
             self.events_dispatched += 1;
             self.dispatched_by_kind[ev.kind()] += 1;
             self.handle(ev);
@@ -1156,14 +1163,24 @@ impl Machine {
             }
             return;
         }
+        if let Some(stall) = self.fault.as_mut().and_then(FaultInjector::accel_stall) {
+            self.fault_fired(packet.dest_cpu, "accel_stall");
+            self.accel.stall_next(stall);
+        }
         let out = self.accel.ingest(&mut packet, self.now, &mut self.hw_probe);
         self.schedule_pipeline(packet, out);
     }
 
-    /// Ledgers a packet the accelerator just ingested and schedules its
-    /// probe IRQ and shared-memory delivery (shared by the direct
-    /// single-tenant path and the arbiter issue path).
-    fn schedule_pipeline(&mut self, packet: Packet, out: taichi_hw::accel::PipelineOutput) {
+    /// Traces and ledgers a packet the accelerator just ingested and
+    /// schedules its probe IRQ and shared-memory delivery (shared by
+    /// the direct single-tenant path and the arbiter issue path).
+    fn schedule_pipeline(&mut self, packet: Packet, out: PipelineOutput) {
+        if let Some(t) = &mut self.tracer {
+            let (cpu, pkt) = (packet.dest_cpu.0, packet.id.0);
+            t.emit_at(out.irq_at, cpu, TraceKind::AccelPreprocess { pkt });
+            let vstate = out.probe_irq.is_some();
+            t.emit_at(out.irq_at, cpu, TraceKind::AccelVCheck { pkt, vstate });
+        }
         if let Some(si) = self.dp_index(packet.dest_cpu) {
             self.dp_inflight[si] += 1;
         } else {
@@ -1177,7 +1194,12 @@ impl Machine {
             // re-checks the CPU state when the packet reaches shared
             // memory (`on_delivered`), which bounds the preemption
             // latency at the pipeline transfer time.
-            if let Some(lat) = self.apic.irq_latency(cpu) {
+            let latency = match self.draw_ipi_fate(cpu) {
+                IpiFate::Drop => None,
+                IpiFate::Delay(d) => Some(IRQ_LATENCY + d),
+                IpiFate::Deliver => Some(IRQ_LATENCY),
+            };
+            if let Some(lat) = latency {
                 let irq_arrives = out.irq_at + lat;
                 self.queue
                     .schedule(irq_arrives.max(self.now), Event::ProbeIrq { host: cpu });
@@ -1205,7 +1227,20 @@ impl Machine {
     fn on_arbiter_issue(&mut self) {
         self.arbiter_armed = false;
         let now = self.now;
+        // The stall is drawn only when a packet will issue; the packet
+        // it stalls names the CPU the fault is traced on.
+        let stall = if self.accel.staged() > 0 {
+            self.fault.as_mut().and_then(FaultInjector::accel_stall)
+        } else {
+            None
+        };
+        if let Some(stall) = stall {
+            self.accel.stall_next(stall);
+        }
         if let Some((packet, out)) = self.accel.issue_next(now, &mut self.hw_probe) {
+            if stall.is_some() {
+                self.fault_fired(packet.dest_cpu, "accel_stall");
+            }
             self.schedule_pipeline(packet, out);
         }
         self.kick_arbiter();
@@ -1221,9 +1256,16 @@ impl Machine {
             return;
         };
         self.dp_inflight[si] = self.dp_inflight[si].saturating_sub(1);
-        // A rejected enqueue is already accounted at the ring (overflow
-        // drop or fault reject), so the bool needs no handling here.
-        self.services[si].enqueue(packet, self.now);
+        // The eNIC can refuse the descriptor even when the ring has
+        // room. A refused packet is accounted at the ring (overflow
+        // drop or fault reject), so the enqueue's bool needs no
+        // handling here.
+        if self.fault.as_mut().is_some_and(FaultInjector::enic_reject) {
+            self.fault_fired(host, "enic_reject");
+            self.services[si].reject();
+        } else {
+            self.services[si].enqueue(packet, self.now);
+        }
         self.yield_armed[si] = false;
         if self.vsched.host_free(host) {
             self.start_processing(host);
@@ -1402,9 +1444,9 @@ impl Machine {
         self.hw_probe.set_state(host, CpuExecState::VState);
         // Raise the dedicated softirq whose handler performs the
         // context switch, then VM-enter. The raise can be lost to
-        // fault injection: `raise` returns false with the pending bit
-        // clear (an honest "already pending" leaves the bit set).
-        self.kernel.softirqs().raise(host, SoftirqKind::TaiChiVcpu);
+        // fault injection, which leaves the pending bit clear (an
+        // honest "already pending" leaves it set).
+        self.raise_switch_softirq(host);
         if self.fault.is_some()
             && !self
                 .kernel
@@ -1426,10 +1468,14 @@ impl Machine {
                 );
                 // The re-raise can itself be dropped; the handle check
                 // below decides whether the grant survives.
-                self.kernel.softirqs().raise(host, SoftirqKind::TaiChiVcpu);
+                self.raise_switch_softirq(host);
             }
         }
-        if !self.kernel.softirqs().handle(host, SoftirqKind::TaiChiVcpu) {
+        let kind = SoftirqKind::TaiChiVcpu;
+        let handled = self.kernel.softirqs().handle(host, kind);
+        if handled {
+            self.trace(host, TraceKind::SoftirqDispatch { kind: kind.name() });
+        } else {
             // The switch softirq stayed lost: the VM-enter never
             // starts. Unwind the placement so the host keeps running
             // its native context instead of wedging half-switched.
@@ -1456,6 +1502,24 @@ impl Machine {
         }
         let enter_done = self.now + SOFTIRQ_LATENCY + VM_ENTER;
         self.queue.schedule(enter_done, Event::VcpuEntered { idx });
+    }
+
+    /// Raises the vCPU-switch softirq on `host`, unless fault
+    /// injection loses the raise (the cross-CPU notification never
+    /// lands, so the pending bit stays clear).
+    fn raise_switch_softirq(&mut self, host: CpuId) {
+        if self
+            .fault
+            .as_mut()
+            .is_some_and(FaultInjector::softirq_dropped)
+        {
+            self.fault_fired(host, "softirq_drop");
+            return;
+        }
+        let kind = SoftirqKind::TaiChiVcpu;
+        if self.kernel.softirqs().raise(host, kind) {
+            self.trace(host, TraceKind::SoftirqRaise { kind: kind.name() });
+        }
     }
 
     fn on_vcpu_entered(&mut self, idx: usize) {
@@ -1721,21 +1785,25 @@ impl Machine {
         // decision timer — whether or not a new one gets armed.
         let old = self.kernel_tok[cpu.index()].take();
         self.skip_stale(old);
-        if let Some(mut t) = self.kernel.next_decision_time(cpu, self.now) {
-            if let Some(f) = &self.fault {
-                // Late decision timers are tolerated by the kernel (it
-                // decides from wall-clock state, not the armed time),
-                // which is exactly why jitter goes here.
-                t += f.timer_jitter(cpu.0);
+        if let Some(t) = self.kernel.next_decision_time(cpu, self.now) {
+            // Late decision timers are tolerated by the kernel (it
+            // decides from wall-clock state, not the armed time), which
+            // is exactly why jitter goes here.
+            let jitter = self
+                .fault
+                .as_mut()
+                .map_or(SimDuration::ZERO, FaultInjector::timer_jitter);
+            if !jitter.is_zero() {
+                self.fault_fired(cpu, "timer_jitter");
             }
-            let at = t.max(self.now);
+            let at = (t + jitter).max(self.now);
             let tok = self.queue.schedule(at, Event::KernelDecide { cpu, gen });
             self.kernel_tok[cpu.index()] = Some((tok, at));
         }
     }
 
-    /// Runs one kernel call with the machine's scratch [`ActionBuf`]
-    /// and applies the resulting actions.
+    /// Runs one kernel call with the machine's scratch [`ActionBuf`],
+    /// traces the facts it reported, then applies its other actions.
     ///
     /// The buffer is *taken* out of `self` for the duration: action
     /// handling can reenter (`SendIpi` → kick vCPU → `place_vcpu` →
@@ -1754,30 +1822,55 @@ impl Machine {
     }
 
     fn apply_kernel_actions(&mut self, acts: &ActionBuf) {
+        if let Some(t) = &mut self.tracer {
+            for a in acts.iter() {
+                let KernelAction::Fact { fact, cpu, tid, at } = a else {
+                    continue;
+                };
+                let tid = tid.0;
+                let kind = match fact {
+                    KernelFact::Preempt => TraceKind::Preempt { tid },
+                    KernelFact::NonPreemptibleEnter => TraceKind::NonPreemptibleEnter { tid },
+                    KernelFact::NonPreemptibleLeave => TraceKind::NonPreemptibleLeave { tid },
+                    KernelFact::TimeUnderflow => {
+                        t.bump("time_underflow");
+                        continue;
+                    }
+                };
+                t.emit_at(at, cpu.0, kind);
+            }
+        }
         for a in acts.iter() {
             match a {
                 KernelAction::ArmWakeup { tid, at } => {
                     let mut at = at;
-                    if let Some(f) = &self.fault {
-                        if f.wakeup_dropped(NO_CPU) {
-                            if f.degrade().wakeup_rearm {
-                                // Slack-timer recovery: the wakeup
-                                // lands late but it lands.
-                                self.health.wakeup_rearms += 1;
-                                self.trace(
-                                    CpuId(NO_CPU),
-                                    TraceKind::Degrade {
-                                        action: "wakeup_rearm",
-                                    },
-                                );
-                                at += WAKEUP_REARM_DELAY;
-                            } else {
-                                // Policy disabled: the thread sleeps
-                                // forever. Recorded so the invariant
-                                // checker catches the broken policy.
-                                self.health.lost_wakeups.push(tid);
-                                continue;
-                            }
+                    if self
+                        .fault
+                        .as_mut()
+                        .is_some_and(FaultInjector::wakeup_dropped)
+                    {
+                        self.fault_fired(CpuId(NO_CPU), "wakeup_drop");
+                        if self
+                            .fault
+                            .as_ref()
+                            .is_some_and(|f| f.degrade().wakeup_rearm)
+                        {
+                            // Slack-timer recovery: the wakeup lands
+                            // late but it lands.
+                            self.health.wakeup_rearms += 1;
+                            self.trace(
+                                CpuId(NO_CPU),
+                                TraceKind::Degrade {
+                                    action: "wakeup_rearm",
+                                },
+                            );
+                            at += WAKEUP_REARM_DELAY;
+                        } else {
+                            // Policy disabled: the thread sleeps
+                            // forever. Recorded so the invariant
+                            // checker catches the broken policy.
+                            self.health.lost_wakeups.push(tid);
+                            continue;
                         }
                     }
                     self.queue
@@ -1786,6 +1879,7 @@ impl Machine {
                 KernelAction::ThreadFinished { tid } => self.on_thread_finished(tid),
                 KernelAction::SendIpi { src, dst, vector } => self.route_ipi(src, dst, vector, 0),
                 KernelAction::Rearm { cpu } => self.rearm_kernel(cpu),
+                KernelAction::Fact { .. } => {}
             }
         }
     }
@@ -1799,8 +1893,8 @@ impl Machine {
     /// checker when the bound is exceeded).
     fn route_ipi(&mut self, src: CpuId, dst: CpuId, vector: IrqVector, attempt: u32) {
         self.health.ipi_max_attempt = self.health.ipi_max_attempt.max(attempt);
-        if let Some(f) = &self.fault {
-            match f.ipi_fate(dst.0) {
+        if self.fault.is_some() {
+            match self.draw_ipi_fate(dst) {
                 IpiFate::Drop => {
                     if attempt < MAX_IPI_RETRIES {
                         self.health.ipi_resends += 1;
@@ -1863,11 +1957,12 @@ impl Machine {
     /// programs (alternating monitoring and device management) built
     /// from the injector's forked RNG, then re-arm the next burst.
     fn on_fault_storm(&mut self) {
-        let Some(f) = self.fault.clone() else {
+        let Some(f) = &mut self.fault else {
             return;
         };
         let plan = f.plan();
-        let mut rng = f.storm(NO_CPU);
+        let mut rng = f.storm();
+        self.fault_fired(CpuId(NO_CPU), "cp_storm");
         let factory = TaskFactory::default();
         for i in 0..plan.storm_tasks {
             let kind = if i % 2 == 0 {
@@ -1935,10 +2030,30 @@ impl Machine {
         self.dp_index_map.get(cpu.index()).copied().flatten()
     }
 
-    fn trace(&self, cpu: CpuId, kind: TraceKind) {
-        if let Some(t) = &self.tracer {
+    fn trace(&mut self, cpu: CpuId, kind: TraceKind) {
+        if let Some(t) = &mut self.tracer {
             t.emit_at(self.now, cpu.0, kind);
         }
+    }
+
+    /// Traces a fault that just fired on (or for) `cpu`.
+    fn fault_fired(&mut self, cpu: CpuId, kind: &'static str) {
+        self.trace(cpu, TraceKind::FaultInject { kind });
+    }
+
+    /// What the interrupt fabric does to one message headed for `cpu`
+    /// (always delivered without an injector).
+    fn draw_ipi_fate(&mut self, cpu: CpuId) -> IpiFate {
+        let fate = self
+            .fault
+            .as_mut()
+            .map_or(IpiFate::Deliver, FaultInjector::ipi_fate);
+        match fate {
+            IpiFate::Drop => self.fault_fired(cpu, "ipi_drop"),
+            IpiFate::Delay(_) => self.fault_fired(cpu, "ipi_delay"),
+            IpiFate::Deliver => {}
+        }
+        fate
     }
 
     /// The scheduler tracer, when tracing is enabled.
@@ -1950,17 +2065,6 @@ impl Machine {
     /// disabled). See [`taichi_sim::trace`] for the format.
     pub fn trace_tsv(&self) -> Option<String> {
         self.tracer.as_ref().map(|t| t.to_tsv())
-    }
-
-    /// Arms a dump-on-panic guard: if the calling test fails while the
-    /// guard is live, the trace TSV is written to the configured
-    /// [`TraceConfig::dump`](taichi_sim::TraceConfig::dump) path.
-    /// `None` when tracing is disabled.
-    pub fn failure_dump(&self, label: &str) -> Option<FailureDump> {
-        let dest = self.cfg.trace.dump.as_deref();
-        self.tracer
-            .as_ref()
-            .map(|t| FailureDump::new(t, dest, label))
     }
 
     /// Writes the scheduler trace TSV and returns where it landed, or

@@ -29,9 +29,7 @@ use std::sync::Arc;
 
 use crate::latency::LatencyRecorder;
 use taichi_hw::{CpuId, Packet, RxQueue};
-use taichi_sim::{
-    round_u64, Dist, FaultInjector, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter,
-};
+use taichi_sim::{round_u64, Dist, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter};
 
 /// Cost of one empty poll iteration (queue probe + loop overhead).
 const POLL_ITERATION: SimDuration = SimDuration::from_nanos(120);
@@ -204,10 +202,13 @@ impl DpService {
         ok
     }
 
-    /// Attaches a fault injector to the receive ring (descriptor-
-    /// reject backpressure faults).
-    pub fn set_fault(&mut self, fault: FaultInjector) {
-        self.queue.set_fault(fault);
+    /// Refuses a delivered packet at the ring on injected eNIC
+    /// backpressure instead of enqueueing it: counted in
+    /// [`DpService::rejected`] and [`DpService::lost`], never in
+    /// [`DpService::dropped`]. The rejected descriptor never reaches
+    /// the ring, so an open empty-poll run stays open.
+    pub fn reject(&mut self) {
+        self.queue.reject();
     }
 
     /// Packets waiting in the ring.
@@ -667,19 +668,9 @@ mod tests {
 
     #[test]
     fn fault_rejects_do_not_count_as_service_drops() {
-        use taichi_sim::{FaultInjector, FaultPlan};
         let mut s = mk_service();
-        let f = FaultInjector::from_plan(
-            &FaultPlan {
-                enic_reject_rate: 1.0,
-                ..FaultPlan::default()
-            },
-            7,
-        )
-        .expect("active plan");
-        s.set_fault(f);
-        let t = SimTime::from_micros(1);
-        assert!(!s.enqueue(delivered(1, 1), t));
+        s.reject();
+        assert_eq!(s.pending(), 0, "a rejected descriptor never queues");
         assert_eq!(s.dropped(), 0, "a fault reject is not load shedding");
         assert_eq!(s.rejected(), 1);
         assert_eq!(s.lost(), 1);

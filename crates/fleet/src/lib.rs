@@ -961,10 +961,11 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
             let delta_tx = delta_tx.clone();
             let cfg = cfg.clone();
             scope.spawn(move || {
-                // Machines are built *inside* the worker (`Machine` is
-                // deliberately `!Send`); worker `w` owns every index
-                // congruent to `w` mod `workers` and advances them in
-                // ascending order each epoch. The plan buffer, the
+                // Machines are built *inside* the worker and stay there
+                // (machine affinity; DESIGN.md §3.9 measured per-epoch
+                // threads at a higher peak RSS); worker `w` owns every
+                // index congruent to `w` mod `workers` and advances them
+                // in ascending order each epoch. The plan buffer, the
                 // recorder loan and the recycled delta live for the
                 // whole run, so a steady-state epoch performs
                 // O(machines) work with no per-event allocation.

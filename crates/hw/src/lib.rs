@@ -21,7 +21,7 @@ pub mod probe;
 pub mod queue;
 
 pub use accel::{Accelerator, AcceleratorConfig, PipelineOutput};
-pub use apic::{ApicFabric, IpiMessage, IrqVector};
+pub use apic::{IpiMessage, IrqVector, IRQ_LATENCY};
 pub use cpu::{CpuId, SmartNicSpec};
 pub use packet::{IoKind, Packet, PacketId, TenantId};
 pub use probe::{CpuExecState, HwWorkloadProbe};

@@ -13,7 +13,7 @@
 
 use crate::cpu::CpuId;
 use crate::packet::{IoKind, Packet, PacketId, TenantId};
-use taichi_sim::{Counter, FaultInjector, SimTime};
+use taichi_sim::{Counter, SimTime};
 
 use std::collections::VecDeque;
 
@@ -81,7 +81,6 @@ pub struct RxQueue {
     dropped: Counter,
     rejected: Counter,
     high_watermark: usize,
-    fault: Option<FaultInjector>,
 }
 
 impl RxQueue {
@@ -106,24 +105,25 @@ impl RxQueue {
             dropped: Counter::new(),
             rejected: Counter::new(),
             high_watermark: 0,
-            fault: None,
         }
     }
 
-    /// Attaches a fault injector (descriptor-reject backpressure).
-    pub fn set_fault(&mut self, fault: FaultInjector) {
-        self.fault = Some(fault);
-    }
-
-    /// Deposits a packet; returns `false` when the ring is full (counts
-    /// an overflow drop) or the injected backpressure fault rejects the
-    /// descriptor (counts a fault reject).
+    /// Refuses one descriptor on injected backpressure (counts a fault
+    /// reject). The machine draws the eNIC reject fault before offering
+    /// the packet to [`RxQueue::push`] and calls this instead when it
+    /// fires.
     ///
     /// The two loss causes are kept in separate counters: a fault
     /// reject is already attributed to the injector's `enic_rejects`
     /// stat, and folding it into the overflow counter double-charged it
     /// against the service-level drop metric the evaluation uses to
     /// check that no mode sheds load.
+    pub fn reject(&mut self) {
+        self.rejected.inc();
+    }
+
+    /// Deposits a packet; returns `false` when the ring is full (counts
+    /// an overflow drop).
     ///
     /// # Panics
     ///
@@ -137,12 +137,6 @@ impl RxQueue {
             "rx ring cannot queue completed packet {:?}",
             packet.id
         );
-        if let Some(f) = &self.fault {
-            if f.enic_reject(packet.dest_cpu.0) {
-                self.rejected.inc();
-                return false;
-            }
-        }
         if self.ring.len() >= self.capacity {
             self.dropped.inc();
             return false;

@@ -42,7 +42,7 @@ pub mod thread;
 
 pub use actions::ActionBuf;
 pub use cpuset::CpuSet;
-pub use kernel::{Kernel, KernelAction, KernelConfig};
+pub use kernel::{Kernel, KernelAction, KernelConfig, KernelFact};
 pub use lock::LockId;
 pub use softirq::SoftirqKind;
 pub use thread::{Program, Segment, ThreadId, ThreadState};

@@ -7,7 +7,7 @@
 //! handler execution costs live in the Tai Chi scheduler's cost model.
 
 use taichi_hw::CpuId;
-use taichi_sim::{Counter, FaultInjector, TraceKind, Tracer};
+use taichi_sim::Counter;
 
 /// Softirq categories (a subset of Linux's, plus Tai Chi's own).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -37,8 +37,6 @@ pub struct SoftirqState {
     pending: Vec<u8>,
     raised: Counter,
     handled: Counter,
-    tracer: Option<Tracer>,
-    fault: Option<FaultInjector>,
 }
 
 impl SoftirqState {
@@ -48,20 +46,7 @@ impl SoftirqState {
             pending: vec![0; num_cpus as usize],
             raised: Counter::new(),
             handled: Counter::new(),
-            tracer: None,
-            fault: None,
         }
-    }
-
-    /// Attaches a scheduler tracer (raises and dispatches are
-    /// recorded, stamped with the tracer clock).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attaches a fault injector (lost raises).
-    pub fn set_fault(&mut self, fault: FaultInjector) {
-        self.fault = Some(fault);
     }
 
     /// Grows to cover newly registered CPUs.
@@ -72,17 +57,10 @@ impl SoftirqState {
     }
 
     /// Raises `kind` on `cpu`. Returns `true` if it was newly raised
-    /// (not already pending). A raise can be lost to fault injection
-    /// (the cross-CPU notification never lands): the pending bit stays
-    /// clear, no raise is counted, and the caller sees `false` — the
-    /// same signature as "already pending", which is why callers that
-    /// need the distinction check [`is_pending`](Self::is_pending).
+    /// (not already pending). A raise lost to fault injection (the
+    /// cross-CPU notification never lands) is decided by the caller,
+    /// which then never calls this: the pending bit stays clear.
     pub fn raise(&mut self, cpu: CpuId, kind: SoftirqKind) -> bool {
-        if let Some(f) = &self.fault {
-            if f.softirq_dropped(cpu.0) {
-                return false;
-            }
-        }
         let Some(p) = self.pending.get_mut(cpu.index()) else {
             return false;
         };
@@ -91,9 +69,6 @@ impl SoftirqState {
         *p |= bit;
         if newly {
             self.raised.inc();
-            if let Some(t) = &self.tracer {
-                t.emit(cpu.0, TraceKind::SoftirqRaise { kind: kind.name() });
-            }
         }
         newly
     }
@@ -130,9 +105,6 @@ impl SoftirqState {
         if *p & bit != 0 {
             *p &= !bit;
             self.handled.inc();
-            if let Some(t) = &self.tracer {
-                t.emit(cpu.0, TraceKind::SoftirqDispatch { kind: kind.name() });
-            }
             true
         } else {
             false

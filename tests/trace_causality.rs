@@ -205,17 +205,47 @@ fn disabled_trace_records_nothing() {
     m.run_until(SimTime::from_millis(5));
     assert!(m.tracer().is_none(), "tracer allocated while disabled");
     assert!(m.trace_tsv().is_none());
-    assert!(m.failure_dump("off").is_none());
+}
+
+/// A dump destination no other test in this process claims.
+fn dump_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("taichi-{name}-{}.tsv", std::process::id()))
+}
+
+/// A traced machine with a dump destination, run briefly.
+fn dumping_machine(dump: &std::path::Path) -> Machine {
+    let mut cfg = traced_config(5, 1 << 12);
+    cfg.trace.dump = Some(dump.to_path_buf());
+    let mut m = Machine::new(cfg, Mode::TaiChi);
+    m.add_traffic(bursty(8));
+    m.run_until(SimTime::from_millis(1));
+    m
 }
 
 #[test]
 fn failure_dump_guard_is_silent_without_a_panic() {
-    // The RAII guard writes $TAICHI_TRACE only while panicking; a
-    // passing test must drop it without side effects.
-    let m = mixed_run(Mode::TaiChi, 5, 2);
-    let guard = m.failure_dump("trace_causality::no_panic");
-    assert!(guard.is_some());
-    drop(guard);
+    // A traced machine writes its dump destination only when dropped
+    // while panicking; a passing test drops it without side effects.
+    let path = dump_path("no-panic");
+    drop(dumping_machine(&path));
+    assert!(!path.exists(), "{} written without a panic", path.display());
+}
+
+#[test]
+fn panicking_test_dumps_its_traced_machine() {
+    let path = dump_path("panic");
+    let run = std::panic::catch_unwind(|| {
+        let _m = dumping_machine(&path);
+        panic!("deliberate failure while the machine is alive");
+    });
+    assert!(run.is_err());
+    let tsv = std::fs::read_to_string(&path).expect("the unwind wrote the trace");
+    let _ = std::fs::remove_file(&path);
+    assert!(tsv.starts_with("# taichi-trace v1\n"), "{tsv:.80}");
+    assert!(
+        tsv.contains("\taccel_preprocess\t"),
+        "the dump holds the schedule"
+    );
 }
 
 #[test]
