@@ -26,9 +26,9 @@
 //!   with percentile extraction.
 //! - [`stats`]: online summary statistics, counters, and time-weighted
 //!   utilization meters.
-//! - [`fault`]: a seeded, deterministic fault-injection plan the
-//!   hardware and OS layers consult, decorrelated from workload
-//!   randomness.
+//! - [`fault`]: a seeded, deterministic fault-injection plan and the
+//!   injector its one owner (the machine) draws from, decorrelated
+//!   from workload randomness.
 //! - [`report`]: plain-text table and CSV formatting used by the
 //!   experiment binaries.
 //!
