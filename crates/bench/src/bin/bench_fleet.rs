@@ -41,8 +41,9 @@
 //! `alloc_bytes_per_machine` is cumulative allocator traffic over the
 //! whole run divided by the machine count, and
 //! `resident_bytes_per_machine` is the simulator's own accounting of
-//! per-machine backing storage (event slab, wheel chunks, rings,
-//! latency-recorder buckets) at the final epoch boundary. Fleet
+//! the heap each machine holds (`Machine::resident_bytes`, within 10 %
+//! of the live heap by the `resident_bytes` test) at the final epoch
+//! boundary. Fleet
 //! machines hold no recorder buckets there: each worker lends its one
 //! recorder set to a machine only for that machine's run, so the
 //! workers' sets show up in peak RSS, not in the per-machine figure.

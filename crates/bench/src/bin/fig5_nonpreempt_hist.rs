@@ -12,6 +12,11 @@ use taichi_sim::{Histogram, Rng};
 
 fn main() {
     let knobs = Knobs::init();
+    if knobs.trace.enabled {
+        // Not an error: a traced run of the whole suite must get
+        // through this binary too.
+        eprintln!("warning: fig5_nonpreempt_hist simulates no machine, so it writes no trace");
+    }
     const SAMPLES: u64 = 456_000;
     let dist = fig5_routine_ms();
     let mut rng = Rng::new(knobs.seed);

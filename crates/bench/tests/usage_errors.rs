@@ -74,3 +74,28 @@ fn bad_knobs_and_unknown_flags_exit_with_usage() {
     );
     expect_usage_error(EXT_FLEET, &["--epochs", "3"], None, "--storm off");
 }
+
+#[test]
+fn fig5_warns_once_that_it_writes_no_trace() {
+    // fig5 draws routine lengths and builds no machine: a trace request
+    // is one warning line, not an error, so a traced suite run goes on.
+    let dump = std::env::temp_dir().join(format!("fig5-trace-{}.tsv", std::process::id()));
+    let requests: [(&[&str], Option<&Path>); 2] = [(&["--trace"], None), (&[], Some(&dump))];
+    for (args, path) in requests {
+        let mut cmd = Command::new(FIG5);
+        cmd.args(args).env_remove("TAICHI_TRACE");
+        if let Some(p) = path {
+            cmd.env("TAICHI_TRACE", p);
+        }
+        let out = cmd.output().expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} {path:?}: {stderr}");
+        let warnings: Vec<_> = stderr
+            .lines()
+            .filter(|l| l.starts_with("warning:"))
+            .collect();
+        assert_eq!(warnings.len(), 1, "{args:?} {path:?}: {stderr}");
+        assert!(warnings[0].contains("no trace"), "{stderr}");
+        assert!(!dump.exists(), "fig5 wrote a trace to {}", dump.display());
+    }
+}

@@ -55,6 +55,11 @@ pub struct IpiOrchestrator {
 }
 
 impl IpiOrchestrator {
+    /// Heap bytes of the per-CPU class table.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.classes)
+    }
+
     /// Creates an orchestrator for `num_physical` physical CPUs and no
     /// vCPUs yet.
     pub fn new(num_physical: u32) -> Self {

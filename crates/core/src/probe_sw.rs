@@ -34,6 +34,11 @@ pub struct AdaptiveYield {
 }
 
 impl AdaptiveYield {
+    /// Heap bytes of the per-CPU thresholds.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.thresholds)
+    }
+
     /// Creates thresholds for `num_cpus` CPUs, all at `initial`,
     /// clamped into `[min, max]`.
     ///

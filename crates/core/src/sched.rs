@@ -65,6 +65,11 @@ pub struct TaiChiPolicy {
 }
 
 impl TaiChiPolicy {
+    /// Heap bytes of the adaptive controllers' tables.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.yield_ctl.resident_bytes() + self.slice_ctl.resident_bytes()
+    }
+
     /// Builds the policy for a machine with `num_cpus` physical CPUs.
     pub fn new(num_cpus: u32) -> Self {
         TaiChiPolicy {

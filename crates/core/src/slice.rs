@@ -20,6 +20,11 @@ pub struct AdaptiveSlice {
 }
 
 impl AdaptiveSlice {
+    /// Heap bytes of the per-vCPU slices.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.slices)
+    }
+
     /// Creates slices for `num_cpus` host CPUs starting at `initial`.
     ///
     /// # Panics

@@ -24,6 +24,11 @@ pub struct VcpuScheduler {
 }
 
 impl VcpuScheduler {
+    /// Heap bytes of the vCPU and occupancy tables.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.vcpus) + taichi_sim::vec_bytes(&self.occupancy)
+    }
+
     /// Creates a scheduler for `vcpu_ids` (kernel CPU IDs of the
     /// vCPUs) over `num_physical` physical CPUs.
     pub fn new(vcpu_ids: &[CpuId], num_physical: u32) -> Self {

@@ -79,6 +79,11 @@ pub struct VmStartupTracker {
 }
 
 impl VmStartupTracker {
+    /// Heap bytes of the outstanding device-thread list.
+    pub fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.outstanding)
+    }
+
     /// Starts tracking `request` with the spawned device threads.
     pub fn new(request: VmCreateRequest, device_threads: Vec<ThreadId>) -> Self {
         assert_eq!(

@@ -15,7 +15,7 @@
 //! RSS hashing of many flows does.
 
 use taichi_hw::{CpuId, IoKind, Packet, PacketId, TenantId};
-use taichi_sim::{round_u64, Dist, Rng, SimDuration, SimTime};
+use taichi_sim::{round_u64, vec_bytes, Dist, Rng, SimDuration, SimTime};
 
 /// When packets arrive.
 #[derive(Clone, Debug)]
@@ -66,6 +66,25 @@ pub struct TrafficGen {
 }
 
 impl TrafficGen {
+    /// Heap bytes the generator holds: its target list, the arrival
+    /// pattern's profile and the distributions' tables.
+    pub fn resident_bytes(&self) -> usize {
+        let pattern = match &self.pattern {
+            ArrivalPattern::OpenLoop { gap_us } => gap_us.resident_bytes(),
+            ArrivalPattern::OnOff {
+                on_us,
+                off_us,
+                burst_gap_us,
+            } => on_us.resident_bytes() + off_us.resident_bytes() + burst_gap_us.resident_bytes(),
+            ArrivalPattern::Modulated {
+                base_gap_us,
+                profile,
+                ..
+            } => base_gap_us.resident_bytes() + vec_bytes(profile),
+        };
+        vec_bytes(&self.targets) + pattern + self.size_bytes.resident_bytes()
+    }
+
     /// Creates a generator spraying packets uniformly over `targets`.
     ///
     /// # Panics

@@ -17,8 +17,15 @@ pub struct LatencyRecorder {
 
 impl LatencyRecorder {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LatencyRecorder::default()
+    pub const fn new() -> Self {
+        LatencyRecorder {
+            total: Histogram::new(),
+            software: Histogram::new(),
+            packets: 0,
+            bytes: 0,
+            first_completion: None,
+            last_completion: None,
+        }
     }
 
     /// Records a completed packet (all stage timestamps stamped).

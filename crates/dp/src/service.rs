@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use crate::latency::LatencyRecorder;
-use taichi_hw::{CpuId, Packet, RxQueue};
+use taichi_hw::{CpuId, Packet, RxQueue, RxSlot};
 use taichi_sim::{round_u64, Dist, PreparedDist, Rng, SimDuration, SimTime, UtilizationMeter};
 
 /// Cost of one empty poll iteration (queue probe + loop overhead).
@@ -113,7 +113,9 @@ pub struct DpService {
     /// list is empty in the single-tenant configuration — the
     /// pre-tenant hot path does not touch it (DESIGN.md §3.11).
     recorders: ServiceRecorders,
-    tagged: LatencyRecorder,
+    /// Probe packets' records (non-zero destination queue), created by
+    /// the first one: most services never see a probe packet.
+    tagged: Option<Box<LatencyRecorder>>,
     /// Per-tenant processed-packet counts (empty when single-tenant).
     tenant_processed: Vec<u64>,
     /// Per-tenant ring-overflow drops (empty when single-tenant).
@@ -147,7 +149,7 @@ impl DpService {
             polluted_until: SimTime::ZERO,
             meter: UtilizationMeter::new(SimTime::ZERO),
             recorders: ServiceRecorders::default(),
-            tagged: LatencyRecorder::new(),
+            tagged: None,
             tenant_processed: Vec::new(),
             tenant_drops: Vec::new(),
             processed: 0,
@@ -184,10 +186,16 @@ impl DpService {
     ///
     /// Returns `false` when the ring overflowed (packet dropped).
     pub fn enqueue(&mut self, packet: Packet, now: SimTime) -> bool {
+        self.enqueue_slot(RxSlot::pack(packet), now)
+    }
+
+    /// [`DpService::enqueue`] for a packet already packed into its rx
+    /// descriptor.
+    pub fn enqueue_slot(&mut self, slot: RxSlot, now: SimTime) -> bool {
         let was_empty = self.queue.is_empty();
-        let tenant = packet.tenant.index();
+        let tenant = slot.tenant().index();
         let before = self.queue.total_dropped();
-        let ok = self.queue.push(packet);
+        let ok = self.queue.push_slot(slot);
         if !ok && !self.tenant_drops.is_empty() && self.queue.total_dropped() > before {
             let n = self.tenant_drops.len();
             self.tenant_drops[tenant % n] += 1;
@@ -263,7 +271,7 @@ impl DpService {
             p.completed_at = Some(t);
             self.recorders.merged.record(&p);
             if p.dest_queue != 0 {
-                self.tagged.record(&p);
+                self.tagged.get_or_insert_default().record(&p);
             }
             if !self.recorders.tenants.is_empty() {
                 let i = p.tenant.index() % self.recorders.tenants.len();
@@ -350,7 +358,8 @@ impl DpService {
 
     /// Latency records for probe packets (non-zero destination queue).
     pub fn tagged_recorder(&self) -> &LatencyRecorder {
-        &self.tagged
+        static EMPTY: LatencyRecorder = LatencyRecorder::new();
+        self.tagged.as_deref().unwrap_or(&EMPTY)
     }
 
     /// Per-tenant latency recorders (empty when single-tenant).
@@ -412,10 +421,20 @@ impl DpService {
         self.queue.high_watermark()
     }
 
-    /// Resident bytes of the service's variable-size storage: the rx
-    /// ring's backing store and every recorder's histogram buckets.
+    /// Heap bytes the service holds beyond its own struct: the rx
+    /// ring's backing store, every recorder's histogram buckets, the
+    /// per-tenant counters and the cost distribution's tables. The
+    /// shared config is counted by whoever built it.
     pub fn resident_bytes(&self) -> usize {
-        self.queue.resident_bytes() + self.recorders.resident_bytes() + self.tagged.resident_bytes()
+        self.queue.resident_bytes()
+            + self.recorders.resident_bytes()
+            + taichi_sim::vec_bytes(&self.recorders.tenants)
+            + taichi_sim::vec_bytes(&self.tenant_processed)
+            + taichi_sim::vec_bytes(&self.tenant_drops)
+            + self.proc_cost.resident_bytes()
+            + self.tagged.as_deref().map_or(0, |t| {
+                std::mem::size_of::<LatencyRecorder>() + t.resident_bytes()
+            })
     }
 
     /// Busy fraction of the service since creation.

@@ -15,7 +15,7 @@ use crate::cpu::CpuId;
 use crate::packet::Packet;
 use crate::probe::HwWorkloadProbe;
 use crate::queue::RxQueue;
-use taichi_sim::{round_u64, Counter, SimDuration, SimTime};
+use taichi_sim::{round_u64, vec_bytes, Counter, SimDuration, SimTime};
 
 /// Latency of stage ② (header/payload preprocessing). Paper: 2.7 µs.
 pub const PREPROCESS: SimDuration = SimDuration::from_nanos(2_700);
@@ -320,11 +320,19 @@ impl Accelerator {
         })
     }
 
-    /// Resident bytes across the tenant staging rings' backing stores.
-    pub fn tenant_ring_resident_bytes(&self) -> usize {
-        self.arbiter
-            .as_ref()
-            .map_or(0, |a| a.rings.iter().map(|q| q.resident_bytes()).sum())
+    /// Heap bytes the accelerator holds: the channel table, and with
+    /// several tenants the arbiter's tables and staging rings' backing
+    /// stores.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.channel_free)
+            + self.arbiter.as_ref().map_or(0, |a| {
+                vec_bytes(&a.rings)
+                    + vec_bytes(&a.weights)
+                    + vec_bytes(&a.deficit)
+                    + vec_bytes(&a.issued_pkts)
+                    + vec_bytes(&a.issued_bytes)
+                    + a.rings.iter().map(RxQueue::resident_bytes).sum::<usize>()
+            })
     }
 
     /// When the shared ingest port next frees up — the earliest time

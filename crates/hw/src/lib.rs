@@ -25,4 +25,4 @@ pub use apic::{IpiMessage, IrqVector, IRQ_LATENCY};
 pub use cpu::{CpuId, SmartNicSpec};
 pub use packet::{IoKind, Packet, PacketId, TenantId};
 pub use probe::{CpuExecState, HwWorkloadProbe};
-pub use queue::RxQueue;
+pub use queue::{RxQueue, RxSlot};

@@ -47,6 +47,11 @@ impl HwWorkloadProbe {
         }
     }
 
+    /// Heap bytes of the per-CPU state table.
+    pub fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.states)
+    }
+
     /// Disables the probe (the "Tai Chi w/o HW probe" ablation of
     /// Table 5): checks always report "no IRQ".
     pub fn set_enabled(&mut self, enabled: bool) {

@@ -7,9 +7,11 @@
 //! sheds load instead of absorbing it.
 //!
 //! Like a real NIC's rx ring, the ring holds small fixed-size
-//! descriptors, not whole packet records: an `RxSlot` is 40 bytes
+//! descriptors, not whole packet records: an [`RxSlot`] is 40 bytes
 //! against [`Packet`]'s 64, because a queued packet has no completion
-//! time yet and its delivery time fits a flag plus a bare instant.
+//! time yet and its delivery time fits a flag plus a bare instant. The
+//! same descriptor carries a packet through the accelerator pipeline,
+//! so delivery hands it to the ring as it is.
 
 use crate::cpu::CpuId;
 use crate::packet::{IoKind, Packet, PacketId, TenantId};
@@ -23,7 +25,7 @@ use std::collections::VecDeque;
 /// spare) and an instant that is meaningful only when the flag is set,
 /// so `None` is not confused with any real time.
 #[derive(Clone, Copy, Debug)]
-struct RxSlot {
+pub struct RxSlot {
     id: PacketId,
     submitted_at: SimTime,
     delivered_at: SimTime,
@@ -39,8 +41,19 @@ const _: () = assert!(std::mem::size_of::<RxSlot>() == 40);
 
 impl RxSlot {
     /// Packs a packet that has not completed yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet already has `completed_at` set: the
+    /// descriptor has no room for a completion time, so the stamp
+    /// would be lost.
     #[inline]
-    fn pack(p: Packet) -> Self {
+    pub fn pack(p: Packet) -> Self {
+        assert!(
+            p.completed_at.is_none(),
+            "rx ring cannot queue completed packet {:?}",
+            p.id
+        );
         RxSlot {
             id: p.id,
             submitted_at: p.submitted_at,
@@ -54,9 +67,27 @@ impl RxSlot {
         }
     }
 
-    /// Rebuilds the packet exactly as it was pushed.
+    /// The packet's identifier.
     #[inline]
-    fn unpack(self) -> Packet {
+    pub fn id(&self) -> PacketId {
+        self.id
+    }
+
+    /// The CPU whose ring the packet is bound for.
+    #[inline]
+    pub fn dest_cpu(&self) -> CpuId {
+        self.dest_cpu
+    }
+
+    /// The tenant that owns the packet.
+    #[inline]
+    pub fn tenant(&self) -> TenantId {
+        self.tenant
+    }
+
+    /// Rebuilds the packet exactly as it was packed.
+    #[inline]
+    pub fn unpack(self) -> Packet {
         Packet {
             id: self.id,
             kind: self.kind,
@@ -128,20 +159,21 @@ impl RxQueue {
     /// # Panics
     ///
     /// Panics if the packet already has `completed_at` set: a ring
-    /// queues work the service has yet to do, and its descriptor has
-    /// no room for a completion time, so the stamp would be lost.
+    /// queues work the service has yet to do (see [`RxSlot::pack`]).
     #[inline]
     pub fn push(&mut self, packet: Packet) -> bool {
-        assert!(
-            packet.completed_at.is_none(),
-            "rx ring cannot queue completed packet {:?}",
-            packet.id
-        );
+        self.push_slot(RxSlot::pack(packet))
+    }
+
+    /// [`RxQueue::push`] for a packet already packed into its
+    /// descriptor.
+    #[inline]
+    pub fn push_slot(&mut self, slot: RxSlot) -> bool {
         if self.ring.len() >= self.capacity {
             self.dropped.inc();
             return false;
         }
-        self.ring.push_back(RxSlot::pack(packet));
+        self.ring.push_back(slot);
         self.high_watermark = self.high_watermark.max(self.ring.len());
         self.enqueued.inc();
         true

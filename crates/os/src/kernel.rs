@@ -46,7 +46,7 @@ use crate::lock::LockTable;
 use crate::softirq::SoftirqState;
 use crate::thread::{Program, Segment, Thread, ThreadId, ThreadState};
 use taichi_hw::{CpuId, IrqVector};
-use taichi_sim::{SimDuration, SimTime, UtilizationMeter};
+use taichi_sim::{vec_bytes, SimDuration, SimTime, UtilizationMeter};
 
 use std::collections::VecDeque;
 
@@ -219,6 +219,34 @@ impl Kernel {
         k.softirqs
             .ensure_cpus(boot_cpus.iter().map(|c| c.0 + 1).max().unwrap_or(0));
         k
+    }
+
+    /// Heap bytes of the per-CPU state: the CPU table, each run
+    /// queue's buffer, the lock table and the softirq flags.
+    pub fn cpu_resident_bytes(&self) -> usize {
+        vec_bytes(&self.cpus)
+            + self
+                .cpus
+                .iter()
+                .flatten()
+                .map(|c| c.queue.capacity() * std::mem::size_of::<ThreadId>())
+                .sum::<usize>()
+            + self.locks.resident_bytes()
+            + self.softirqs.resident_bytes()
+    }
+
+    /// Heap bytes of the thread table and the finished-thread list
+    /// (the threads' programs are [`Kernel::program_resident_bytes`]).
+    pub fn thread_resident_bytes(&self) -> usize {
+        vec_bytes(&self.threads) + vec_bytes(&self.finished)
+    }
+
+    /// Heap bytes of every thread's program segments.
+    pub fn program_resident_bytes(&self) -> usize {
+        self.threads
+            .iter()
+            .map(|t| t.program.resident_bytes())
+            .sum()
     }
 
     fn slot_mut(&mut self, cpu: CpuId) -> &mut Option<Cpu> {

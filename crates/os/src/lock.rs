@@ -42,6 +42,17 @@ impl LockTable {
         LockTable::default()
     }
 
+    /// Approximate heap bytes: the map's buckets (one control byte
+    /// each) and every waiter queue's buffer.
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.capacity() * (std::mem::size_of::<(LockId, LockSlot)>() + 1)
+            + self
+                .slots
+                .values()
+                .map(|s| s.waiters.capacity() * std::mem::size_of::<ThreadId>())
+                .sum::<usize>()
+    }
+
     /// Attempts to acquire `lock` for `tid`.
     ///
     /// Returns `true` on success; on failure the thread is queued as a

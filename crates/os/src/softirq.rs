@@ -49,6 +49,11 @@ impl SoftirqState {
         }
     }
 
+    /// Heap bytes of the per-CPU pending flags.
+    pub fn resident_bytes(&self) -> usize {
+        self.pending.capacity()
+    }
+
     /// Grows to cover newly registered CPUs.
     pub(crate) fn ensure_cpus(&mut self, num_cpus: u32) {
         if num_cpus as usize > self.pending.len() {

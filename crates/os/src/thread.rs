@@ -88,6 +88,11 @@ pub struct Program {
 }
 
 impl Program {
+    /// Heap bytes of the segment list.
+    pub fn resident_bytes(&self) -> usize {
+        taichi_sim::vec_bytes(&self.segments)
+    }
+
     /// Creates an empty program (finishes immediately when scheduled).
     pub fn new() -> Self {
         Program::default()

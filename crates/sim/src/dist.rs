@@ -51,6 +51,19 @@ pub enum Dist {
 }
 
 impl Dist {
+    /// Heap bytes behind the empirical and mixture tables (zero for
+    /// every parametric family).
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            Dist::Empirical { buckets } => crate::vec_bytes(buckets),
+            Dist::Mixture { parts } => {
+                crate::vec_bytes(parts)
+                    + parts.iter().map(|(_, d)| d.resident_bytes()).sum::<usize>()
+            }
+            _ => 0,
+        }
+    }
+
     /// Convenience constructor for a constant distribution.
     pub fn constant(value: f64) -> Dist {
         Dist::Constant { value }
@@ -241,6 +254,14 @@ pub enum PreparedDist {
 }
 
 impl PreparedDist {
+    /// Heap bytes behind the distribution's tables.
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            PreparedDist::LogNormal { .. } => 0,
+            PreparedDist::Plain(d) => d.resident_bytes(),
+        }
+    }
+
     /// Draws one sample. `&mut self` because the log-normal banks the
     /// spare Box–Muller value between calls — the dominant cost of a
     /// normal draw is the `ln`/`sqrt`/`sin_cos` triple, and using both

@@ -238,15 +238,15 @@ const L0_WORDS: usize = N0 / 64;
 const L1_WORDS: usize = N1 / 64;
 
 /// Lazy bucket-head storage: one optional 64-head chunk per occupancy
-/// bitmap word. A hot machine touches most of the calendar and ends up
-/// with every chunk allocated (256 B each — the same memory the old
-/// flat array held); a mostly-idle fleet machine whose events cluster
-/// in a few 64-bucket ranges only materializes the chunks it links
-/// into, so thousands of cold queues stop paying for 2048 + 256 eager
-/// head words apiece. Chunk presence is pure storage: `get` answers
-/// [`NIL`] for an absent chunk, which is exactly what the flat array
-/// held for an empty bucket, so pop order and cancel results are
-/// unaffected.
+/// bitmap word. Every head in a word with no bit set is [`NIL`], so
+/// such a word's chunk is idle: the first link into a word without a
+/// chunk takes an idle one, and allocates only when no idle chunk
+/// exists. The table therefore holds at most as many chunks as the
+/// calendar ever had occupied words at once, not one per word the
+/// window has swept past, and a machine at its working set allocates
+/// none. Chunk presence is pure storage: `get` answers [`NIL`] for an
+/// absent chunk, which is exactly what a flat array held for an empty
+/// bucket, so pop order and cancel results are unaffected.
 struct HeadTable<const WORDS: usize> {
     chunks: [Option<Box<[u32; 64]>>; WORDS],
 }
@@ -268,10 +268,22 @@ impl<const WORDS: usize> HeadTable<WORDS> {
         }
     }
 
-    /// Mutable head slot for bucket `b`, materializing its chunk.
+    /// Mutable head slot for bucket `b` of the level whose occupancy
+    /// bitmap is `mask`, materializing its chunk from an idle word's
+    /// (or the allocator when no word is idle).
     #[inline]
-    fn slot_mut(&mut self, b: usize) -> &mut u32 {
-        &mut self.chunks[b >> 6].get_or_insert_with(|| Box::new([NIL; 64]))[b & 63]
+    fn slot_mut(&mut self, mask: &[u64; WORDS], b: usize) -> &mut u32 {
+        let w = b >> 6;
+        if self.chunks[w].is_none() {
+            let idle = (0..WORDS).find(|&i| mask[i] == 0 && self.chunks[i].is_some());
+            let chunk = match idle {
+                Some(i) => self.chunks[i].take().expect("idle word holds a chunk"),
+                None => Box::new([NIL; 64]),
+            };
+            debug_assert!(chunk.iter().all(|&h| h == NIL));
+            self.chunks[w] = Some(chunk);
+        }
+        &mut self.chunks[w].as_mut().expect("chunk materialized")[b & 63]
     }
 
     /// Reads and clears bucket `b`'s head without materializing an
@@ -284,9 +296,14 @@ impl<const WORDS: usize> HeadTable<WORDS> {
         }
     }
 
-    /// Resident bytes held by materialized chunks.
+    /// Chunks held, by occupied and idle words alike.
+    fn chunk_count(&self) -> usize {
+        self.chunks.iter().flatten().count()
+    }
+
+    /// Resident bytes held by the chunks.
     fn resident_bytes(&self) -> usize {
-        self.chunks.iter().flatten().count() * std::mem::size_of::<[u32; 64]>()
+        self.chunk_count() * std::mem::size_of::<[u32; 64]>()
     }
 }
 
@@ -381,7 +398,7 @@ fn clear_bit(mask: &mut [u64], idx: usize) {
 #[inline]
 fn l0_link<E>(wheel: &mut Wheel, slots: &mut [Slot<E>], slot: u32) {
     let b = Wheel::l0_bucket(slots[slot as usize].time.as_nanos());
-    let head = wheel.l0_head.slot_mut(b);
+    let head = wheel.l0_head.slot_mut(&wheel.l0_mask, b);
     slots[slot as usize].next = *head;
     slots[slot as usize].loc = b as u32;
     *head = slot;
@@ -393,7 +410,7 @@ fn l0_link<E>(wheel: &mut Wheel, slots: &mut [Slot<E>], slot: u32) {
 #[inline]
 fn l1_link<E>(wheel: &mut Wheel, slots: &mut [Slot<E>], slot: u32) {
     let b = Wheel::l1_bucket(slots[slot as usize].time.as_nanos());
-    let head = wheel.l1_head.slot_mut(b);
+    let head = wheel.l1_head.slot_mut(&wheel.l1_mask, b);
     slots[slot as usize].next = *head;
     slots[slot as usize].loc = (N0 + b) as u32;
     *head = slot;
@@ -434,6 +451,32 @@ fn list_unlink<E>(slots: &mut [Slot<E>], head: &mut u32, prev: u32, slot: u32) {
         *head = slots[slot as usize].next;
     } else {
         slots[prev as usize].next = slots[slot as usize].next;
+    }
+}
+
+/// Unlinks `slot` from bucket `b` of one wheel level, wherever it sits
+/// in the bucket's list, and clears the bucket's bit once it is empty.
+#[inline]
+fn bucket_remove<E, const WORDS: usize>(
+    slots: &mut [Slot<E>],
+    heads: &mut HeadTable<WORDS>,
+    mask: &mut [u64; WORDS],
+    b: usize,
+    slot: u32,
+) {
+    // `slot_mut` cannot allocate here: the entry is linked into the
+    // bucket, so its chunk exists.
+    let head = heads.slot_mut(mask, b);
+    let mut prev = NIL;
+    let mut cur = *head;
+    while cur != slot {
+        debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
+        prev = cur;
+        cur = slots[cur as usize].next;
+    }
+    list_unlink(slots, head, prev, slot);
+    if *head == NIL {
+        clear_bit(mask, b);
     }
 }
 
@@ -537,6 +580,12 @@ impl<E> EventQueue<E> {
     #[cfg(any(test, feature = "oracle"))]
     pub fn advance_steps(&self) -> u64 {
         self.advance_steps
+    }
+
+    /// Oracle: bucket-head chunks the wheel holds.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn head_chunks(&self) -> usize {
+        self.wheel.l0_head.chunk_count() + self.wheel.l1_head.chunk_count()
     }
 
     /// The time of the most recently popped event (simulation "now").
@@ -665,39 +714,28 @@ impl<E> EventQueue<E> {
             return true;
         }
         // The slab knows the bucket: remove eagerly so no cancelled
-        // entry ever sits in the wheel proper. (`slot_mut` cannot
-        // allocate here — the entry is linked into the bucket, so its
-        // chunk exists.)
+        // entry ever sits in the wheel proper.
         let wheel = &mut *self.wheel;
-        let (head, mask, count, b) = if (loc as usize) < N0 {
-            let b = loc as usize;
-            (
-                wheel.l0_head.slot_mut(b),
-                &mut wheel.l0_mask[..],
-                &mut wheel.l0_count,
-                b,
-            )
+        if (loc as usize) < N0 {
+            bucket_remove(
+                &mut self.slots,
+                &mut wheel.l0_head,
+                &mut wheel.l0_mask,
+                loc as usize,
+                token.slot,
+            );
+            wheel.l0_count -= 1;
         } else {
             let b = loc as usize - N0;
-            (
-                wheel.l1_head.slot_mut(b),
-                &mut wheel.l1_mask[..],
-                &mut wheel.l1_count,
+            bucket_remove(
+                &mut self.slots,
+                &mut wheel.l1_head,
+                &mut wheel.l1_mask,
                 b,
-            )
-        };
-        let mut prev = NIL;
-        let mut cur = *head;
-        while cur != token.slot {
-            debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
-            prev = cur;
-            cur = self.slots[cur as usize].next;
+                token.slot,
+            );
+            wheel.l1_count -= 1;
         }
-        list_unlink(&mut self.slots, head, prev, token.slot);
-        if *head == NIL {
-            clear_bit(mask, b);
-        }
-        *count -= 1;
         self.live -= 1;
         self.retire_queued(token.slot);
         // The removal may have emptied both wheel levels, promoting the
@@ -783,7 +821,8 @@ impl<E> EventQueue<E> {
                     time,
                     seq: self.slots[min as usize].seq + 1,
                 };
-                list_unlink(&mut self.slots, wheel.l0_head.slot_mut(b), prev, min);
+                let head = wheel.l0_head.slot_mut(&wheel.l0_mask, b);
+                list_unlink(&mut self.slots, head, prev, min);
                 if wheel.l0_head.get(b) == NIL {
                     clear_bit(&mut wheel.l0_mask, b);
                 }

@@ -31,7 +31,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
             buckets: Vec::new(),
             count: 0,
