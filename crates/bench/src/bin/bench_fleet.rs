@@ -11,9 +11,11 @@
 //!   pre-pooling sequential driver (one channel message per
 //!   machine-epoch, worst-case up-front storage reservations on every
 //!   machine, per-epoch plan allocation)
-//!   at 1024 machines x 8 epochs — and the `"gate"` block is the
-//!   frozen `--check` threshold; both are **preserved verbatim** when
-//!   the file already exists, so re-runs never move them;
+//!   at 1024 machines x 8 epochs — the `"gate"` block is the
+//!   frozen `--check` threshold, and the `"scaling"` block records
+//!   measured one- vs two-worker pairs of the full run; all three are
+//!   **preserved verbatim** when the file already exists, so re-runs
+//!   never move them;
 //! - the `"current"` block is rewritten on every full run with fresh
 //!   measurements plus the resulting speedup and footprint ratios.
 //!
@@ -182,6 +184,7 @@ fn main() {
     };
 
     let gate_block = json_block(&existing, "gate");
+    let scaling_block = json_block(&existing, "scaling");
 
     let baseline_meps = json_number(&baseline_block, "machine_epochs_per_sec");
     let baseline_rss_per_machine = json_number(&baseline_block, "peak_rss_kb_per_machine");
@@ -227,8 +230,8 @@ fn main() {
     );
 
     let mut json = format!("{{\n  {baseline_block},\n");
-    if let Some(gate) = gate_block {
-        let _ = writeln!(json, "  {gate},");
+    for block in [gate_block, scaling_block].into_iter().flatten() {
+        let _ = writeln!(json, "  {block},");
     }
     let _ = write!(json, "  {current}\n}}\n");
     write_bench_json("BENCH_fleet.json", &json, quick);

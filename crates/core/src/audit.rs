@@ -58,8 +58,37 @@ pub struct AuditSession {
     audit_cpu: CpuId,
     original_affinity: CpuSet,
     started_at: SimTime,
-    pc_at_start: usize,
+    /// [`ahead`] of the target when the session began.
+    ahead_at_start: Ahead,
     cpu_time_at_start: SimDuration,
+}
+
+/// Segments still ahead of a thread's program counter, and the kernel
+/// entries among them.
+#[derive(Clone, Copy, Debug)]
+struct Ahead {
+    segments: u64,
+    kernel_entries: u64,
+}
+
+/// What `tid` has left to run. A finished thread has nothing left:
+/// the kernel drops its program when it finishes, so a session's
+/// counts are differences of these, never reads of retired segments.
+fn ahead(kernel: &Kernel, tid: ThreadId) -> Ahead {
+    let t = kernel.thread_info(tid);
+    let rest = t.program.segments().get(t.pc..).unwrap_or_default();
+    Ahead {
+        segments: rest.len() as u64,
+        kernel_entries: rest
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s,
+                    Segment::KernelPreemptible(_) | Segment::NonPreemptible { .. }
+                )
+            })
+            .count() as u64,
+    }
 }
 
 impl AuditSession {
@@ -80,7 +109,7 @@ impl AuditSession {
         let ids = orchestrator.register_vcpus(kernel, 1, now);
         let audit_cpu = ids[0];
         let original_affinity = kernel.thread_info(target).affinity;
-        let pc_at_start = kernel.thread_info(target).pc;
+        let ahead_at_start = ahead(kernel, target);
         let cpu_time_at_start = kernel.thread_info(target).cpu_time;
         kernel.set_affinity(target, CpuSet::single(audit_cpu), now, out);
         AuditSession {
@@ -88,7 +117,7 @@ impl AuditSession {
             audit_cpu,
             original_affinity,
             started_at: now,
-            pc_at_start,
+            ahead_at_start,
             cpu_time_at_start,
         }
     }
@@ -107,28 +136,11 @@ impl AuditSession {
     /// the auditing vCPU (once idle) and returns the report. Driver
     /// actions land in `out`.
     pub fn end(self, kernel: &mut Kernel, now: SimTime, out: &mut ActionBuf) -> AuditReport {
-        let t = kernel.thread_info(self.target);
-        let pc_now = t.pc;
-        let program = t.program.clone();
-        let cpu_time_now = t.cpu_time;
-        let retired: &[Segment] = {
-            let segs = program.segments();
-            let hi = pc_now.min(segs.len());
-            let lo = self.pc_at_start.min(hi);
-            &segs[lo..hi]
-        };
-        let kernel_entries = retired
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Segment::KernelPreemptible(_) | Segment::NonPreemptible { .. }
-                )
-            })
-            .count() as u64;
+        let cpu_time_now = kernel.thread_info(self.target).cpu_time;
+        let (start, now_left) = (self.ahead_at_start, ahead(kernel, self.target));
         let report = AuditReport {
-            segments_retired: retired.len() as u64,
-            kernel_entries,
+            segments_retired: start.segments - now_left.segments,
+            kernel_entries: start.kernel_entries - now_left.kernel_entries,
             audited_cpu_time: cpu_time_now.saturating_sub(self.cpu_time_at_start),
             session_length: now.saturating_since(self.started_at),
         };
@@ -437,6 +449,40 @@ mod tests {
         assert_eq!(report.kernel_entries, 3, "2 syscalls + 1 routine");
         assert_eq!(report.audited_cpu_time, SimDuration::from_micros(900));
         assert_eq!(report.session_length, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn session_ending_after_its_thread_finished_counts_exactly() {
+        let (mut k, mut orch) = setup();
+        let p = Program::new()
+            .compute(SimDuration::from_micros(200))
+            .syscall(SimDuration::from_micros(100))
+            .critical(SimDuration::from_micros(300))
+            .compute(SimDuration::from_micros(200))
+            .syscall(SimDuration::from_micros(100));
+        let mut pending = ActionBuf::new();
+        let tid = k.spawn(p, CpuSet::range(8, 12), SimTime::ZERO, &mut pending);
+        // The first segment retires un-audited.
+        let mut h = Harness::new();
+        h.absorb(&pending);
+        h.run_until(&mut k, SimTime::from_micros(250));
+        assert_eq!(k.thread_info(tid).pc, 1);
+        let unaudited = k.thread_info(tid).cpu_time;
+        let mut acts = ActionBuf::new();
+        let at = SimTime::from_micros(250);
+        let session = AuditSession::begin(&mut k, &mut orch, tid, at, &mut acts);
+        h.absorb(&acts);
+        h.run_until(&mut k, SimTime::from_secs(1));
+        let t = k.thread_info(tid);
+        assert_eq!(t.state, ThreadState::Finished);
+        assert!(t.program.is_empty(), "a finished thread keeps its program");
+        let report = session.end(&mut k, SimTime::from_secs(1), &mut ActionBuf::new());
+        assert_eq!(report.segments_retired, 4);
+        assert_eq!(report.kernel_entries, 3, "2 syscalls + 1 routine");
+        assert_eq!(
+            report.audited_cpu_time,
+            SimDuration::from_micros(900).saturating_sub(unaudited)
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ use taichi_virt::cost::{SWITCH_LATENCY, VM_ENTER};
 use taichi_virt::type2;
 use taichi_virt::{VcpuState, VmExitReason};
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -285,6 +285,35 @@ impl Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// An injected arrival waiting outside the event queue for its key's
+/// turn. Ordered by key, reversed, so a `BinaryHeap` pops the smallest
+/// first.
+#[derive(Debug)]
+struct ParkedRx {
+    key: EventKey,
+    slot: RxSlot,
+}
+
+impl PartialEq for ParkedRx {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for ParkedRx {}
+
+impl PartialOrd for ParkedRx {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ParkedRx {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
+    }
+}
 const _: () = assert!(std::mem::size_of::<EventToken>() == 16);
 /// One cache line per in-flight packet (the arena between ingest and
 /// delivery); rx rings hold a narrower 40-byte descriptor.
@@ -505,6 +534,14 @@ pub struct Machine {
     /// Packets delivered through [`Machine::inject_rx_for_tenant`];
     /// doubles as the sequence counter for their salted ID namespace.
     injected_rx: u64,
+    /// Injected arrivals not yet queued, each with the key it was
+    /// injected at (see [`Machine::inject_rx_for_tenant`]). Every key
+    /// here sorts after every queued `RxInject`.
+    parked_rx: BinaryHeap<ParkedRx>,
+    /// `RxInject` events in the queue, and the largest of their keys
+    /// (meaningful while there is one).
+    rx_queued: usize,
+    rx_queued_last: EventKey,
     /// True while an [`Event::ArbiterIssue`] is outstanding — at most
     /// one issue event is in flight, so the shared ingest port is
     /// modelled without event cancellation. Always false when
@@ -696,6 +733,9 @@ impl Machine {
             util_samples: Vec::new(),
             util_interval: None,
             injected_rx: 0,
+            parked_rx: BinaryHeap::new(),
+            rx_queued: 0,
+            rx_queued_last: EventKey::default(),
             arbiter_armed: false,
             unrouted: 0,
             tracer,
@@ -775,10 +815,31 @@ impl Machine {
         let id = PacketId(INJECT_SALT | self.injected_rx);
         self.injected_rx += 1;
         let at = at.max(self.now);
-        let packet = Packet::new(id, kind, size_bytes, dest_cpu, 0, at).with_tenant(tenant);
-        let packet = self.packets.park(RxSlot::pack(packet));
-        self.queue.schedule(at, Event::RxInject { packet });
+        let slot =
+            RxSlot::pack(Packet::new(id, kind, size_bytes, dest_cpu, 0, at).with_tenant(tenant));
+        // The key is taken now, so the arrival pops where an eager
+        // schedule would have put it; only its queue slot waits. An
+        // epoch's arrivals are injected at its start, and queueing
+        // them one at a time keeps the slab and the packet arena at
+        // one in-flight injection instead of the whole epoch's.
+        let key = self.queue.reserve(at);
+        if self.rx_queued > 0 && key > self.rx_queued_last {
+            self.parked_rx.push(ParkedRx { key, slot });
+        } else {
+            self.queue_rx(key, slot);
+        }
         id
+    }
+
+    /// Queues an injected arrival at its reserved key.
+    fn queue_rx(&mut self, key: EventKey, slot: RxSlot) {
+        let packet = self.packets.park(slot);
+        self.queue
+            .schedule_reserved(key, Event::RxInject { packet });
+        if self.rx_queued == 0 || key > self.rx_queued_last {
+            self.rx_queued_last = key;
+        }
+        self.rx_queued += 1;
     }
 
     /// Merges every DP service's latency records, in service order,
@@ -800,20 +861,25 @@ impl Machine {
     /// entry per service. Swapping twice restores both sides, so a
     /// driver can lend one warm set to each of many machines for a
     /// single `run_until` — swap in, run, swap out, drain the set —
-    /// and the machines hold no histogram storage between runs.
-    pub fn swap_dp_recorders(&mut self, loan: &mut Vec<ServiceRecorders>) {
-        loan.resize_with(self.services.len(), ServiceRecorders::default);
+    /// and the machines hold no recorders between runs. A service
+    /// without recorders creates them on its first completion, so a
+    /// `None` entry comes back filled if the service completed a
+    /// packet.
+    pub fn swap_dp_recorders(&mut self, loan: &mut Vec<Option<Box<ServiceRecorders>>>) {
+        loan.resize_with(self.services.len(), || None);
         for (s, r) in self.services.iter_mut().zip(loan.iter_mut()) {
             s.swap_recorders(r);
         }
     }
 
-    /// Hands `f` each service's recorders in service order, then puts
-    /// them back.
-    fn with_dp_recorders(&mut self, f: impl FnMut(&mut ServiceRecorders)) {
+    /// Hands `f` the recorders of each service that holds any, in
+    /// service order, then puts them back. A service without them has
+    /// completed nothing since it last gave them up, so skipping it
+    /// skips only empty recorders.
+    fn with_dp_recorders(&mut self, mut f: impl FnMut(&mut ServiceRecorders)) {
         let mut held = Vec::new();
         self.swap_dp_recorders(&mut held);
-        held.iter_mut().for_each(f);
+        held.iter_mut().flatten().for_each(|r| f(r));
         self.swap_dp_recorders(&mut held);
     }
 
@@ -919,6 +985,7 @@ impl Machine {
             (
                 "arenas",
                 self.packets.resident_bytes()
+                    + self.parked_rx.capacity() * std::mem::size_of::<ParkedRx>()
                     + self.vm_jobs.resident_bytes()
                     + self.cp_sources.resident_bytes(),
             ),
@@ -1214,6 +1281,19 @@ impl Machine {
             Event::ArbiterIssue => self.on_arbiter_issue(),
             Event::RxInject { packet } => {
                 let packet = self.packets.unpark(packet).unpack();
+                self.rx_queued -= 1;
+                if self.rx_queued == 0 {
+                    // The smallest parked key is the next injected
+                    // arrival and still ahead of the run.
+                    if let Some(next) = self.parked_rx.pop() {
+                        self.queue_rx(next.key, next.slot);
+                    }
+                    if self.parked_rx.is_empty() {
+                        // Hand the epoch's buffer back: an idle
+                        // machine holds no parked arrivals.
+                        self.parked_rx.shrink_to_fit();
+                    }
+                }
                 self.ingest_packet(packet);
             }
         }

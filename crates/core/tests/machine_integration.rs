@@ -617,3 +617,139 @@ fn run_until_or_without_done_is_run_until() {
     assert_eq!(polled.events_processed(), full.events_processed());
     assert_eq!(finished_turnarounds(&polled), finished_turnarounds(&full));
 }
+
+// ---------------------------------------------------------------
+// East-west injections against same-instant events.
+// ---------------------------------------------------------------
+
+/// The traced Tai Chi machine the injection tests feed: open-loop
+/// traffic on every DP CPU and a CP batch harvesting their idle time.
+fn inject_target() -> Machine {
+    let cfg = MachineConfig {
+        seed: 0x1E7,
+        trace: taichi_sim::TraceConfig {
+            enabled: true,
+            ..taichi_sim::TraceConfig::default()
+        },
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(cfg, Mode::TaiChi);
+    let dp = m.dp_cpu_ids().len() as u32;
+    m.add_traffic(traffic(dp, 0.2));
+    let mut rng = Rng::new(0x1E7);
+    m.schedule_cp_batch(SynthCp::default().workload(16, &mut rng), SimTime::ZERO);
+    m
+}
+
+fn dispatched(m: &Machine, kind: &str) -> u64 {
+    m.events_dispatched_by_kind()
+        .find(|&(k, _)| k == kind)
+        .map_or(0, |(_, n)| n)
+}
+
+/// The instant of the `n`-th dispatched `kind` event (1-based) on the
+/// un-fed [`inject_target`], found by bisecting over fresh runs.
+fn nth_dispatch(kind: &str, n: u64) -> SimTime {
+    let reached = |t: u64| {
+        let mut m = inject_target();
+        m.run_until(SimTime::from_nanos(t));
+        dispatched(&m, kind) >= n
+    };
+    let (mut lo, mut hi) = (0, SimTime::from_millis(3).as_nanos());
+    assert!(reached(hi), "fewer than {n} {kind} events");
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    SimTime::from_nanos(lo)
+}
+
+/// Runs [`inject_target`] to 3 ms in two calls, injecting out of time
+/// order before each: the first batch opens on the instant of the
+/// first burst completion, lands on generator arrivals and spills past
+/// the first call's limit; the second batch, injected between the
+/// calls, lands on later generator arrivals, interleaves with the
+/// spilled arrivals and includes one clamped to the current instant.
+/// `chunked` advances by `run_until_or`'s 1 ms chunks instead.
+/// Returns the trace digest and the per-kind dispatch counts.
+fn fed_run(ties: &[SimTime], chunked: bool) -> (u64, Vec<(&'static str, u64)>) {
+    let first_limit = SimTime::from_micros(1_500);
+    let limit = SimTime::from_millis(3);
+    let mut m = inject_target();
+    let dp = m.dp_cpu_ids().len() as u64;
+    let mut rng = Rng::new(0x5EED);
+    let batch = |m: &mut Machine, from: SimTime, mut times: Vec<SimTime>, rng: &mut Rng| {
+        for _ in 0..40 {
+            let span = limit.as_nanos() - from.as_nanos();
+            times.push(from + SimDuration::from_nanos(rng.next_below(span)));
+        }
+        // Fisher-Yates, so the batch arrives out of time order.
+        for i in (1..times.len()).rev() {
+            times.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for at in times {
+            let cpu = taichi_hw::CpuId(rng.next_below(dp) as u32);
+            m.inject_rx_for_tenant(at, IoKind::Network, 512, cpu, taichi_hw::TenantId(0));
+        }
+    };
+    let advance = |m: &mut Machine, to: SimTime| {
+        if chunked {
+            assert!(!m.run_until_or(to, |_| false));
+        } else {
+            m.run_until(to);
+        }
+    };
+    let (early, late) = ties.split_at(ties.partition_point(|&t| t < first_limit));
+    batch(&mut m, ties[0], early.to_vec(), &mut rng);
+    advance(&mut m, first_limit);
+    let mut late = late.to_vec();
+    late.push(SimTime::ZERO);
+    batch(&mut m, first_limit, late, &mut rng);
+    advance(&mut m, limit);
+    assert_eq!(dispatched(&m, "RxInject"), 80 + ties.len() as u64 + 1);
+    let by_kind = m
+        .events_dispatched_by_kind()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let trace = m.trace_tsv().expect("trace was enabled");
+    let digest = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    (digest, by_kind)
+}
+
+/// Injected arrivals fire at the keys they were injected at, whatever
+/// the injection order, however a run is chunked, and on the same
+/// nanosecond as generator arrivals and burst completions: the trace
+/// and the dispatch counts are pinned to the eager-injection engine's.
+#[test]
+fn injections_keep_their_order_against_same_instant_events() {
+    // The first injection is the first burst completion's instant, so
+    // the run up to it matches the un-fed machine and the tie holds.
+    let mut ties = vec![nth_dispatch("DpBurstDone", 1)];
+    ties.extend([12, 40, 700, 2_000, 2_500].map(|n| nth_dispatch("NextArrival", n)));
+    assert!(ties.windows(2).all(|w| w[0] < w[1]), "{ties:?}");
+    let whole = fed_run(&ties, false);
+    let chunked = fed_run(&ties, true);
+    assert_eq!(whole, chunked, "chunking changed the fed run");
+    let pinned: (u64, Vec<(&str, u64)>) = (
+        0x1357_449e_142e_727c,
+        vec![
+            ("NextArrival", 3213),
+            ("Delivered", 3295),
+            ("ProbeIrq", 9),
+            ("DpIdle", 14),
+            ("VcpuEntered", 9),
+            ("VcpuExited", 9),
+            ("KernelDecide", 7),
+            ("DpBurstDone", 3218),
+            ("SpawnBatch", 1),
+            ("RxInject", 87),
+        ],
+    );
+    assert_eq!(whole, pinned, "fed run moved: {ties:?}");
+}

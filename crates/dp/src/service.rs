@@ -65,7 +65,8 @@ impl Default for DpServiceConfig {
 
 /// A service's completion recorders: the merged recorder every packet
 /// lands in, plus one per tenant (none when single-tenant). They move
-/// in and out of a service as one unit ([`DpService::swap_recorders`]).
+/// in and out of a service as one boxed unit
+/// ([`DpService::swap_recorders`]).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceRecorders {
     /// Every completed packet.
@@ -75,6 +76,15 @@ pub struct ServiceRecorders {
 }
 
 impl ServiceRecorders {
+    /// Empty recorders for a service with `tenants` per-tenant
+    /// recorders (zero when single-tenant).
+    pub fn with_tenants(tenants: usize) -> Self {
+        ServiceRecorders {
+            merged: LatencyRecorder::new(),
+            tenants: (0..tenants).map(|_| LatencyRecorder::new()).collect(),
+        }
+    }
+
     /// Heap bytes held by the recorders' histogram buckets.
     pub fn resident_bytes(&self) -> usize {
         self.merged.resident_bytes()
@@ -85,6 +95,10 @@ impl ServiceRecorders {
                 .sum::<usize>()
     }
 }
+
+/// What [`DpService::recorder`] and [`DpService::tagged_recorder`]
+/// return while the service holds no such recorder.
+const EMPTY_RECORDER: &LatencyRecorder = &LatencyRecorder::new();
 
 /// A poll-mode service pinned to `cpu`.
 #[derive(Clone, Debug)]
@@ -109,10 +123,12 @@ pub struct DpService {
     /// `config.proc_cost_ns` with sampling constants hoisted (drawn
     /// once per processed packet — the hottest sampler in the machine).
     proc_cost: PreparedDist,
-    /// Merged and per-tenant latency/throughput recorders. The tenant
-    /// list is empty in the single-tenant configuration — the
-    /// pre-tenant hot path does not touch it (DESIGN.md §3.11).
-    recorders: ServiceRecorders,
+    /// Merged and per-tenant latency/throughput recorders, created by
+    /// the first completion: absent until then, and while a fleet
+    /// driver has them on loan (DESIGN.md §3.12). The tenant list is
+    /// empty in the single-tenant configuration — the pre-tenant hot
+    /// path does not touch it (DESIGN.md §3.11).
+    recorders: Option<Box<ServiceRecorders>>,
     /// Probe packets' records (non-zero destination queue), created by
     /// the first one: most services never see a probe packet.
     tagged: Option<Box<LatencyRecorder>>,
@@ -148,7 +164,7 @@ impl DpService {
             ff_polls: 0,
             polluted_until: SimTime::ZERO,
             meter: UtilizationMeter::new(SimTime::ZERO),
-            recorders: ServiceRecorders::default(),
+            recorders: None,
             tagged: None,
             tenant_processed: Vec::new(),
             tenant_drops: Vec::new(),
@@ -176,7 +192,9 @@ impl DpService {
     /// engine.
     pub fn set_tenants(&mut self, tenants: usize) {
         if tenants > 1 {
-            self.recorders.tenants = (0..tenants).map(|_| LatencyRecorder::new()).collect();
+            if let Some(r) = self.recorders.as_deref_mut() {
+                r.tenants = ServiceRecorders::with_tenants(tenants).tenants;
+            }
             self.tenant_processed = vec![0; tenants];
             self.tenant_drops = vec![0; tenants];
         }
@@ -254,6 +272,10 @@ impl DpService {
         self.empty_since = None;
         let mut t = ready.max(self.busy_until);
         self.meter.set_busy(t);
+        let tenants = self.tenant_processed.len();
+        let recorders = self
+            .recorders
+            .get_or_insert_with(|| Box::new(ServiceRecorders::with_tenants(tenants)));
         // Pop straight off the ring, one descriptor at a time: this is
         // the hottest packet path in the simulator, and it allocates
         // nothing.
@@ -269,13 +291,13 @@ impl DpService {
             }
             t += SimDuration::from_nanos(round_u64(cost_ns).max(1));
             p.completed_at = Some(t);
-            self.recorders.merged.record(&p);
+            recorders.merged.record(&p);
             if p.dest_queue != 0 {
                 self.tagged.get_or_insert_default().record(&p);
             }
-            if !self.recorders.tenants.is_empty() {
-                let i = p.tenant.index() % self.recorders.tenants.len();
-                self.recorders.tenants[i].record(&p);
+            if tenants > 0 {
+                let i = p.tenant.index() % tenants;
+                recorders.tenants[i].record(&p);
                 self.tenant_processed[i] += 1;
             }
             self.processed += 1;
@@ -351,33 +373,39 @@ impl DpService {
         self.ff_polls + self.empty_polls(now)
     }
 
-    /// Latency/throughput records.
+    /// Latency/throughput records (empty before the first completion
+    /// and while the recorders are on loan).
     pub fn recorder(&self) -> &LatencyRecorder {
-        &self.recorders.merged
+        self.recorders
+            .as_deref()
+            .map_or(EMPTY_RECORDER, |r| &r.merged)
     }
 
     /// Latency records for probe packets (non-zero destination queue).
     pub fn tagged_recorder(&self) -> &LatencyRecorder {
-        static EMPTY: LatencyRecorder = LatencyRecorder::new();
-        self.tagged.as_deref().unwrap_or(&EMPTY)
+        self.tagged.as_deref().unwrap_or(EMPTY_RECORDER)
     }
 
-    /// Per-tenant latency recorders (empty when single-tenant).
+    /// Per-tenant latency recorders: one per tenant once the service
+    /// holds recorders, none when single-tenant, before the first
+    /// completion, or while the recorders are on loan.
     pub fn tenant_recorders(&self) -> &[LatencyRecorder] {
-        &self.recorders.tenants
+        self.recorders.as_deref().map_or(&[], |r| &r.tenants)
     }
 
-    /// Exchanges the service's merged and per-tenant recorders with
-    /// `other`, first giving `other` one tenant recorder per tenant so
-    /// the service keeps its tenant shape. Swapping twice restores
-    /// both sides. Epoch drivers lend a service warm recorders for one
-    /// run and take them back to drain, so the service keeps no
-    /// histogram storage between runs; counters (`processed`,
-    /// `dropped`) are not recorders and stay cumulative.
-    pub fn swap_recorders(&mut self, other: &mut ServiceRecorders) {
-        other
-            .tenants
-            .resize_with(self.recorders.tenants.len(), LatencyRecorder::new);
+    /// Exchanges the service's recorders with `other`, first giving
+    /// lent recorders one tenant recorder per tenant so the service's
+    /// completions find their tenant's recorder. Swapping twice
+    /// restores both sides. Epoch drivers lend a service warm
+    /// recorders for one run and take them back to drain, so between
+    /// runs the service holds no recorders at all (`None`); counters
+    /// (`processed`, `dropped`) are not recorders and stay
+    /// cumulative.
+    pub fn swap_recorders(&mut self, other: &mut Option<Box<ServiceRecorders>>) {
+        if let Some(r) = other.as_deref_mut() {
+            r.tenants
+                .resize_with(self.tenant_processed.len(), LatencyRecorder::new);
+        }
         std::mem::swap(&mut self.recorders, other);
     }
 
@@ -427,8 +455,11 @@ impl DpService {
     /// shared config is counted by whoever built it.
     pub fn resident_bytes(&self) -> usize {
         self.queue.resident_bytes()
-            + self.recorders.resident_bytes()
-            + taichi_sim::vec_bytes(&self.recorders.tenants)
+            + self.recorders.as_deref().map_or(0, |r| {
+                std::mem::size_of::<ServiceRecorders>()
+                    + r.resident_bytes()
+                    + taichi_sim::vec_bytes(&r.tenants)
+            })
             + taichi_sim::vec_bytes(&self.tenant_processed)
             + taichi_sim::vec_bytes(&self.tenant_drops)
             + self.proc_cost.resident_bytes()
@@ -714,26 +745,38 @@ mod tests {
         assert_eq!(s.tenant_recorders()[1].packets(), 3);
         // The merged recorder still sees everything.
         assert_eq!(s.recorder().packets(), 6);
-        let mut lent = ServiceRecorders::default();
+        let mut lent = None;
         s.swap_recorders(&mut lent);
-        assert_eq!(lent.merged.packets(), 6);
-        assert_eq!(lent.tenants.len(), 2);
-        assert_eq!(lent.tenants[0].packets(), 3);
-        assert_eq!(lent.tenants[1].packets(), 3);
-        assert!(lent.resident_bytes() > 0);
-        // The service keeps its tenant shape, with empty recorders
-        // that hold no bucket storage.
-        assert_eq!(s.tenant_recorders().len(), 2);
-        assert_eq!(s.tenant_recorders()[0].packets(), 0);
-        assert_eq!(s.tenant_recorders()[0].resident_bytes(), 0);
+        let taken = lent.as_deref().expect("the service held recorders");
+        assert_eq!(taken.merged.packets(), 6);
+        assert_eq!(taken.tenants.len(), 2);
+        assert_eq!(taken.tenants[0].packets(), 3);
+        assert_eq!(taken.tenants[1].packets(), 3);
+        assert!(taken.resident_bytes() > 0);
+        // The service now holds no recorders at all.
+        let bare = s.resident_bytes();
+        assert!(s.tenant_recorders().is_empty());
         assert_eq!(s.recorder().packets(), 0);
         assert_eq!(s.recorder().resident_bytes(), 0);
-        // Swapping back restores the records and the placeholders.
+        // Swapping back restores the records.
         s.swap_recorders(&mut lent);
+        assert!(lent.is_none());
         assert_eq!(s.recorder().packets(), 6);
         assert_eq!(s.tenant_recorders()[1].packets(), 3);
-        assert_eq!(lent.tenants.len(), 2);
-        assert_eq!(lent.resident_bytes(), 0);
+        assert!(s.resident_bytes() > bare);
+        // Lent recorders of another shape get one per tenant, and a
+        // service without recorders creates them on its first
+        // completion, shaped by its tenants too.
+        let mut lent = Some(Box::new(ServiceRecorders::default()));
+        s.swap_recorders(&mut lent);
+        assert_eq!(s.tenant_recorders().len(), 2);
+        assert_eq!(s.recorder().packets(), 0);
+        let mut none = None;
+        s.swap_recorders(&mut none);
+        assert!(s.enqueue(delivered(6, 5), t));
+        s.process_burst(t, &mut rng);
+        assert_eq!(s.tenant_recorders().len(), 2);
+        assert_eq!(s.tenant_recorders()[0].packets(), 1);
     }
 
     #[test]

@@ -425,21 +425,21 @@ impl MachineSlot {
         &mut self,
         end: SimTime,
         plan: &EpochPlan,
-        loan: &mut Vec<ServiceRecorders>,
+        loan: &mut Vec<Option<Box<ServiceRecorders>>>,
         out: &mut WorkerDelta,
     ) {
         self.apply_plan(plan);
         // The machine records this epoch into the loan's empty, warm
-        // recorders and keeps only zero-capacity placeholders between
-        // epochs, so histogram storage scales with workers, not
-        // machines. The drain merges services in order, tenants within
-        // each service: the same merge order into each destination as
-        // draining the machine's own recorders, so even the
-        // order-sensitive `sum_sq` is bit-identical.
+        // recorders and holds none between epochs, so recorder storage
+        // scales with workers, not machines. The drain merges services
+        // in order, tenants within each service: the same merge order
+        // into each destination as draining the machine's own
+        // recorders, so even the order-sensitive `sum_sq` is
+        // bit-identical.
         self.machine.swap_dp_recorders(loan);
         self.machine.run_until(end);
         self.machine.swap_dp_recorders(loan);
-        for r in loan.iter_mut() {
+        for r in loan.iter_mut().flatten() {
             r.merged.drain_into(&mut out.recorder);
             if out.tenant_recorders.len() < r.tenants.len() {
                 out.tenant_recorders
@@ -933,7 +933,7 @@ fn run_sequential(cfg: &FleetConfig) -> FleetResult {
         .collect();
     let mut acc = RackAccum::new();
     let mut plans: Vec<EpochPlan> = Vec::new();
-    let mut loan: Vec<ServiceRecorders> = Vec::new();
+    let mut loan: Vec<Option<Box<ServiceRecorders>>> = Vec::new();
     let mut scratch = WorkerDelta::default();
     for e in 0..cfg.epochs {
         fill_plans(cfg, e, acc.congested(), &mut plans, None);
@@ -965,12 +965,13 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
     std::thread::scope(|scope| {
         let (delta_tx, delta_rx) = mpsc::channel::<WorkerDelta>();
         let mut cmd_txs = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (cmd_tx, cmd_rx) = mpsc::channel::<EpochCmd>();
             cmd_txs.push(cmd_tx);
             let delta_tx = delta_tx.clone();
             let cfg = cfg.clone();
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 // Machines are built *inside* the worker and stay there
                 // (machine affinity; DESIGN.md §3.9 measured per-epoch
                 // threads at a higher peak RSS); worker `w` owns every
@@ -984,7 +985,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                     .map(|i| MachineSlot::new(&cfg, i))
                     .collect();
                 let mut plans: Vec<EpochPlan> = Vec::new();
-                let mut loan: Vec<ServiceRecorders> = Vec::new();
+                let mut loan: Vec<Option<Box<ServiceRecorders>>> = Vec::new();
                 while let Ok(cmd) = cmd_rx.recv() {
                     let mut delta = cmd.recycle.unwrap_or_default();
                     fill_plans(
@@ -1001,7 +1002,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                         return;
                     }
                 }
-            });
+            }));
         }
         drop(delta_tx);
         // Drained deltas waiting to ride back out on the next command.
@@ -1029,6 +1030,18 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
             acc.close_epoch(cfg, e);
         }
         drop(cmd_txs); // workers exit on channel close
+
+        // `scope` alone returns once the closures end, before the
+        // threads have exited and handed their malloc arenas back; the
+        // next rack's workers would then open fresh arenas while the
+        // old ones keep their pages. Joining waits for the exit, so
+        // each rack reuses the arenas of the one before (DESIGN.md
+        // §3.9).
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     finish(cfg, acc)
 }
@@ -1236,7 +1249,7 @@ mod tests {
                     );
                 }
                 // The histogram storage lives in the one loan instead.
-                let lent: usize = loan.iter().map(ServiceRecorders::resident_bytes).sum();
+                let lent: usize = loan.iter().flatten().map(|r| r.resident_bytes()).sum();
                 assert!(lent > 0, "the loan recorded nothing in epoch {e}");
             }
         }

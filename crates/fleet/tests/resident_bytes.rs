@@ -64,7 +64,7 @@ fn resident_bytes_track_the_live_heap() {
     let mut vm_id = 0;
     // Like the fleet's workers, lend each machine warm recorders for
     // one epoch at a time, so machines hold no histogram storage.
-    let mut loan: Vec<ServiceRecorders> = Vec::new();
+    let mut loan: Vec<Option<Box<ServiceRecorders>>> = Vec::new();
     let before = LIVE.load(Ordering::Relaxed);
     let cfg = FleetConfig::default();
     let mut machines: Vec<Machine> = (0..MACHINES).map(|i| cfg.build_machine(i)).collect();
@@ -90,7 +90,7 @@ fn resident_bytes_track_the_live_heap() {
             m.swap_dp_recorders(&mut loan);
             m.run_until(start + EPOCH);
             m.swap_dp_recorders(&mut loan);
-            for r in &mut loan {
+            for r in loan.iter_mut().flatten() {
                 r.merged = LatencyRecorder::new();
             }
         }

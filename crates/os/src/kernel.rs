@@ -241,7 +241,8 @@ impl Kernel {
         vec_bytes(&self.threads) + vec_bytes(&self.finished)
     }
 
-    /// Heap bytes of every thread's program segments.
+    /// Heap bytes of every thread's program segments (a finished
+    /// thread holds none).
     pub fn program_resident_bytes(&self) -> usize {
         self.threads
             .iter()
@@ -826,10 +827,12 @@ impl Kernel {
             let seg = self.thread(tid).current_segment().cloned();
             match seg {
                 None => {
-                    // Program complete.
+                    // Program complete: nothing reads its segments
+                    // again, so they are dropped.
                     let t = self.thread_mut(tid);
                     t.state = ThreadState::Finished;
                     t.finished_at = Some(now);
+                    t.program = Program::new();
                     self.finished.push(tid);
                     out.push(KernelAction::ThreadFinished { tid });
                     self.clear_current(cpu, now);

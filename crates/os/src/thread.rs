@@ -173,7 +173,8 @@ pub enum ThreadState {
 pub struct Thread {
     /// Thread ID.
     pub id: ThreadId,
-    /// The program being executed.
+    /// The program being executed; emptied when the thread finishes
+    /// (`pc` keeps its final value).
     pub program: Program,
     /// Index of the current segment.
     pub pc: usize,

@@ -17,7 +17,9 @@
 //! included), so [`EventQueue::is_pending`] can say whether the run has
 //! reached a reserved key whether or not an event sits there. A caller
 //! can therefore reserve a timer's slot in the order, and queue the
-//! timer only once it learns the handler would have something to do.
+//! timer only once it learns the handler would have something to do,
+//! or take the keys of many future events at once and queue each only
+//! when the one before it has popped.
 //!
 //! # Generation-stamped slots
 //!
@@ -123,8 +125,10 @@ pub struct EventToken {
 /// [`EventQueue::schedule_reserved`] then inserts it exactly where an
 /// eager [`EventQueue::schedule`] at reserve time would have, and
 /// [`EventQueue::is_pending`] says whether the run has reached the key
-/// yet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// yet. Keys order like the events they stand for, so a caller can
+/// hold reserved keys in a sorted structure of its own; the default
+/// key is the first one a fresh queue hands out.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventKey {
     time: SimTime,
     seq: u64,
